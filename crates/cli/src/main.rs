@@ -22,7 +22,7 @@ use mg_core::{
 };
 use mg_router::{Router, RouterConfig, RouterTcpServer, Topology};
 use mg_server::json::obj;
-use mg_server::{error_response, serve_stdio, Json, Service, ServiceConfig, TcpServer};
+use mg_server::{error_response, Json, Service, ServiceConfig, TcpServer};
 use mg_sparse::{
     bsp_cost, communication_volume, dist_io, gen, io, load_imbalance, spy, spy_partitioned,
     CommunicationReport, Coo, Idx, PatternStats,
@@ -104,6 +104,9 @@ SERVE OPTIONS (protocol: crates/server/PROTOCOL.md):
   --timing      append non-deterministic time_ms to computed responses
   --shard-id ID diagnostic shard tag added to stats/error responses
                 (for shards behind mgpart route; omit to stay untagged)
+  --max-sessions N  most TCP sessions open at once; a connection beyond
+                it gets one typed `overloaded` error line and is closed
+                (default 0 = unlimited)
   --metrics-addr HOST:PORT   serve a Prometheus-style text snapshot of the
                 metrics registry on a side TCP port (out-of-band: never
                 touches the protocol stream; scrape with `mgpart metrics`).
@@ -122,6 +125,7 @@ ROUTE OPTIONS (semantics: crates/server/PROTOCOL.md, \"Routing\"):
   --listen ADDR TCP listen address; omit for stdio pipe mode
   --cache N     router-level LRU response cache entries, 0 = off  (default 128)
   --window N    max in-flight requests per shard connection  (default 64)
+  --max-sessions N  same TCP admission limit as serve  (default 0 = unlimited)
   --backend B   backend assumed for cost estimation when requests carry
                 no backend field  (default mondriaan; match the shards')
   --heavy-cost C  estimated-cost threshold that biases placement of
@@ -793,6 +797,7 @@ fn serve(parsed: &Parsed) -> Result<(), String> {
         timing: parsed.has("--timing"),
         shard_id: parsed.flag_opt("--shard-id"),
         trace_slow: trace_slow_flag(parsed)?,
+        max_sessions: parsed.flag_parse("--max-sessions", 0usize)?,
     };
     // Name this process's track in exported traces: shards show up as
     // their topology id, a standalone server as "server".
@@ -819,7 +824,7 @@ fn serve(parsed: &Parsed) -> Result<(), String> {
             mg_obs::log::info("server_stopped", &[("drained", true.into())]);
         }
         None => {
-            let summary = serve_stdio(&service);
+            let summary = service.run_session(std::io::stdin().lock(), std::io::stdout());
             service.shutdown_and_join();
             mg_obs::log::info(
                 "session_done",
@@ -878,6 +883,7 @@ fn route(parsed: &Parsed) -> Result<(), String> {
         probe_interval,
         read_deadline: seconds_flag(parsed, "--read-deadline")?,
         trace_slow: trace_slow_flag(parsed)?,
+        max_sessions: parsed.flag_parse("--max-sessions", 0usize)?,
         ..RouterConfig::default()
     };
     let shard_count = topology.len();
@@ -902,7 +908,7 @@ fn route(parsed: &Parsed) -> Result<(), String> {
             mg_obs::log::info("router_stopped", &[]);
         }
         None => {
-            let summary = mg_router::serve_stdio(&router);
+            let summary = router.run_session(std::io::stdin().lock(), std::io::stdout());
             mg_obs::log::info(
                 "session_done",
                 &[

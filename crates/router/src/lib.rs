@@ -55,11 +55,15 @@ pub mod harness;
 mod metrics;
 pub mod placement;
 pub mod router;
-pub mod transport;
+mod shard;
 
 pub use cache::RouterKey;
 pub use config::{ShardSpec, Topology, TopologyError, MAX_SHARD_CAPACITY};
 pub use harness::{LocalCluster, LocalShard, ShardProxy};
 pub use placement::{place, place_replicas, rank, rendezvous};
 pub use router::{Router, RouterConfig, RouterSummary};
-pub use transport::{serve_pipe, serve_stdio, RouterTcpServer};
+
+/// The router's TCP front end: the same session runtime and listener as
+/// an `mg-server` shard, so a client cannot tell a router from a shard
+/// by transport behaviour.
+pub type RouterTcpServer = mg_server::TcpFrontEnd<Router>;

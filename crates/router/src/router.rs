@@ -1,17 +1,17 @@
-//! The routing engine: placement, per-shard connections with
-//! reconnect-and-replay, replica-set failover, the router-level response
-//! cache, and per-session ordered response streams.
+//! The routing engine: placement, the router-level response cache, the
+//! health prober, and the router's session handler.
 //!
 //! ## Execution model
 //!
-//! A session (one per stdio pipe or TCP connection) decodes request
-//! lines, answers what it can locally (parse errors, `ping`, `stats`,
-//! router-cache hits), and forwards the rest — the *original raw line*,
-//! so shards decode exactly what the client sent — to the shard that
-//! [`crate::placement`] picks for the request's placement key. Each
-//! session holds at most one connection per shard; responses come back in
-//! FIFO order per connection and are re-sequenced into client submission
-//! order by the same sliding-slot scheme `mg-server` uses.
+//! A router session is an `mg_server::session` handler: the shared
+//! session runtime pumps request units into it and writes its responses
+//! in submission order, exactly as for a shard. The handler answers what
+//! it can locally (parse errors, `ping`, `stats`, router-cache hits) and
+//! forwards the rest — the *original raw line*, so shards decode exactly
+//! what the client sent — to the shard that [`crate::placement`] picks
+//! for the request's placement key. Each session holds at most one
+//! connection per shard (`shard.rs`); responses come back in FIFO
+//! order per connection and resolve the session's response slots.
 //!
 //! ## Replication and failure handling
 //!
@@ -44,37 +44,28 @@
 //! returns exactly the line the dead replica would have produced (see
 //! `PROTOCOL.md` § Routing for the exact contract).
 
-use crate::cache::{cached_true_of, with_id, RouterKey};
+use crate::cache::{with_id, RouterKey};
 use crate::config::Topology;
 use crate::metrics::{
     dispatch_counter, health_transition, router_metrics, router_request_seconds, set_replicas,
     set_shard_alive,
 };
 use crate::placement::place_replicas;
+use crate::shard::{EntryTrace, PendingEntry, SessionState, ShardConn};
 use mg_core::service::{placement_key, ErrorCode, RequestOp};
 use mg_core::{parse_backend, DEFAULT_BACKEND};
-use mg_obs::trace::{self, TraceContext};
-use mg_server::codec::{self, UnitKind, UnitScanner, WireCodec};
+use mg_obs::trace;
+use mg_server::codec::{self, UnitKind, WireCodec};
 use mg_server::json::obj;
+use mg_server::session::{
+    self, lock_ok, wait_ok, Handler, Render, RequestTrace, Responses, Runtime, Stamp,
+};
 use mg_server::{protocol, Json, LruCache};
-use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
-
-/// Locks a mutex, recovering the data from a poisoned lock: a panicking
-/// worker must degrade to a typed `internal` error for its own request,
-/// never abort every other session sharing the router state.
-fn lock_ok<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// [`Condvar::wait`] with the same poison recovery as [`lock_ok`].
-fn wait_ok<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-    cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Configuration of a [`Router`].
 #[derive(Debug, Clone)]
@@ -115,6 +106,10 @@ pub struct RouterConfig {
     /// (the default) disables the sampler; explicitly traced requests
     /// are always recorded regardless.
     pub trace_slow: Option<Duration>,
+    /// Most TCP sessions open at once (`--max-sessions`); a connection
+    /// beyond it is answered with a typed `overloaded` error and closed.
+    /// 0 (the default) = unlimited.
+    pub max_sessions: usize,
 }
 
 impl Default for RouterConfig {
@@ -130,6 +125,7 @@ impl Default for RouterConfig {
             probe_interval: Duration::from_millis(500),
             read_deadline: None,
             trace_slow: None,
+            max_sessions: 0,
         }
     }
 }
@@ -199,7 +195,7 @@ impl Prober {
 /// A running router: validated topology + shared cache + connection
 /// pools + (with `replicas > 1`) a background health prober. Sessions
 /// attach via [`Router::run_session`] (pipe transports) or the TCP front
-/// end in [`crate::transport`].
+/// end ([`crate::RouterTcpServer`]).
 pub struct Router {
     pub(crate) core: Arc<RouterCore>,
     prober: Option<Prober>,
@@ -302,71 +298,38 @@ impl Router {
         self.core.shutdown.store(true, Ordering::SeqCst);
     }
 
-    /// Runs one full session over a generic line transport: requests are
-    /// read from `input` on the calling thread, responses stream to
-    /// `output` from a writer thread in submission order. Returns when
-    /// the input is exhausted (EOF or in-band `shutdown`) and every
-    /// response has been written.
-    pub fn run_session<R: BufRead, W: Write + Send>(
-        &self,
-        mut input: R,
-        mut output: W,
-    ) -> RouterSummary {
+    /// Runs one full session over a generic byte transport (pipe mode):
+    /// requests are read from `input` on the calling thread, responses
+    /// stream to `output` from a writer thread in submission order.
+    /// Returns when the input is exhausted (EOF or in-band `shutdown`)
+    /// and every response has been written.
+    pub fn run_session<R: BufRead, W: Write + Send>(&self, input: R, output: W) -> RouterSummary {
         let mut driver = RouterSessionDriver::new(self.core.clone());
-        let shared = driver.shared();
-        let _ = crossbeam::scope(|scope| {
-            let out = &mut output;
-            let writer = scope.spawn(move |_| write_router_responses(&shared, out));
-            let mut scanner = UnitScanner::new();
-            'session: loop {
-                let consumed = match input.fill_buf() {
-                    Ok([]) => {
-                        // A final request without its `\n` terminator is
-                        // still a request.
-                        if let Some(tail) = scanner.take_eof_remainder() {
-                            driver.handle_unit(UnitKind::Line, &tail);
-                        }
-                        break;
-                    }
-                    Ok(chunk) => {
-                        scanner.push(chunk);
-                        chunk.len()
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => break,
-                };
-                input.consume(consumed);
-                loop {
-                    match scanner.next_unit() {
-                        Ok(Some((kind, range))) => {
-                            let go = driver.handle_unit(kind, scanner.bytes(&range));
-                            if let Some(codec) = driver.take_codec_switch() {
-                                scanner.set_codec(codec);
-                            }
-                            if !go {
-                                break 'session;
-                            }
-                        }
-                        Ok(None) => break,
-                        Err(e) => {
-                            driver.protocol_error(&e.message);
-                            break 'session;
-                        }
-                    }
-                }
-            }
-            driver.finish();
-            // A panicked writer is an internal failure of this session
-            // only; the summary just reports zero written responses.
-            driver.summary.responses = writer.join().unwrap_or(0);
-        });
-        driver.summary
+        let responses = session::run(&mut driver, input, output, &|| false);
+        RouterSummary {
+            responses,
+            ..driver.summary
+        }
+    }
+}
+
+impl Runtime for Router {
+    const NAME: &'static str = "mg-router";
+
+    fn open(&self) -> impl Handler + '_ {
+        RouterSessionDriver::new(self.core.clone())
     }
 
-    /// Opens a session driver for a custom transport (the TCP front end);
-    /// most callers want [`Router::run_session`].
-    pub(crate) fn open_session(&self) -> RouterSessionDriver {
-        RouterSessionDriver::new(self.core.clone())
+    fn is_shutting_down(&self) -> bool {
+        Router::is_shutting_down(self)
+    }
+
+    fn initiate_shutdown(&self) {
+        Router::initiate_shutdown(self);
+    }
+
+    fn max_sessions(&self) -> usize {
+        self.core.config.max_sessions
     }
 }
 
@@ -379,7 +342,7 @@ impl Drop for Router {
 }
 
 impl RouterCore {
-    fn dial(&self, shard: usize) -> std::io::Result<TcpStream> {
+    pub(crate) fn dial(&self, shard: usize) -> std::io::Result<TcpStream> {
         let addr = &self.topology.shards()[shard].addr;
         let mut last = None;
         for attempt in 0..self.config.connect_attempts.max(1) {
@@ -399,22 +362,22 @@ impl RouterCore {
 
     /// A connection for `shard`: pooled if available, freshly dialed
     /// otherwise.
-    fn take_connection(&self, shard: usize) -> std::io::Result<TcpStream> {
+    pub(crate) fn take_connection(&self, shard: usize) -> std::io::Result<TcpStream> {
         if let Some(stream) = lock_ok(&self.pools[shard]).pop() {
             return Ok(stream);
         }
         self.dial(shard)
     }
 
-    fn return_connection(&self, shard: usize, stream: TcpStream) {
+    pub(crate) fn return_connection(&self, shard: usize, stream: TcpStream) {
         lock_ok(&self.pools[shard]).push(stream);
     }
 
-    fn alive(&self, shard: usize) -> bool {
+    pub(crate) fn alive(&self, shard: usize) -> bool {
         self.health[shard].load(Ordering::SeqCst)
     }
 
-    fn mark_alive(&self, shard: usize, alive: bool) {
+    pub(crate) fn mark_alive(&self, shard: usize, alive: bool) {
         let was = self.health[shard].swap(alive, Ordering::SeqCst);
         if was != alive {
             let id = &self.topology.shards()[shard].id;
@@ -432,6 +395,12 @@ impl RouterCore {
         }
     }
 
+    /// Counts one request moved off its primary replica.
+    pub(crate) fn count_failover(&self) {
+        self.failovers.fetch_add(1, Ordering::SeqCst);
+        router_metrics().failovers.inc();
+    }
+
     /// Ids of the shards currently believed dead, in topology order.
     fn dead_ids(&self) -> Vec<String> {
         self.topology
@@ -443,11 +412,7 @@ impl RouterCore {
             .collect()
     }
 
-    fn cache_get(&self, key: &RouterKey) -> Option<String> {
-        lock_ok(&self.cache).get(key).cloned()
-    }
-
-    fn cache_put(&self, key: RouterKey, line: String) {
+    pub(crate) fn cache_put(&self, key: RouterKey, line: String) {
         lock_ok(&self.cache).insert(key, line);
     }
 
@@ -476,15 +441,16 @@ impl RouterCore {
                         None
                     }
                 });
-            let Some(mut stream) = stream else { continue };
-            if stream.write_all(b"{\"op\":\"shutdown\"}\n").is_err() || stream.flush().is_err() {
-                continue;
-            }
-            let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
             // Await the ack so the shard has fully drained before we
             // report our own shutdown; the content is irrelevant.
-            let mut ack = String::new();
-            let _ = BufReader::new(stream).read_line(&mut ack);
+            if let Some(stream) = stream {
+                let shutdown = b"{\"op\":\"shutdown\"}\n";
+                exchange(
+                    &mut BufReader::new(stream),
+                    shutdown,
+                    Duration::from_secs(10),
+                );
+            }
         }
     }
 }
@@ -527,74 +493,22 @@ fn probe_once(core: &RouterCore, shard: usize, slot: &mut Option<BufReader<TcpSt
         *slot = Some(BufReader::new(stream));
     }
     let reader = slot.as_mut().expect("just installed");
-    let _ = reader
-        .get_ref()
-        .set_read_timeout(Some(core.config.probe_deadline()));
-    let mut w = reader.get_ref();
-    let written = w.write_all(b"{\"op\":\"ping\"}\n").is_ok() && w.flush().is_ok();
-    let mut line = String::new();
-    let alive = written && matches!(reader.read_line(&mut line), Ok(n) if n > 0);
+    let alive = exchange(reader, b"{\"op\":\"ping\"}\n", core.config.probe_deadline());
     if !alive {
         *slot = None;
     }
     alive
 }
 
-/// Trace state of one routed request: the router's root `request` span
-/// context plus the sampler verdict flag. Carried from decode to the
-/// delivery (or failure) that closes the root span.
-#[derive(Clone, Copy)]
-struct ReqTrace {
-    /// The router-side root span: `span_id` is the `request` span,
-    /// `parent_id` the client's span when the request arrived traced.
-    ctx: TraceContext,
-    /// Opened by the slow-request sampler; committed or discarded
-    /// against [`RouterConfig::trace_slow`] when the request resolves.
-    speculative: bool,
-    /// UNIX-epoch µs at decode — the root span's start timestamp.
-    start_us: u64,
-    /// Monotonic decode instant — the root span's duration clock.
-    started: Instant,
-}
-
-/// One dispatch leg of a traced entry: the span covering
-/// enqueue-on-a-connection through delivery. Failover opens a fresh leg
-/// parented under its `failover_replay` span.
-#[derive(Clone, Copy)]
-struct EntryTrace {
-    req: ReqTrace,
-    /// Pre-allocated `dispatch` span id — stamped into the forwarded
-    /// line so shard-side spans parent under this leg.
-    dispatch_span: u64,
-    dispatch_parent: u64,
-    dispatch_us: u64,
-    dispatch_at: Instant,
-}
-
-/// One forwarded-but-unanswered request.
-struct PendingEntry {
-    /// Session submission index (the response slot to fill).
-    index: u64,
-    /// The request line a replay resends: the original bytes, except
-    /// that traced entries carry the router's propagated `trace` field.
-    raw: String,
-    /// Router-cache key for cacheable (partition) requests.
-    key: Option<RouterKey>,
-    /// The request id, kept so a failure response can echo it without
-    /// re-parsing the raw line.
-    id: Json,
-    /// Lower-ranked replicas still untried, best first — where this
-    /// request fails over if the current shard dies. Empty at
-    /// `replicas == 1`.
-    fallbacks: Vec<usize>,
-    /// When the entry was (re)written to the current connection; the
-    /// read-deadline clock.
-    enqueued: Instant,
-    /// When the session admitted the entry; the latency-histogram clock.
-    started: Instant,
-    /// Trace state, present when the request is explicitly traced or
-    /// the slow-request sampler is on.
-    trace: Option<EntryTrace>,
+/// Sends one request line to a shard and waits up to `timeout` for any
+/// reply line. `false` when the write fails or no reply arrives.
+fn exchange(reader: &mut BufReader<TcpStream>, line: &[u8], timeout: Duration) -> bool {
+    let _ = reader.get_ref().set_read_timeout(Some(timeout));
+    let mut w = reader.get_ref();
+    let mut reply = String::new();
+    w.write_all(line).is_ok()
+        && w.flush().is_ok()
+        && matches!(reader.read_line(&mut reply), Ok(n) if n > 0)
 }
 
 /// Returns `raw` with its top-level `"trace"` field inserted or
@@ -602,7 +516,7 @@ struct PendingEntry {
 /// parent under the router's `dispatch` leg. Falls back to the
 /// unstamped line if `raw` fails to re-parse (the shard then records a
 /// trace rooted at the client's context, or none at all).
-fn stamp_trace(raw: &str, trace_id: u128, parent: u64) -> String {
+pub(crate) fn stamp_trace(raw: &str, trace_id: u128, parent: u64) -> String {
     let Ok(mut doc) = Json::parse(raw) else {
         return raw.to_string();
     };
@@ -620,92 +534,23 @@ fn stamp_trace(raw: &str, trace_id: u128, parent: u64) -> String {
     doc.to_string()
 }
 
-/// Closes a routed request's root `request` span and settles the
-/// sampler verdict: a speculative trace survives only when the request
-/// took at least [`RouterConfig::trace_slow`].
-fn close_req_trace(core: &RouterCore, rt: &ReqTrace) {
-    let total = rt.started.elapsed();
-    trace::record_span(
-        rt.ctx.trace_id,
-        rt.ctx.span_id,
-        rt.ctx.parent_id,
-        "request",
-        rt.start_us,
-        total,
-    );
-    if rt.speculative {
-        if core
-            .config
-            .trace_slow
-            .is_some_and(|threshold| total >= threshold)
-        {
-            trace::collector().commit(rt.ctx.trace_id);
-        } else {
-            trace::collector().discard(rt.ctx.trace_id);
-        }
+/// Removes and returns the best remaining candidate: the first replica
+/// currently believed alive, or — when everything looks dead — the first
+/// remaining one (the dial will be the judge). `None` when exhausted.
+pub(crate) fn next_candidate(core: &RouterCore, fallbacks: &mut Vec<usize>) -> Option<usize> {
+    if fallbacks.is_empty() {
+        return None;
     }
+    let position = fallbacks
+        .iter()
+        .position(|&shard| core.alive(shard))
+        .unwrap_or(0);
+    Some(fallbacks.remove(position))
 }
 
-/// Records the current `dispatch` leg of a traced entry — called
-/// exactly once per leg, where the leg ends (delivery, connection
-/// death, or reader failure).
-fn record_entry_dispatch(entry: &PendingEntry) {
-    if let Some(t) = &entry.trace {
-        trace::record_span(
-            t.req.ctx.trace_id,
-            t.dispatch_span,
-            Some(t.dispatch_parent),
-            "dispatch",
-            t.dispatch_us,
-            t.dispatch_at.elapsed(),
-        );
-    }
-}
-
-/// State shared between a session and one shard-connection reader thread.
-struct ConnShared {
-    /// The live stream; the reader swaps it on reconnect, the session
-    /// writes requests through it. Lock order: `stream` before `pending`.
-    stream: Mutex<TcpStream>,
-    pending: Mutex<VecDeque<PendingEntry>>,
-    /// Signalled whenever `pending` shrinks (window space / drain).
-    space: Condvar,
-    /// Session is over; exit once `pending` is empty.
-    stop: AtomicBool,
-    /// The connection failed for good (reconnects exhausted); pending
-    /// requests were failed over or failed with `shard_unavailable`.
-    dead: AtomicBool,
-}
-
-struct ShardConn {
-    shared: Arc<ConnShared>,
-    reader: Option<std::thread::JoinHandle<()>>,
-}
-
-impl ShardConn {
-    /// Stops the reader (it notices within its read timeout) and joins
-    /// it, returning the stream if the connection is still clean enough
-    /// to pool (no pending, not dead).
-    fn retire(mut self) -> Option<TcpStream> {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        if let Some(reader) = self.reader.take() {
-            let _ = reader.join();
-        }
-        let clean =
-            !self.shared.dead.load(Ordering::SeqCst) && lock_ok(&self.shared.pending).is_empty();
-        if !clean {
-            return None;
-        }
-        let stream = lock_ok(&self.shared.stream);
-        stream.try_clone().ok()
-    }
-}
-
-/// Response slots of one router session (the sliding-window scheme of
-/// `mg-server`, with deferred `stats` slots so the counters cover exactly
-/// the delivered prefix).
-enum RSlot {
-    Pending,
+/// One resolved response slot of a router session. `stats` slots are
+/// deferred so their counters cover exactly the delivered prefix.
+pub(crate) enum RSlot {
     Ready {
         line: String,
         /// The response says `cached: true` (shard- or router-served).
@@ -722,169 +567,75 @@ enum RSlot {
         /// Open sessions on the router, sampled at decode time (≥ 1:
         /// the asking session counts itself).
         sessions: u64,
-        /// Present when the router runs replicated (`replicas > 1`):
-        /// lets the writer sample replica health at delivery time, after
-        /// every earlier response (and thus every failover that produced
-        /// one) has resolved.
-        core: Option<Arc<RouterCore>>,
     },
 }
 
 impl RSlot {
-    fn is_resolved(&self) -> bool {
-        !matches!(self, RSlot::Pending)
-    }
-}
-
-#[derive(Default)]
-struct RouterSlots {
-    base: u64,
-    slots: VecDeque<RSlot>,
-    input_done: bool,
-}
-
-#[derive(Default)]
-pub(crate) struct RouterShared {
-    state: Mutex<RouterSlots>,
-    ready: Condvar,
-    /// Forwarded-but-unresolved requests of this session. The writer
-    /// samples it when it renders a `stats` slot — by then the whole
-    /// preceding prefix has resolved, so in any script where no
-    /// partition request trails the `stats` request the value is
-    /// deterministically 0 (see `PROTOCOL.md` § Diagnostics).
-    outstanding: AtomicU64,
-}
-
-impl RouterShared {
-    fn lock(&self) -> MutexGuard<'_, RouterSlots> {
-        lock_ok(&self.state)
-    }
-
-    fn push_pending(&self) {
-        self.lock().slots.push_back(RSlot::Pending);
-    }
-
-    fn set(&self, index: u64, slot: RSlot) {
-        let mut state = self.lock();
-        let offset = (index - state.base) as usize;
-        state.slots[offset] = slot;
-        self.ready.notify_all();
-    }
-
-    fn set_line(&self, index: u64, line: String, cached: bool, error: bool) {
-        self.set(
-            index,
-            RSlot::Ready {
-                line,
-                cached,
-                error,
-                switch: None,
-            },
-        );
-    }
-
-    fn set_switch(&self, index: u64, line: String, codec: WireCodec) {
-        self.set(
-            index,
-            RSlot::Ready {
-                line,
-                cached: false,
-                error: false,
-                switch: Some(codec),
-            },
-        );
-    }
-
-    fn finish_input(&self) {
-        self.lock().input_done = true;
-        self.ready.notify_all();
-    }
-
-    /// Blocks until every slot except (optionally) `skip` is resolved —
-    /// the session-level drain. Covers requests in failover limbo (popped
-    /// from one pending queue, not yet re-enqueued on the next replica),
-    /// which per-connection queues alone would miss.
-    fn drain_resolved(&self, skip: Option<u64>) {
-        let mut state = self.lock();
-        loop {
-            let base = state.base;
-            let unresolved =
-                state.slots.iter().enumerate().any(|(offset, slot)| {
-                    !slot.is_resolved() && Some(base + offset as u64) != skip
-                });
-            if !unresolved {
-                return;
-            }
-            state = wait_ok(&self.ready, state);
+    pub(crate) fn line(line: String, cached: bool, error: bool) -> RSlot {
+        RSlot::Ready {
+            line,
+            cached,
+            error,
+            switch: None,
         }
     }
 }
 
-/// Writer half of a router session: emits responses in submission order,
-/// tallying `cached: true` and error lines as they pass so a deferred
-/// `stats` slot reports exactly its prefix. Returns the number of
-/// responses written.
-pub(crate) fn write_router_responses<W: Write>(shared: &RouterShared, output: &mut W) -> u64 {
-    let mut written = 0u64;
-    let mut wire = WireCodec::JsonLines;
-    let mut cache_hits = 0u64;
-    let mut errors = 0u64;
-    loop {
-        let slot = {
-            let mut state = shared.lock();
-            loop {
-                if matches!(state.slots.front(), Some(slot) if slot.is_resolved()) {
-                    break;
-                }
-                if state.input_done && state.slots.front().is_none() {
-                    return written;
-                }
-                state = wait_ok(&shared.ready, state);
-            }
-            state.base += 1;
-            state.slots.pop_front().expect("checked front")
-        };
-        let mut switch = None;
-        let line = match slot {
-            RSlot::Pending => unreachable!("writer only pops resolved slots"),
+/// Writer half of a router session: tallies `cached: true` and error
+/// lines as they pass, so a deferred `stats` slot reports exactly its
+/// prefix. Shard responses are forwarded opaquely: whatever codec the
+/// *client* negotiated, the response text is the shard line
+/// byte-for-byte — only the framing around it changes.
+struct RouterRender {
+    session: Arc<SessionState>,
+    cache_hits: u64,
+    errors: u64,
+}
+
+impl Render for RouterRender {
+    type Slot = RSlot;
+
+    fn slots(&self) -> &Responses<RSlot> {
+        &self.session.slots
+    }
+
+    fn render(&mut self, slot: RSlot) -> (String, Option<WireCodec>) {
+        match slot {
             RSlot::Ready {
                 line,
                 cached,
                 error,
-                switch: slot_switch,
+                switch,
             } => {
-                if cached {
-                    cache_hits += 1;
-                }
-                if error {
-                    errors += 1;
-                }
-                switch = slot_switch;
-                line
+                self.cache_hits += u64::from(cached);
+                self.errors += u64::from(error);
+                (line, switch)
             }
             RSlot::Stats {
                 id,
                 received,
                 sessions,
-                core,
             } => {
                 let mut fields = vec![
                     ("id", id),
                     ("status", Json::Str("ok".into())),
                     ("op", Json::Str("stats".into())),
                     ("received", Json::UInt(received)),
-                    ("cache_hits", Json::UInt(cache_hits)),
-                    ("errors", Json::UInt(errors)),
+                    ("cache_hits", Json::UInt(self.cache_hits)),
+                    ("errors", Json::UInt(self.errors)),
                     ("sessions", Json::UInt(sessions)),
                     (
                         "queue_depth",
-                        Json::UInt(shared.outstanding.load(Ordering::SeqCst)),
+                        Json::UInt(self.slots().outstanding.load(Ordering::SeqCst)),
                     ),
                 ];
                 // Replica diagnostics, only when something is actually
                 // dead: a healthy replicated topology reports byte-
-                // identically to an unreplicated one.
-                if let Some(core) = core {
+                // identically to an unreplicated one. Sampled here, after
+                // every earlier response (and so every failover that
+                // produced one) has resolved.
+                let core = &self.session.core;
+                if core.config.replicas > 1 {
                     let dead = core.dead_ids();
                     if !dead.is_empty() {
                         fields.push(("replicas", Json::UInt(core.config.replicas as u64)));
@@ -895,509 +646,84 @@ pub(crate) fn write_router_responses<W: Write>(shared: &RouterShared, output: &m
                         ));
                     }
                 }
-                obj(fields).to_string()
-            }
-        };
-        // Shard responses are forwarded opaquely: whatever codec the
-        // *client* negotiated, the response document's text is the shard
-        // line byte-for-byte — only the framing around it changes.
-        if codec::write_response_unit(output, wire, &line).is_ok() {
-            written += 1;
-        }
-        if let Some(next) = switch {
-            wire = next;
-        }
-    }
-}
-
-/// The connection table of one session, shared with its reader threads
-/// so a dying connection can fail its pending requests over to other
-/// replicas (which may need fresh connections) from the reader itself.
-struct SessionState {
-    core: Arc<RouterCore>,
-    slots: Arc<RouterShared>,
-    conns: Mutex<Vec<Option<ShardConn>>>,
-}
-
-impl SessionState {
-    /// The session's connection to `shard`, creating or reviving it as
-    /// needed (pool first, fresh dial second). Callable from the session
-    /// thread and from failing-over reader threads alike.
-    fn connection(self: &Arc<Self>, shard: usize) -> std::io::Result<Arc<ConnShared>> {
-        loop {
-            let stale = {
-                let mut conns = lock_ok(&self.conns);
-                match &conns[shard] {
-                    Some(conn) if !conn.shared.dead.load(Ordering::SeqCst) => {
-                        return Ok(conn.shared.clone());
-                    }
-                    // Revive: retire the dead reader outside the table
-                    // lock (retire joins the reader, which may itself be
-                    // waiting on the table while failing over).
-                    Some(_) => conns[shard].take(),
-                    None => None,
-                }
-            };
-            if let Some(stale) = stale {
-                stale.retire();
-                continue;
-            }
-            let stream = self.core.take_connection(shard)?;
-            let shared = Arc::new(ConnShared {
-                stream: Mutex::new(stream),
-                pending: Mutex::new(VecDeque::new()),
-                space: Condvar::new(),
-                stop: AtomicBool::new(false),
-                dead: AtomicBool::new(false),
-            });
-            let reader = std::thread::Builder::new()
-                .name(format!("mg-router-shard-{shard}"))
-                .spawn({
-                    let session = self.clone();
-                    let conn = shared.clone();
-                    move || reader_thread(&session, shard, &conn)
-                })?;
-            let ours = ShardConn {
-                shared: shared.clone(),
-                reader: Some(reader),
-            };
-            let stale = {
-                let mut conns = lock_ok(&self.conns);
-                match &conns[shard] {
-                    // Lost an install race against another thread whose
-                    // connection is live: keep theirs, retire ours.
-                    Some(existing) if !existing.shared.dead.load(Ordering::SeqCst) => {
-                        let winner = existing.shared.clone();
-                        drop(conns);
-                        if let Some(stream) = ours.retire() {
-                            self.core.return_connection(shard, stream);
-                        }
-                        return Ok(winner);
-                    }
-                    _ => {
-                        let stale = conns[shard].take();
-                        conns[shard] = Some(ours);
-                        stale
-                    }
-                }
-            };
-            if let Some(stale) = stale {
-                stale.retire();
-            }
-            return Ok(shared);
-        }
-    }
-
-    /// Fails a lost connection: marks the shard dead (for placement and
-    /// the prober to re-admit later), drains the pending queue, and
-    /// replays each entry against its next-ranked live replica — typed
-    /// `shard_unavailable` errors only for entries whose replica set is
-    /// exhausted.
-    fn fail_over(self: &Arc<Self>, shard: usize, conn: &ConnShared) {
-        self.core.mark_alive(shard, false);
-        let drained: Vec<PendingEntry> = {
-            // `dead` is set under the pending lock so a racing `forward`
-            // either sees the flag before enqueueing or its entry is
-            // drained here — never an orphaned request.
-            let mut pending = lock_ok(&conn.pending);
-            conn.dead.store(true, Ordering::SeqCst);
-            pending.drain(..).collect()
-        };
-        conn.space.notify_all();
-        for entry in drained {
-            self.dispatch_failover(entry, shard);
-        }
-    }
-
-    /// Replays one orphaned entry on the best remaining replica, walking
-    /// down the ranking as candidates fail.
-    fn dispatch_failover(self: &Arc<Self>, mut entry: PendingEntry, mut last_shard: usize) {
-        // The leg on the dead connection ends here, whatever happens to
-        // the entry next.
-        record_entry_dispatch(&entry);
-        loop {
-            let Some(next) = next_candidate(&self.core, &mut entry.fallbacks) else {
-                self.fail_entry(entry, last_shard);
-                return;
-            };
-            let from = last_shard;
-            last_shard = next;
-            // A traced replay rides under a `failover_replay` span: a
-            // fresh dispatch leg parented to it, restamped into the
-            // resent line so the surviving shard's spans link back
-            // through the replay.
-            let replay = if let Some(t) = entry.trace {
-                let span = t.req.ctx.child();
-                let replay_at = Instant::now();
-                let replay_us = trace::now_us();
-                let leg = EntryTrace {
-                    req: t.req,
-                    dispatch_span: trace::next_span_id(),
-                    dispatch_parent: span.span_id,
-                    dispatch_us: replay_us,
-                    dispatch_at: replay_at,
-                };
-                entry.raw = stamp_trace(&entry.raw, t.req.ctx.trace_id, leg.dispatch_span);
-                entry.trace = Some(leg);
-                Some((span, replay_us, replay_at))
-            } else {
-                None
-            };
-            match self.replay_entry(next, entry) {
-                Ok(()) => {
-                    if let Some((span, start_us, at)) = replay {
-                        trace::record_span(
-                            span.trace_id,
-                            span.span_id,
-                            span.parent_id,
-                            "failover_replay",
-                            start_us,
-                            at.elapsed(),
-                        );
-                    }
-                    self.core.failovers.fetch_add(1, Ordering::SeqCst);
-                    router_metrics().failovers.inc();
-                    mg_obs::log::warn(
-                        "router_failover",
-                        &[
-                            (
-                                "from_shard",
-                                self.core.topology.shards()[from].id.as_str().into(),
-                            ),
-                            (
-                                "to_shard",
-                                self.core.topology.shards()[next].id.as_str().into(),
-                            ),
-                        ],
-                    );
-                    return;
-                }
-                Err(returned) => {
-                    self.core.mark_alive(next, false);
-                    entry = *returned;
-                }
-            }
-        }
-    }
-
-    /// Enqueues and writes an already-admitted entry on `shard`'s
-    /// connection. No window wait: the entry consumed its backpressure
-    /// budget when the session first admitted it, and failover must not
-    /// park one reader thread on another connection's window.
-    fn replay_entry(
-        self: &Arc<Self>,
-        shard: usize,
-        mut entry: PendingEntry,
-    ) -> Result<(), Box<PendingEntry>> {
-        let Ok(conn) = self.connection(shard) else {
-            return Err(Box::new(entry));
-        };
-        let raw = entry.raw.clone();
-        let stream = lock_ok(&conn.stream);
-        {
-            let mut pending = lock_ok(&conn.pending);
-            if conn.dead.load(Ordering::SeqCst) {
-                return Err(Box::new(entry));
-            }
-            entry.enqueued = Instant::now();
-            pending.push_back(entry);
-        }
-        let mut w = &*stream;
-        let write_ok =
-            w.write_all(raw.as_bytes()).is_ok() && w.write_all(b"\n").is_ok() && w.flush().is_ok();
-        drop(stream);
-        if !write_ok {
-            // The entry is pending on the new connection; poke its reader
-            // so reconnect-and-replay (or a further failover) picks it up.
-            let stream = lock_ok(&conn.stream);
-            let _ = stream.shutdown(std::net::Shutdown::Read);
-        }
-        Ok(())
-    }
-
-    /// Resolves an entry whose replica set is exhausted with the typed
-    /// `shard_unavailable` error naming the last shard that owned it.
-    fn fail_entry(&self, entry: PendingEntry, shard: usize) {
-        let spec = &self.core.topology.shards()[shard];
-        let line = protocol::error_response(
-            &entry.id,
-            ErrorCode::ShardUnavailable,
-            &format!(
-                "shard {:?} at {} became unreachable; request lost after replay attempts",
-                spec.id, spec.addr
-            ),
-            Some(&spec.id),
-        );
-        // The current leg was already recorded by `dispatch_failover`;
-        // only the root span and the sampler verdict remain.
-        if let Some(t) = &entry.trace {
-            close_req_trace(&self.core, &t.req);
-        }
-        router_request_seconds(&spec.id).observe(entry.started.elapsed().as_secs_f64());
-        // Decrement before resolving, as in `deliver_response`.
-        self.slots.outstanding.fetch_sub(1, Ordering::SeqCst);
-        router_metrics().pending.dec();
-        self.slots.set_line(entry.index, line, false, true);
-    }
-
-    /// Resolves every pending entry of a conn with a typed `internal`
-    /// error — the degraded (but draining) outcome of a panicked reader.
-    fn fail_internal(&self, shard: usize, conn: &ConnShared) {
-        let spec = &self.core.topology.shards()[shard];
-        let drained: Vec<PendingEntry> = {
-            let mut pending = lock_ok(&conn.pending);
-            conn.dead.store(true, Ordering::SeqCst);
-            pending.drain(..).collect()
-        };
-        conn.space.notify_all();
-        for entry in drained {
-            let line = protocol::error_response(
-                &entry.id,
-                ErrorCode::Internal,
-                &format!("router worker for shard {:?} failed; request lost", spec.id),
-                Some(&spec.id),
-            );
-            record_entry_dispatch(&entry);
-            if let Some(t) = &entry.trace {
-                close_req_trace(&self.core, &t.req);
-            }
-            router_request_seconds(&spec.id).observe(entry.started.elapsed().as_secs_f64());
-            // Decrement before resolving, as in `deliver_response`.
-            self.slots.outstanding.fetch_sub(1, Ordering::SeqCst);
-            router_metrics().pending.dec();
-            self.slots.set_line(entry.index, line, false, true);
-        }
-    }
-}
-
-/// Removes and returns the best remaining candidate: the first replica
-/// currently believed alive, or — when everything looks dead — the first
-/// remaining one (the dial will be the judge). `None` when exhausted.
-fn next_candidate(core: &RouterCore, fallbacks: &mut Vec<usize>) -> Option<usize> {
-    if fallbacks.is_empty() {
-        return None;
-    }
-    let position = fallbacks
-        .iter()
-        .position(|&shard| core.alive(shard))
-        .unwrap_or(0);
-    Some(fallbacks.remove(position))
-}
-
-/// Reader half of one shard connection, with a panic firewall: a
-/// panicking reader resolves its pending requests with typed `internal`
-/// errors instead of hanging the session (the writer would otherwise
-/// wait forever on the orphaned slots).
-fn reader_thread(session: &Arc<SessionState>, shard: usize, conn: &Arc<ConnShared>) {
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        reader_loop(session, shard, conn);
-    }));
-    if outcome.is_err() {
-        session.fail_internal(shard, conn);
-    }
-}
-
-/// Reader loop body: pairs response lines with the FIFO pending queue,
-/// fills session slots, feeds the router cache, and owns
-/// reconnect-and-replay plus the failover hand-off.
-fn reader_loop(session: &Arc<SessionState>, shard: usize, conn: &Arc<ConnShared>) {
-    let core = &session.core;
-    'connection: loop {
-        let handle = {
-            let stream = lock_ok(&conn.stream);
-            match stream.try_clone() {
-                Ok(h) => h,
-                Err(_) => {
-                    session.fail_over(shard, conn);
-                    return;
-                }
-            }
-        };
-        let _ = handle.set_read_timeout(Some(Duration::from_millis(50)));
-        let mut reader = BufReader::new(handle);
-        let mut buf: Vec<u8> = Vec::new();
-        loop {
-            let idle = lock_ok(&conn.pending).is_empty();
-            if conn.stop.load(Ordering::SeqCst) && idle {
-                return;
-            }
-            // Read-deadline: a connection that owes its oldest response
-            // for longer than the deadline is hung — mark the replica
-            // dead and fail over (a hung shard accepts connections, so
-            // reconnect-and-replay would just hang again).
-            if let Some(deadline) = core.config.read_deadline {
-                let expired = lock_ok(&conn.pending)
-                    .front()
-                    .is_some_and(|entry| entry.enqueued.elapsed() > deadline);
-                if expired {
-                    session.fail_over(shard, conn);
-                    return;
-                }
-            }
-            match reader.read_until(b'\n', &mut buf) {
-                Ok(0) => {
-                    // Shard closed the connection. Idle close (e.g. a
-                    // shard restarting) just retires this reader; a close
-                    // with pending work triggers reconnect-and-replay.
-                    // `dead` is set under the pending lock so a racing
-                    // `forward` either sees the flag before enqueueing or
-                    // its entry is seen here — never an orphaned request.
-                    let retired = {
-                        let pending = lock_ok(&conn.pending);
-                        if pending.is_empty() {
-                            conn.dead.store(true, Ordering::SeqCst);
-                            true
-                        } else {
-                            false
-                        }
-                    };
-                    if retired {
-                        return;
-                    }
-                    if !reconnect_and_replay(core, shard, conn) {
-                        session.fail_over(shard, conn);
-                        return;
-                    }
-                    buf.clear();
-                    continue 'connection;
-                }
-                Ok(_) => {
-                    if buf.last() != Some(&b'\n') {
-                        // Timeout mid-line: keep the prefix and retry.
-                        continue;
-                    }
-                    let line = String::from_utf8_lossy(&buf)
-                        .trim_end_matches(['\r', '\n'])
-                        .to_string();
-                    buf.clear();
-                    deliver_response(core, shard, conn, &session.slots, &line);
-                }
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => {
-                    if !reconnect_and_replay(core, shard, conn) {
-                        session.fail_over(shard, conn);
-                        return;
-                    }
-                    buf.clear();
-                    continue 'connection;
-                }
+                (obj(fields).to_string(), None)
             }
         }
     }
 }
 
-/// Matches one shard response line with the oldest pending request:
-/// stores cacheable successes in the router cache (as their
-/// `cached: true` variant), closes the entry's trace spans, observes
-/// the per-shard latency histogram, and resolves the session slot.
-fn deliver_response(
-    core: &RouterCore,
-    shard: usize,
-    conn: &ConnShared,
-    slots: &RouterShared,
-    line: &str,
-) {
-    let entry = {
-        let mut pending = lock_ok(&conn.pending);
-        let entry = pending.pop_front();
-        conn.space.notify_all();
-        entry
-    };
-    let Some(entry) = entry else {
-        // A response with no matching request: protocol violation; drop
-        // the line rather than corrupting slot order.
-        return;
-    };
-    // One parse per response line: metadata and the cache-stored rewrite
-    // both come from this document.
-    let doc = Json::parse(line).ok();
-    let status = doc
-        .as_ref()
-        .and_then(|d| d.get("status"))
-        .and_then(Json::as_str)
-        .unwrap_or("");
-    let cached = doc
-        .as_ref()
-        .and_then(|d| d.get("cached"))
-        .and_then(Json::as_bool)
-        .unwrap_or(false);
-    let error = status == "error";
-    if status == "ok" {
-        if let (Some(key), Some(doc)) = (entry.key, &doc) {
-            if let Some(stored) = cached_true_of(doc) {
-                core.cache_put(key, stored);
-            }
-        }
-    }
-    record_entry_dispatch(&entry);
-    if let Some(t) = &entry.trace {
-        close_req_trace(core, &t.req);
-    }
-    router_request_seconds(&core.topology.shards()[shard].id)
-        .observe(entry.started.elapsed().as_secs_f64());
-    // Decrement *before* resolving the slot: the writer samples
-    // `outstanding` when it renders a `stats` slot, which it can only
-    // reach after every preceding slot resolved — so decrementing first
-    // keeps the sampled value deterministic.
-    slots.outstanding.fetch_sub(1, Ordering::SeqCst);
-    router_metrics().pending.dec();
-    slots.set_line(entry.index, line.to_string(), cached, error);
-}
-
-/// Redials the shard and replays the pending queue in order. Returns
-/// `false` when the shard stayed unreachable through the configured
-/// attempts.
-fn reconnect_and_replay(core: &RouterCore, shard: usize, conn: &ConnShared) -> bool {
-    let Ok(fresh) = core.dial(shard) else {
-        return false;
-    };
-    let mut stream = lock_ok(&conn.stream);
-    let mut pending = lock_ok(&conn.pending);
-    let now = Instant::now();
-    for entry in pending.iter_mut() {
-        if fresh.peer_addr().is_err() {
-            return false;
-        }
-        let mut w = &fresh;
-        if w.write_all(entry.raw.as_bytes()).is_err()
-            || w.write_all(b"\n").is_err()
-            || w.flush().is_err()
-        {
-            return false;
-        }
-        // The deadline clock restarts with the rewrite.
-        entry.enqueued = now;
-    }
-    *stream = fresh;
-    true
-}
-
-/// Reader half of a router session, usable from any transport: feed it
-/// request lines, run [`write_router_responses`] from a writer thread,
-/// and call [`RouterSessionDriver::finish`] when the input ends.
-pub(crate) struct RouterSessionDriver {
+/// Reader half of a router session: the [`Handler`] the session runtime
+/// feeds request units into.
+struct RouterSessionDriver {
     session: Arc<SessionState>,
-    pub(crate) summary: RouterSummary,
-    next_index: u64,
-    /// A `hello` just switched the *inbound* codec; the transport takes
-    /// this and retunes its scanner before the next unit.
+    summary: RouterSummary,
+    /// A `hello` just switched the *inbound* codec; the pump takes this
+    /// and retunes its scanner before the next unit.
     pending_switch: Option<WireCodec>,
+}
+
+impl Handler for RouterSessionDriver {
+    type Render = RouterRender;
+
+    fn writer(&self) -> RouterRender {
+        RouterRender {
+            session: self.session.clone(),
+            cache_hits: 0,
+            errors: 0,
+        }
+    }
+
+    /// Binary partition frames are decoded once and forwarded to the
+    /// (JSON-lines) shards as their canonical re-rendered line; text
+    /// requests are forwarded as the original text.
+    fn handle_unit(&mut self, kind: UnitKind, bytes: &[u8]) -> bool {
+        session::decode_unit(kind, bytes, &mut |decoded| {
+            let index = self.begin();
+            match decoded {
+                Ok((request, Some(line))) => self.dispatch(index, request, line),
+                Ok((request, None)) => {
+                    let line = codec::request_json_line(&request);
+                    self.dispatch(index, request, &line)
+                }
+                Err(e) => {
+                    self.local_error(index, &e.id, e.code, &e.message, None);
+                    true
+                }
+            }
+        })
+    }
+
+    fn take_codec_switch(&mut self) -> Option<WireCodec> {
+        self.pending_switch.take()
+    }
+
+    fn protocol_error(&mut self, message: &str) {
+        let index = self.begin();
+        self.local_error(index, &Json::Null, ErrorCode::BadRequest, message, None);
+    }
+
+    /// Ends the session: waits out in-flight forwards, retires the
+    /// connections (pooling the clean ones), and releases the writer.
+    fn finish(&mut self) {
+        self.session.slots.drain(None);
+        for (shard, conn) in self.session.take_conns().into_iter().enumerate() {
+            if let Some(stream) = conn.and_then(ShardConn::retire) {
+                if !self.core().shutdown.load(Ordering::SeqCst) {
+                    self.core().return_connection(shard, stream);
+                }
+            }
+        }
+        self.session.slots.finish_input();
+    }
 }
 
 impl RouterSessionDriver {
     fn new(core: Arc<RouterCore>) -> Self {
-        let shards = core.topology.len();
         core.sessions.fetch_add(1, Ordering::SeqCst);
         router_metrics().sessions_live.inc();
         RouterSessionDriver {
-            session: Arc::new(SessionState {
-                core,
-                slots: Arc::new(RouterShared::default()),
-                conns: Mutex::new((0..shards).map(|_| None).collect()),
-            }),
+            session: SessionState::new(core),
             summary: RouterSummary::default(),
-            next_index: 0,
             pending_switch: None,
         }
     }
@@ -1406,175 +732,50 @@ impl RouterSessionDriver {
         &self.session.core
     }
 
-    pub(crate) fn shared(&self) -> Arc<RouterShared> {
-        self.session.slots.clone()
-    }
-
-    /// Allocates the next response slot in stream order.
+    /// Opens the next response slot in stream order.
     fn begin(&mut self) -> u64 {
-        let index = self.next_index;
-        self.next_index += 1;
         self.summary.received += 1;
         router_metrics().requests.inc();
-        self.session.slots.push_pending();
-        index
+        self.session.slots.open()
     }
 
-    /// Handles one scanned protocol unit (a request line or a binary
-    /// frame payload). Returns `false` when the session should stop
-    /// reading (an in-band `shutdown`).
-    pub(crate) fn handle_unit(&mut self, kind: UnitKind, bytes: &[u8]) -> bool {
-        match kind {
-            UnitKind::Line => self.handle_text(bytes),
-            UnitKind::Frame => self.handle_frame(bytes),
-        }
-    }
-
-    /// After a unit containing a `hello`: the codec the inbound scanner
-    /// must switch to before the next unit.
-    pub(crate) fn take_codec_switch(&mut self) -> Option<WireCodec> {
-        self.pending_switch.take()
-    }
-
-    /// Reports a fatal framing violation as a typed error response; the
-    /// transport closes the session after this.
-    pub(crate) fn protocol_error(&mut self, message: &str) {
-        let index = self.begin();
-        self.local_error(index, &Json::Null, ErrorCode::BadRequest, message, None);
-    }
-
-    fn handle_text(&mut self, bytes: &[u8]) -> bool {
-        match std::str::from_utf8(bytes) {
-            Ok(text) => self.handle_line(text.trim_end_matches('\r')),
-            Err(_) => {
-                let index = self.begin();
-                self.local_error(
-                    index,
-                    &Json::Null,
-                    ErrorCode::BadRequest,
-                    "request bytes are not valid UTF-8",
-                    None,
-                );
-                true
-            }
-        }
-    }
-
-    /// A binary frame at the router's edge: JSON payloads re-enter the
-    /// line path (and are forwarded as the original text); binary
-    /// partition payloads are decoded once and forwarded to the (JSON-
-    /// lines) shards as their canonical re-rendered line.
-    fn handle_frame(&mut self, payload: &[u8]) -> bool {
-        match payload.split_first() {
-            None => {
-                let index = self.begin();
-                self.local_error(
-                    index,
-                    &Json::Null,
-                    ErrorCode::BadRequest,
-                    "empty frame",
-                    None,
-                );
-                true
-            }
-            Some((&codec::KIND_JSON, body)) => self.handle_text(body),
-            Some((&codec::KIND_PARTITION, body)) => {
-                let index = self.begin();
-                match codec::decode_partition_payload(body) {
-                    Ok(request) => {
-                        let line = codec::request_json_line(&request);
-                        let spec = request.spec.expect("partition requests carry a spec");
-                        // Binary frames carry no trace field; the slow
-                        // sampler may still open one inside.
-                        self.route_partition(index, &line, request.id, spec, request.trace);
-                        true
-                    }
-                    Err(e) => {
-                        self.local_error(index, &e.id, e.code, &e.message, None);
-                        true
-                    }
-                }
-            }
-            Some((&codec::KIND_BATCH, body)) => match codec::batch_subframes(body) {
-                Ok(subs) => {
-                    for sub in subs {
-                        if !self.handle_frame(&body[sub]) {
-                            return false;
-                        }
-                    }
-                    true
-                }
-                Err(message) => {
-                    let index = self.begin();
-                    self.local_error(index, &Json::Null, ErrorCode::BadRequest, &message, None);
-                    true
-                }
-            },
-            Some((&kind, _)) => {
-                let index = self.begin();
-                self.local_error(
-                    index,
-                    &Json::Null,
-                    ErrorCode::BadRequest,
-                    &format!("unknown frame kind 0x{kind:02x}"),
-                    None,
-                );
-                true
-            }
-        }
-    }
-
-    /// Decodes and routes one request line. Returns `false` when the
-    /// session should stop reading (an in-band `shutdown`).
-    pub(crate) fn handle_line(&mut self, raw: &str) -> bool {
-        let line = raw.trim();
-        if line.is_empty() {
-            return true;
-        }
-        let index = self.begin();
-        let request = match protocol::parse_request_line(line) {
-            Ok(request) => request,
-            Err(e) => {
-                self.local_error(index, &e.id, e.code, &e.message, None);
-                return true;
-            }
-        };
+    /// Routes one decoded request. Returns `false` when the session
+    /// should stop reading (an in-band `shutdown`).
+    fn dispatch(&mut self, index: u64, request: protocol::Request, line: &str) -> bool {
         match request.op {
             RequestOp::Ping => {
-                self.session.slots.set_line(
-                    index,
-                    protocol::op_response(&request.id, "ping"),
-                    false,
-                    false,
-                );
-                true
+                let line = protocol::op_response(&request.id, "ping");
+                self.session
+                    .slots
+                    .resolve(index, RSlot::line(line, false, false));
             }
-            RequestOp::Stats => {
-                self.handle_stats(index, line, request.id, request.shard);
-                true
-            }
+            RequestOp::Stats => self.handle_stats(index, line, request.id, request.shard),
             RequestOp::Shutdown => {
                 self.handle_shutdown(index, request.id);
-                false
+                return false;
             }
             RequestOp::Hello => {
                 // Codec negotiation is strictly between client and
                 // router; shard connections always speak JSON lines.
                 let codec = request.codec.unwrap_or(WireCodec::JsonLines);
                 self.pending_switch = Some(codec);
-                self.session.slots.set_switch(
+                let line = protocol::hello_response(&request.id, codec);
+                self.session.slots.resolve(
                     index,
-                    protocol::hello_response(&request.id, codec),
-                    codec,
+                    RSlot::Ready {
+                        line,
+                        cached: false,
+                        error: false,
+                        switch: Some(codec),
+                    },
                 );
-                true
             }
             RequestOp::Partition => {
                 let spec = request.spec.expect("partition requests carry a spec");
                 self.route_partition(index, line, request.id, spec, request.trace);
-                true
             }
         }
+        true
     }
 
     fn local_error(
@@ -1586,12 +787,10 @@ impl RouterSessionDriver {
         shard: Option<&str>,
     ) {
         self.summary.errors += 1;
-        self.session.slots.set_line(
-            index,
-            protocol::error_response(id, code, message, shard),
-            false,
-            true,
-        );
+        let line = protocol::error_response(id, code, message, shard);
+        self.session
+            .slots
+            .resolve(index, RSlot::line(line, false, true));
     }
 
     /// `stats` without a `shard` field is answered by the router itself
@@ -1604,14 +803,12 @@ impl RouterSessionDriver {
             None => {
                 let received = self.summary.received;
                 let sessions = self.core().sessions.load(Ordering::SeqCst);
-                let core = (self.core().config.replicas > 1).then(|| self.core().clone());
-                self.session.slots.set(
+                self.session.slots.resolve(
                     index,
                     RSlot::Stats {
                         id,
                         received,
                         sessions,
-                        core,
                     },
                 );
             }
@@ -1643,29 +840,18 @@ impl RouterSessionDriver {
         }
     }
 
-    /// Opens the trace for one partition request: the router's root
-    /// `request` span, parented under the client's context when the
-    /// request arrived traced, or a speculative sampler trace when
-    /// [`RouterConfig::trace_slow`] is set.
-    fn begin_trace(&self, wire: Option<mg_obs::WireTrace>, started: Instant) -> Option<ReqTrace> {
-        let start_us = trace::now_us();
-        match wire {
-            Some(w) => Some(ReqTrace {
-                ctx: TraceContext {
-                    trace_id: w.trace_id,
-                    span_id: trace::next_span_id(),
-                    parent_id: w.parent,
-                },
-                speculative: false,
-                start_us,
-                started,
-            }),
-            None => self.core().config.trace_slow.map(|_| ReqTrace {
-                ctx: trace::collector().begin_speculative(),
-                speculative: true,
-                start_us,
-                started,
-            }),
+    /// Records the `route` span of a traced request: the synchronous
+    /// routing decision (placement, cache lookup, replica ranking).
+    fn close_route_span(rt: &Option<RequestTrace>, route_span: Option<trace::TraceContext>) {
+        if let (Some(rt), Some(rs)) = (rt, route_span) {
+            trace::record_span(
+                rs.trace_id,
+                rs.span_id,
+                rs.parent_id,
+                "route",
+                rt.start.us,
+                rt.start.at.elapsed(),
+            );
         }
     }
 
@@ -1677,33 +863,27 @@ impl RouterSessionDriver {
         spec: mg_core::service::PartitionSpec,
         wire: Option<mg_obs::WireTrace>,
     ) {
-        let started = Instant::now();
-        let rt = self.begin_trace(wire, started);
-        if self.core().shutdown.load(Ordering::SeqCst) {
-            self.local_error(
-                index,
-                &id,
+        let start = Stamp::now();
+        let trace_slow = self.core().config.trace_slow;
+        let rt = RequestTrace::open(wire, trace_slow, start);
+        let placed = if self.core().shutdown.load(Ordering::SeqCst) {
+            Err((
                 ErrorCode::ShuttingDown,
-                "router is draining; request rejected",
-                None,
-            );
-            if let Some(rt) = &rt {
-                close_req_trace(self.core(), rt);
-            }
-            return;
-        }
-        let placement = match placement_key(&spec.matrix) {
+                "router is draining; request rejected".to_string(),
+            ))
+        } else {
+            placement_key(&spec.matrix)
+        };
+        let placement = match placed {
             Ok(placement) => placement,
             Err((code, message)) => {
                 self.local_error(index, &id, code, &message, None);
                 if let Some(rt) = &rt {
-                    close_req_trace(self.core(), rt);
+                    rt.close(trace_slow);
                 }
                 return;
             }
         };
-        // The `route` span covers the synchronous routing decision:
-        // placement, cache lookup, replica ranking.
         let route_span = rt.as_ref().map(|rt| rt.ctx.child());
         let key: RouterKey = (
             placement.key,
@@ -1713,32 +893,23 @@ impl RouterSessionDriver {
             spec.seed,
             spec.include_partition,
         );
-        let lookup_us = trace::now_us();
-        let lookup_at = Instant::now();
-        let stored = self.core().cache_get(&key);
+        let lookup = Stamp::now();
+        let stored = lock_ok(&self.core().cache).get(&key).cloned();
         if let Some(rs) = &route_span {
-            trace::record_child(rs, "cache_lookup", lookup_us, lookup_at.elapsed());
+            lookup.record_child(rs, "cache_lookup");
         }
-        if let Some(stored) = stored {
-            if let Some(line) = with_id(&stored, &id) {
-                self.summary.cache_hits += 1;
-                router_metrics().cache_hits.inc();
-                self.session.slots.set_line(index, line, true, false);
-                if let Some(rt) = &rt {
-                    let rs = route_span.expect("route span exists whenever rt does");
-                    trace::record_span(
-                        rs.trace_id,
-                        rs.span_id,
-                        rs.parent_id,
-                        "route",
-                        rt.start_us,
-                        rt.started.elapsed(),
-                    );
-                    close_req_trace(self.core(), rt);
-                }
-                router_request_seconds("router").observe(started.elapsed().as_secs_f64());
-                return;
+        if let Some(line) = stored.and_then(|stored| with_id(&stored, &id)) {
+            self.summary.cache_hits += 1;
+            router_metrics().cache_hits.inc();
+            self.session
+                .slots
+                .resolve(index, RSlot::line(line, true, false));
+            Self::close_route_span(&rt, route_span);
+            if let Some(rt) = &rt {
+                rt.close(trace_slow);
             }
+            router_request_seconds("router").observe(start.at.elapsed().as_secs_f64());
+            return;
         }
         // Pre-validated: the request field by the protocol decoder, the
         // default by Router::new.
@@ -1758,17 +929,7 @@ impl RouterSessionDriver {
         // Close `route` before the forward: the dispatch leg owns the
         // enqueue-through-delivery window, and a speculative trace may
         // be settled by the reader the moment the write lands.
-        if let Some(rt) = &rt {
-            let rs = route_span.expect("route span exists whenever rt does");
-            trace::record_span(
-                rs.trace_id,
-                rs.span_id,
-                rs.parent_id,
-                "route",
-                rt.start_us,
-                rt.started.elapsed(),
-            );
-        }
+        Self::close_route_span(&rt, route_span);
         self.forward(
             &ForwardReq {
                 index,
@@ -1793,18 +954,17 @@ impl RouterSessionDriver {
                 unreachable!("forward always receives at least one candidate");
             };
             match self.try_forward(req, shard, &remaining) {
-                ForwardOutcome::Sent => {
+                Ok(()) => {
                     if shard != primary {
                         // Dispatched away from its top rank — whether the
                         // primary is believed dead or just failed to
                         // connect, this request failed over.
-                        self.core().failovers.fetch_add(1, Ordering::SeqCst);
-                        router_metrics().failovers.inc();
+                        self.core().count_failover();
                     }
                     self.summary.forwarded += 1;
                     return;
                 }
-                ForwardOutcome::ShardLost(message) => {
+                Err(message) => {
                     self.core().mark_alive(shard, false);
                     if remaining.is_empty() {
                         let shard_id = self.core().topology.shards()[shard].id.clone();
@@ -1816,7 +976,7 @@ impl RouterSessionDriver {
                             Some(&shard_id),
                         );
                         if let Some(rt) = &req.rt {
-                            close_req_trace(self.core(), rt);
+                            rt.close(self.core().config.trace_slow);
                         }
                         return;
                     }
@@ -1825,23 +985,21 @@ impl RouterSessionDriver {
         }
     }
 
-    /// One forwarding attempt against one shard.
+    /// One forwarding attempt against one shard: `Ok` once the request is
+    /// enqueued and written (or poked for replay), so the shard reader
+    /// answers or fails it over; `Err` with the would-be
+    /// `shard_unavailable` diagnostic when the shard cannot take it.
     fn try_forward(
         &mut self,
         req: &ForwardReq,
         shard: usize,
         fallbacks: &[usize],
-    ) -> ForwardOutcome {
-        let conn = match self.session.connection(shard) {
-            Ok(conn) => conn,
-            Err(e) => {
-                let spec = &self.core().topology.shards()[shard];
-                return ForwardOutcome::ShardLost(format!(
-                    "shard {:?} at {} is unreachable: {e}",
-                    spec.id, spec.addr
-                ));
-            }
-        };
+    ) -> Result<(), String> {
+        let spec = &self.core().topology.shards()[shard];
+        let conn = self
+            .session
+            .connection(shard)
+            .map_err(|e| format!("shard {:?} at {} is unreachable: {e}", spec.id, spec.addr))?;
         // Window backpressure: wait for room (the reader signals `space`
         // as responses land or the connection fails).
         let window = self.core().config.window.max(1);
@@ -1858,71 +1016,35 @@ impl RouterSessionDriver {
         // propagated context into the line it sends, so the shard's
         // spans parent under this leg. Untraced lines are forwarded
         // byte-for-byte.
-        let trace = req.rt.map(|rt| EntryTrace {
-            req: rt,
-            dispatch_span: trace::next_span_id(),
-            dispatch_parent: rt.ctx.span_id,
-            dispatch_us: trace::now_us(),
-            dispatch_at: Instant::now(),
-        });
+        let trace = req.rt.map(|rt| EntryTrace::leg(rt, rt.ctx.span_id));
         let send = match &trace {
             Some(t) => stamp_trace(req.raw, t.req.ctx.trace_id, t.dispatch_span),
             None => req.raw.to_string(),
         };
-        // Enqueue *then* write, both under the stream lock, so the wire
-        // order always equals the pending order (what a replay resends).
-        // The dead-check happens under the pending lock, mirroring the
-        // reader's idle-EOF retirement, so no entry lands on a retired
-        // connection unseen.
-        let stream = lock_ok(&conn.stream);
-        {
-            let mut pending = lock_ok(&conn.pending);
-            if conn.dead.load(Ordering::SeqCst) {
-                drop(pending);
-                drop(stream);
-                let spec = &self.core().topology.shards()[shard];
-                return ForwardOutcome::ShardLost(format!(
-                    "shard {:?} at {} became unreachable; request not forwarded",
-                    spec.id, spec.addr
-                ));
-            }
-            pending.push_back(PendingEntry {
-                index: req.index,
-                raw: send.clone(),
-                key: req.key,
-                id: req.id.clone(),
-                fallbacks: fallbacks.to_vec(),
-                enqueued: Instant::now(),
-                started: req.rt.map_or_else(Instant::now, |rt| rt.started),
-                trace,
-            });
+        let entry = PendingEntry {
+            index: req.index,
+            raw: send,
+            key: req.key,
+            id: req.id.clone(),
+            fallbacks: fallbacks.to_vec(),
+            enqueued: Instant::now(),
+            started: req.rt.map_or_else(Instant::now, |rt| rt.start.at),
+            trace,
+        };
+        conn.send(entry, || {
             self.session
                 .slots
                 .outstanding
                 .fetch_add(1, Ordering::SeqCst);
             router_metrics().pending.inc();
-            dispatch_counter(&self.core().topology.shards()[shard].id).inc();
-        }
-        let mut w = &*stream;
-        let write_ok =
-            w.write_all(send.as_bytes()).is_ok() && w.write_all(b"\n").is_ok() && w.flush().is_ok();
-        drop(stream);
-        if !write_ok {
-            // Poke the reader: shut the read half down so it stops
-            // waiting on a dead socket and runs reconnect-and-replay
-            // (the entry is already pending, so the replay resends it —
-            // or fails it over to the next replica).
-            let stream = lock_ok(&conn.stream);
-            let _ = stream.shutdown(std::net::Shutdown::Read);
-        }
-        ForwardOutcome::Sent
-    }
-
-    /// Blocks until every response slot of this session has been resolved
-    /// (answered, failed over and answered, or failed) — including
-    /// requests momentarily in failover limbo between two pending queues.
-    fn drain_pending(&self, skip: Option<u64>) {
-        self.session.slots.drain_resolved(skip);
+            dispatch_counter(&spec.id).inc();
+        })
+        .map_err(|_| {
+            format!(
+                "shard {:?} at {} became unreachable; request not forwarded",
+                spec.id, spec.addr
+            )
+        })
     }
 
     /// The in-band `shutdown`: reject new work router-wide, drain this
@@ -1930,47 +1052,18 @@ impl RouterSessionDriver {
     /// semantics, once per router), then ack.
     fn handle_shutdown(&mut self, index: u64, id: Json) {
         self.core().shutdown.store(true, Ordering::SeqCst);
-        self.drain_pending(Some(index));
-        let streams: Vec<Option<TcpStream>> = {
-            let mut conns = lock_ok(&self.session.conns);
-            let taken: Vec<Option<ShardConn>> =
-                conns.iter_mut().map(std::option::Option::take).collect();
-            drop(conns);
-            taken
-                .into_iter()
-                .map(|slot| slot.and_then(ShardConn::retire))
-                .collect()
-        };
+        self.session.slots.drain(Some(index));
+        let streams: Vec<Option<TcpStream>> = self
+            .session
+            .take_conns()
+            .into_iter()
+            .map(|conn| conn.and_then(ShardConn::retire))
+            .collect();
         self.core().teardown_shards(streams);
+        let line = protocol::op_response(&id, "shutdown");
         self.session
             .slots
-            .set_line(index, protocol::op_response(&id, "shutdown"), false, false);
-    }
-
-    /// Ends the session: waits out in-flight forwards, retires the
-    /// connections (pooling the clean ones), and releases the writer.
-    pub(crate) fn finish(&mut self) {
-        self.drain_pending(None);
-        let taken: Vec<Option<ShardConn>> = {
-            let mut conns = lock_ok(&self.session.conns);
-            conns.iter_mut().map(std::option::Option::take).collect()
-        };
-        for (shard, slot) in taken.into_iter().enumerate() {
-            if let Some(conn) = slot {
-                if let Some(stream) = conn.retire() {
-                    if !self.core().shutdown.load(Ordering::SeqCst) {
-                        self.core().return_connection(shard, stream);
-                    }
-                }
-            }
-        }
-        self.session.slots.finish_input();
-    }
-
-    /// Sets the final `responses` count (transports that pump the writer
-    /// themselves feed the [`write_router_responses`] return value here).
-    pub(crate) fn record_responses(&mut self, written: u64) {
-        self.summary.responses = written;
+            .resolve(index, RSlot::line(line, false, false));
     }
 }
 
@@ -1989,17 +1082,7 @@ struct ForwardReq<'a> {
     raw: &'a str,
     key: Option<RouterKey>,
     id: &'a Json,
-    rt: Option<ReqTrace>,
-}
-
-/// Result of one forwarding attempt.
-enum ForwardOutcome {
-    /// Enqueued and written (or poked for replay) — the request will be
-    /// answered or failed over by the reader.
-    Sent,
-    /// The shard could not accept the request at all; the message is the
-    /// would-be `shard_unavailable` diagnostic.
-    ShardLost(String),
+    rt: Option<RequestTrace>,
 }
 
 #[cfg(test)]

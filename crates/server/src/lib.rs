@@ -8,12 +8,12 @@
 //! execute **out of order** on the work-stealing pool of
 //! [`mg_collection::batch`].
 //!
-//! Two transports share one protocol:
+//! Two transports share one protocol and one session runtime
+//! ([`session`], which the router reuses unchanged):
 //!
-//! * **pipe mode** ([`serve_pipe`] / [`serve_stdio`]) — newline-delimited
-//!   requests on any reader, responses on any writer; fully testable
-//!   without sockets, and what `mgpart serve` runs when `--listen` is
-//!   omitted;
+//! * **pipe mode** ([`Service::run_session`]) — requests on any reader,
+//!   responses on any writer; fully testable without sockets, and what
+//!   `mgpart serve` runs on stdin/stdout when `--listen` is omitted;
 //! * **TCP** ([`TcpServer`]) — a threaded `std::net` listener with one
 //!   session per connection over a shared engine and response cache.
 //!
@@ -46,7 +46,7 @@ pub mod json;
 mod metrics;
 pub mod protocol;
 pub mod service;
-pub mod transport;
+pub mod session;
 
 pub use cache::LruCache;
 pub use codec::{UnitKind, UnitScanner, WireCodec};
@@ -55,5 +55,8 @@ pub use protocol::{
     error_response, hello_response, ok_response, op_response, parse_request_line, stats_response,
     Request, RequestError, StatsSnapshot, DEFAULT_EPSILON, DEFAULT_METHOD,
 };
-pub use service::{Service, ServiceConfig, SessionDriver, SessionSummary};
-pub use transport::{serve_pipe, serve_stdio, TcpServer};
+pub use service::{Service, ServiceConfig, SessionSummary};
+pub use session::TcpFrontEnd;
+
+/// The partition service's TCP front end.
+pub type TcpServer = TcpFrontEnd<Service>;

@@ -33,10 +33,13 @@
 //! pending response, then lets the dispatcher exit.
 
 use crate::cache::LruCache;
-use crate::codec::{self, UnitKind, UnitScanner, WireCodec};
+use crate::codec::{UnitKind, WireCodec};
 use crate::json::Json;
 use crate::metrics::{bytes_in, bytes_out, op_counter, request_seconds, server_metrics};
 use crate::protocol;
+use crate::session::{
+    self, lock_ok, wait_ok, Handler, Render, RequestTrace, Responses, Runtime, Stamp,
+};
 use mg_collection::{generate, job_seed, run_batch_ordered, worker_count, CollectionSpec};
 use mg_core::service::{matrix_fingerprint, ErrorCode, MatrixPayload, PartitionOutcome, RequestOp};
 use mg_core::{parse_backend, Method, PartitionBackend, DEFAULT_BACKEND};
@@ -81,6 +84,10 @@ pub struct ServiceConfig {
     /// that is kept only when end-to-end latency reaches the threshold.
     /// `None` disables sampling; explicit `trace` fields always record.
     pub trace_slow: Option<Duration>,
+    /// Most TCP sessions open at once (`--max-sessions`); a connection
+    /// beyond it is answered with a typed `overloaded` error and closed.
+    /// 0 (the default) = unlimited.
+    pub max_sessions: usize,
 }
 
 impl Default for ServiceConfig {
@@ -96,6 +103,7 @@ impl Default for ServiceConfig {
             timing: false,
             shard_id: None,
             trace_slow: None,
+            max_sessions: 0,
         }
     }
 }
@@ -130,42 +138,12 @@ type JobSpec = (
     Option<JobTrace>,
 );
 
-/// Wall-clock anchors of one request unit, captured before decode so
-/// traced requests can report `decode` and end-to-end durations.
-#[derive(Clone, Copy)]
-struct UnitStart {
-    /// `trace::now_us()` at unit start (span timestamps).
-    sys_us: u64,
-    /// Monotonic twin of `sys_us` (span durations).
-    at: Instant,
-}
-
-impl UnitStart {
-    fn now() -> UnitStart {
-        UnitStart {
-            sys_us: trace::now_us(),
-            at: Instant::now(),
-        }
-    }
-}
-
-/// Trace identity of one request: the server-side root span context
-/// (the `request` span; `decode`/`queue_wait`/`execute`/`encode` are its
-/// children) and whether it came from the slow sampler rather than a
-/// client-stamped `trace` field.
-#[derive(Clone, Copy)]
-struct ReqTrace {
-    ctx: TraceContext,
-    speculative: bool,
-}
-
 /// Trace identity of a queued job's primary: the request's root span
 /// (`queue_wait` and `execute` record under it) plus when it queued.
 #[derive(Clone, Copy)]
 struct JobTrace {
     ctx: TraceContext,
-    queued_us: u64,
-    queued_at: Instant,
+    queued: Stamp,
 }
 
 struct EngineJob {
@@ -216,7 +194,7 @@ enum SubmitOutcome {
 
 impl Engine {
     fn lock(&self) -> std::sync::MutexGuard<'_, EngineInner> {
-        self.inner.lock().expect("engine mutex poisoned")
+        lock_ok(&self.inner)
     }
 
     fn submit(
@@ -243,7 +221,7 @@ impl Engine {
                 return SubmitOutcome::Follower;
             }
             if inner.queue.len() >= self.config.queue_capacity.max(1) {
-                inner = self.space.wait(inner).expect("engine mutex poisoned");
+                inner = wait_ok(&self.space, inner);
                 continue;
             }
             inner.inflight.insert(key, Vec::new());
@@ -271,7 +249,7 @@ impl Engine {
     }
 
     fn collection_matrix(&self, name: &str) -> Option<Arc<Coo>> {
-        let mut slot = self.collection.lock().expect("collection mutex poisoned");
+        let mut slot = lock_ok(&self.collection);
         if slot.is_none() {
             let map: HashMap<String, Arc<Coo>> = generate(&self.config.collection)
                 .into_iter()
@@ -352,7 +330,7 @@ fn dispatcher_loop(engine: &Engine) {
                 if inner.shutdown {
                     return;
                 }
-                inner = engine.work.wait(inner).expect("engine mutex poisoned");
+                inner = wait_ok(&engine.work, inner);
             }
             let n = inner.queue.len().min(engine.config.max_batch.max(1));
             let drained: Vec<EngineJob> = inner.queue.drain(..n).collect();
@@ -381,12 +359,7 @@ fn dispatcher_loop(engine: &Engine) {
                 // execute gets its own span installed thread-locally so
                 // the partitioner's phase timers record as its children.
                 let exec_span = job_trace.map(|jt| {
-                    trace::record_child(
-                        &jt.ctx,
-                        "queue_wait",
-                        jt.queued_us,
-                        jt.queued_at.elapsed(),
-                    );
+                    jt.queued.record_child(&jt.ctx, "queue_wait");
                     (jt.ctx.child(), trace::now_us())
                 });
                 let _scope = exec_span.map(|(ctx, _)| trace::enter(ctx));
@@ -464,7 +437,7 @@ fn seed_of(key: &CacheKey) -> u64 {
 
 /// A running partition service: the shared engine plus its dispatcher
 /// thread. Create with [`Service::start`], attach any number of sessions
-/// ([`Service::run_session`]), and stop with
+/// ([`Service::run_session`], or a [`crate::TcpServer`]), and stop with
 /// [`Service::initiate_shutdown`] (or the in-band `shutdown` op).
 pub struct Service {
     engine: Arc<Engine>,
@@ -538,89 +511,64 @@ impl Service {
     /// [`Service::initiate_shutdown`].
     pub fn shutdown_and_join(&self) {
         self.engine.initiate_shutdown();
-        if let Some(handle) = self
-            .dispatcher
-            .lock()
-            .expect("dispatcher mutex poisoned")
-            .take()
-        {
+        if let Some(handle) = lock_ok(&self.dispatcher).take() {
             handle.join().expect("dispatcher panicked");
         }
     }
 
-    /// Opens a session driver for a custom transport. Most callers want
-    /// [`Service::run_session`] instead.
-    pub fn open_session(&self) -> SessionDriver<'_> {
+    fn open_session(&self) -> SessionDriver<'_> {
         self.engine.sessions.fetch_add(1, Ordering::SeqCst);
         server_metrics().sessions_live.inc();
         SessionDriver {
             service: self,
-            shared: Arc::new(SessionShared::new(self.engine.config.shard_id.clone())),
+            slots: Arc::new(Responses::default()),
             summary: SessionSummary::default(),
-            next_index: 0,
             pending_switch: None,
         }
     }
 
-    /// Runs a full session over a generic byte transport: reads requests
-    /// from `input` on the calling thread while a scoped writer thread
-    /// streams responses to `output` in submission order. The stream
-    /// starts as JSON lines; a `hello` can switch it to binary frames
-    /// mid-session (both directions). A final request without its line
-    /// terminator is still processed at EOF. Returns when the input is
-    /// exhausted (EOF or an in-band `shutdown`) and every response has
-    /// been written.
-    pub fn run_session<R: BufRead, W: Write + Send>(
-        &self,
-        mut input: R,
-        mut output: W,
-    ) -> SessionSummary {
+    /// Runs a full session over a generic byte transport (pipe mode):
+    /// reads requests from `input` on the calling thread while a writer
+    /// thread streams responses to `output` in submission order. Returns
+    /// when the input is exhausted (EOF or an in-band `shutdown`) and
+    /// every response has been written.
+    pub fn run_session<R: BufRead, W: Write + Send>(&self, input: R, output: W) -> SessionSummary {
         let mut driver = self.open_session();
-        let shared = driver.shared();
-        crossbeam::scope(|scope| {
-            let out = &mut output;
-            let writer = scope.spawn(move |_| write_responses(&shared, out));
-            let mut scanner = UnitScanner::new();
-            'session: loop {
-                let consumed = match input.fill_buf() {
-                    Ok([]) => {
-                        if let Some(tail) = scanner.take_eof_remainder() {
-                            driver.handle_unit(UnitKind::Line, &tail);
-                        }
-                        break;
-                    }
-                    Ok(chunk) => {
-                        scanner.push(chunk);
-                        chunk.len()
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => break,
-                };
-                input.consume(consumed);
-                loop {
-                    match scanner.next_unit() {
-                        Ok(Some((kind, range))) => {
-                            let go = driver.handle_unit(kind, scanner.bytes(&range));
-                            if let Some(codec) = driver.take_codec_switch() {
-                                scanner.set_codec(codec);
-                            }
-                            if !go {
-                                break 'session;
-                            }
-                        }
-                        Ok(None) => break,
-                        Err(e) => {
-                            driver.protocol_error(&e.message);
-                            break 'session;
-                        }
-                    }
-                }
-            }
-            driver.finish_input();
-            driver.summary.responses = writer.join().expect("session writer panicked");
-        })
-        .expect("session scope");
-        driver.summary
+        let responses = session::run(&mut driver, input, output, &|| false);
+        SessionSummary {
+            responses,
+            ..driver.summary
+        }
+    }
+}
+
+impl Runtime for Service {
+    const NAME: &'static str = "mg-server";
+
+    fn open(&self) -> impl Handler + '_ {
+        self.open_session()
+    }
+
+    fn is_shutting_down(&self) -> bool {
+        self.engine.is_shutting_down()
+    }
+
+    fn initiate_shutdown(&self) {
+        self.engine.initiate_shutdown();
+    }
+
+    fn max_sessions(&self) -> usize {
+        self.engine.config.max_sessions
+    }
+
+    fn shard_tag(&self) -> Option<&str> {
+        self.engine.config.shard_id.as_deref()
+    }
+
+    /// Drains the engine: every accepted request is answered before
+    /// [`crate::TcpServer::join`] returns.
+    fn drain(&self) {
+        self.shutdown_and_join();
     }
 }
 
@@ -630,7 +578,7 @@ impl Drop for Service {
     }
 }
 
-/// One response slot: empty until its request resolves.
+/// One resolved response slot.
 ///
 /// `Stats` slots are *deferred*: the snapshot counters are fixed at
 /// decode time, but the per-backend completed-job counts are only known
@@ -639,13 +587,10 @@ impl Drop for Service {
 /// order. Rendering there keeps the line a pure function of the request
 /// prefix at any thread count.
 enum Slot {
-    /// Request decoded, response not resolved yet.
-    Pending,
     /// A finished response line; `computed` names the backend when the
     /// line is a freshly computed (not cache-served) partition result, so
     /// the writer can tally per-backend completions in stream order.
-    /// `switch` carries a `hello` codec negotiation: the writer emits
-    /// this line in the *old* codec, then switches.
+    /// `switch` carries a `hello` codec negotiation.
     Ready {
         line: String,
         computed: Option<&'static str>,
@@ -659,338 +604,145 @@ enum Slot {
 }
 
 impl Slot {
-    fn is_resolved(&self) -> bool {
-        !matches!(self, Slot::Pending)
-    }
-}
-
-/// Response slots of one session: a sliding window of pending lines.
-/// `base` is the submission index of `slots[0]`; the writer pops from the
-/// front as lines become ready, so memory stays bounded by the in-flight
-/// window rather than the session length.
-#[derive(Default)]
-struct SessionSlots {
-    base: u64,
-    slots: VecDeque<Slot>,
-    input_done: bool,
-}
-
-pub(crate) struct SessionShared {
-    state: Mutex<SessionSlots>,
-    ready: Condvar,
-    /// The server's diagnostic shard tag, echoed on stats lines.
-    shard: Option<String>,
-    /// This session's submitted-but-undelivered partition jobs. Sampled
-    /// by the writer when it renders a `stats` slot: every *preceding*
-    /// job has delivered by then (responses stream in submission order),
-    /// so the value is deterministic whenever no partition requests
-    /// trail the stats request in flight (see PROTOCOL.md).
-    outstanding: AtomicU64,
-}
-
-impl SessionShared {
-    fn new(shard: Option<String>) -> Self {
-        SessionShared {
-            state: Mutex::new(SessionSlots::default()),
-            ready: Condvar::new(),
-            shard,
-            outstanding: AtomicU64::new(0),
+    fn line(line: String) -> Slot {
+        Slot::Ready {
+            line,
+            computed: None,
+            switch: None,
         }
     }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, SessionSlots> {
-        self.state.lock().expect("session mutex poisoned")
-    }
-
-    fn push_pending(&self) {
-        self.lock().slots.push_back(Slot::Pending);
-    }
-
-    fn set_slot(&self, index: u64, slot: Slot) {
-        let mut state = self.lock();
-        let offset = (index - state.base) as usize;
-        state.slots[offset] = slot;
-        self.ready.notify_all();
-    }
-
-    fn set(&self, index: u64, line: String) {
-        self.set_slot(
-            index,
-            Slot::Ready {
-                line,
-                computed: None,
-                switch: None,
-            },
-        );
-    }
-
-    fn set_computed(&self, index: u64, line: String, computed: Option<&'static str>) {
-        self.set_slot(
-            index,
-            Slot::Ready {
-                line,
-                computed,
-                switch: None,
-            },
-        );
-    }
-
-    fn set_switch(&self, index: u64, line: String, codec: WireCodec) {
-        self.set_slot(
-            index,
-            Slot::Ready {
-                line,
-                computed: None,
-                switch: Some(codec),
-            },
-        );
-    }
-
-    fn set_stats(&self, index: u64, id: Json, snapshot: protocol::StatsSnapshot) {
-        self.set_slot(index, Slot::Stats { id, snapshot });
-    }
-
-    fn finish_input(&self) {
-        self.lock().input_done = true;
-        self.ready.notify_all();
-    }
 }
 
-/// Writer half of a session: emits ready responses in submission order,
-/// flushing after each line so clients see results as they land. Tallies
-/// freshly computed jobs per backend as the lines pass (so a deferred
-/// `stats` slot reports exactly the completions among its prefix), and
-/// returns the number of responses written.
-pub(crate) fn write_responses<W: Write>(shared: &SessionShared, output: &mut W) -> u64 {
-    let mut written = 0u64;
-    let mut wire = WireCodec::JsonLines;
-    let mut completed: Vec<(&'static str, u64)> = mg_core::all_backends()
-        .iter()
-        .map(|b| (b.name(), 0u64))
-        .collect();
-    loop {
-        let slot = {
-            let mut state = shared.lock();
-            loop {
-                if matches!(state.slots.front(), Some(slot) if slot.is_resolved()) {
-                    break;
-                }
-                if state.input_done && state.slots.front().is_none() {
-                    return written;
-                }
-                state = shared.ready.wait(state).expect("session mutex poisoned");
-            }
-            state.base += 1;
-            state.slots.pop_front().expect("checked front")
-        };
-        let (line, switch) = match slot {
-            Slot::Pending => unreachable!("writer only pops resolved slots"),
+/// Writer half of a server session: tallies freshly computed jobs per
+/// backend as their lines pass, so a deferred `stats` slot reports
+/// exactly the completions among its prefix.
+struct Tally {
+    slots: Arc<Responses<Slot>>,
+    /// The server's diagnostic shard tag, echoed on stats lines.
+    shard: Option<String>,
+    completed: Vec<(&'static str, u64)>,
+}
+
+impl Render for Tally {
+    type Slot = Slot;
+
+    fn slots(&self) -> &Responses<Slot> {
+        &self.slots
+    }
+
+    fn render(&mut self, slot: Slot) -> (String, Option<WireCodec>) {
+        match slot {
             Slot::Ready {
                 line,
                 computed,
                 switch,
             } => {
                 if let Some(backend) = computed {
-                    if let Some(entry) = completed.iter_mut().find(|(name, _)| *name == backend) {
+                    if let Some(entry) =
+                        self.completed.iter_mut().find(|(name, _)| *name == backend)
+                    {
                         entry.1 += 1;
                     }
                 }
                 (line, switch)
             }
-            Slot::Stats { id, snapshot } => (
-                protocol::stats_response(
+            Slot::Stats { id, snapshot } => {
+                let line = protocol::stats_response(
                     &id,
                     snapshot,
-                    &completed,
-                    shared.outstanding.load(Ordering::SeqCst),
-                    shared.shard.as_deref(),
-                ),
-                None,
-            ),
-        };
-        // A broken pipe means the client is gone; keep draining slots so
-        // the session still terminates cleanly.
-        if codec::write_response_unit(output, wire, &line).is_ok() {
-            written += 1;
-            bytes_out(
-                match wire {
-                    WireCodec::JsonLines => "json",
-                    WireCodec::Binary => "binary",
-                },
-                line.len() as u64 + 1,
-            );
+                    &self.completed,
+                    self.slots.outstanding.load(Ordering::SeqCst),
+                    self.shard.as_deref(),
+                );
+                (line, None)
+            }
         }
-        // A hello ack travels in the old codec; everything after it in
-        // the negotiated one.
-        if let Some(next) = switch {
-            wire = next;
-        }
+    }
+
+    fn written(&mut self, wire: WireCodec, bytes: u64) {
+        bytes_out(wire.name(), bytes);
     }
 }
 
-/// Reader half of a session, usable from any transport: feed it request
-/// lines ([`SessionDriver::handle_line`]), run [`write_responses`] on the
-/// shared state from a writer thread, and call
-/// [`SessionDriver::finish_input`] when the input ends.
-pub struct SessionDriver<'s> {
+/// Reader half of a server session: the [`Handler`] the session runtime
+/// feeds request units into.
+struct SessionDriver<'s> {
     service: &'s Service,
-    shared: Arc<SessionShared>,
+    slots: Arc<Responses<Slot>>,
     summary: SessionSummary,
-    next_index: u64,
-    /// A `hello` just switched the *inbound* codec; the transport takes
-    /// this ([`SessionDriver::take_codec_switch`]) and retunes its
-    /// scanner before parsing the next unit.
+    /// A `hello` just switched the *inbound* codec; the pump takes this
+    /// and retunes its scanner before parsing the next unit.
     pending_switch: Option<WireCodec>,
 }
 
-impl SessionDriver<'_> {
-    pub(crate) fn shared(&self) -> Arc<SessionShared> {
-        self.shared.clone()
+impl Handler for SessionDriver<'_> {
+    type Render = Tally;
+
+    fn writer(&self) -> Tally {
+        Tally {
+            slots: self.slots.clone(),
+            shard: self.service.engine.config.shard_id.clone(),
+            completed: mg_core::all_backends()
+                .iter()
+                .map(|b| (b.name(), 0u64))
+                .collect(),
+        }
     }
 
-    /// Allocates the next response slot in stream order.
+    fn handle_unit(&mut self, kind: UnitKind, bytes: &[u8]) -> bool {
+        let t0 = Stamp::now();
+        let codec = match kind {
+            UnitKind::Line => WireCodec::JsonLines,
+            UnitKind::Frame => WireCodec::Binary,
+        };
+        bytes_in(codec.name(), bytes.len() as u64);
+        session::decode_unit(kind, bytes, &mut |decoded| {
+            let index = self.begin();
+            match decoded {
+                Ok((request, _)) => self.dispatch(index, request, t0),
+                Err(e) => {
+                    self.fail(index, &e.id, e.code, &e.message);
+                    true
+                }
+            }
+        })
+    }
+
+    fn take_codec_switch(&mut self) -> Option<WireCodec> {
+        self.pending_switch.take()
+    }
+
+    fn protocol_error(&mut self, message: &str) {
+        let index = self.begin();
+        self.fail(index, &Json::Null, ErrorCode::BadRequest, message);
+    }
+
+    fn finish(&mut self) {
+        self.slots.finish_input();
+    }
+}
+
+impl SessionDriver<'_> {
+    /// Opens the next response slot in stream order.
     fn begin(&mut self) -> u64 {
-        let index = self.next_index;
-        self.next_index += 1;
         self.summary.received += 1;
         server_metrics().requests.inc();
-        self.shared.push_pending();
-        index
+        self.slots.open()
     }
 
     fn fail(&mut self, index: u64, id: &Json, code: ErrorCode, message: &str) {
         self.summary.errors += 1;
         server_metrics().errors.inc();
-        self.shared.set(
-            index,
-            protocol::error_response(id, code, message, self.shard()),
-        );
+        let line = protocol::error_response(id, code, message, self.shard());
+        self.slots.resolve(index, Slot::line(line));
     }
 
-    /// Handles one scanned protocol unit: a JSON-lines request line or a
-    /// binary frame payload. Returns `false` when the session should stop
-    /// reading (an in-band `shutdown`).
-    pub fn handle_unit(&mut self, kind: UnitKind, bytes: &[u8]) -> bool {
-        let t0 = UnitStart::now();
-        match kind {
-            UnitKind::Line => {
-                bytes_in("json", bytes.len() as u64);
-                self.handle_text(bytes, t0)
-            }
-            UnitKind::Frame => {
-                bytes_in("binary", bytes.len() as u64);
-                self.handle_frame(bytes, t0)
-            }
-        }
-    }
-
-    /// After a unit that contained a `hello`: the codec the inbound
-    /// scanner must switch to before the next unit. (The *outbound*
-    /// switch rides on the response slot and is applied by the writer.)
-    pub fn take_codec_switch(&mut self) -> Option<WireCodec> {
-        self.pending_switch.take()
-    }
-
-    /// Reports a fatal framing violation (e.g. an oversized frame) as a
-    /// typed error response; the transport closes the session after this
-    /// since there is no way to resynchronise the stream.
-    pub fn protocol_error(&mut self, message: &str) {
-        let index = self.begin();
-        self.fail(index, &Json::Null, ErrorCode::BadRequest, message);
-    }
-
-    fn handle_text(&mut self, bytes: &[u8], t0: UnitStart) -> bool {
-        match std::str::from_utf8(bytes) {
-            Ok(text) => self.handle_line_at(text.trim_end_matches('\r'), t0),
-            Err(_) => {
-                // Non-UTF-8 request bytes get a typed error, never a
-                // lossily mangled parse.
-                let index = self.begin();
-                self.fail(
-                    index,
-                    &Json::Null,
-                    ErrorCode::BadRequest,
-                    "request bytes are not valid UTF-8",
-                );
-                true
-            }
-        }
-    }
-
-    fn handle_frame(&mut self, payload: &[u8], t0: UnitStart) -> bool {
-        match payload.split_first() {
-            None => {
-                let index = self.begin();
-                self.fail(index, &Json::Null, ErrorCode::BadRequest, "empty frame");
-                true
-            }
-            Some((&codec::KIND_JSON, body)) => self.handle_text(body, t0),
-            Some((&codec::KIND_PARTITION, body)) => {
-                let index = self.begin();
-                match codec::decode_partition_payload(body) {
-                    Ok(request) => self.dispatch(index, request, t0),
-                    Err(e) => {
-                        self.fail(index, &e.id, e.code, &e.message);
-                        true
-                    }
-                }
-            }
-            Some((&codec::KIND_BATCH, body)) => match codec::batch_subframes(body) {
-                Ok(subs) => {
-                    for sub in subs {
-                        if !self.handle_frame(&body[sub], t0) {
-                            return false;
-                        }
-                    }
-                    true
-                }
-                Err(message) => {
-                    let index = self.begin();
-                    self.fail(index, &Json::Null, ErrorCode::BadRequest, &message);
-                    true
-                }
-            },
-            Some((&kind, _)) => {
-                let index = self.begin();
-                self.fail(
-                    index,
-                    &Json::Null,
-                    ErrorCode::BadRequest,
-                    &format!("unknown frame kind 0x{kind:02x}"),
-                );
-                true
-            }
-        }
-    }
-
-    /// Decodes and submits one request line. Returns `false` when the
-    /// session should stop reading (an in-band `shutdown`). Blank lines
-    /// are skipped without a response.
-    pub fn handle_line(&mut self, raw: &str) -> bool {
-        self.handle_line_at(raw, UnitStart::now())
-    }
-
-    fn handle_line_at(&mut self, raw: &str, t0: UnitStart) -> bool {
-        let line = raw.trim();
-        if line.is_empty() {
-            return true;
-        }
-        let index = self.begin();
-        match protocol::parse_request_line(line) {
-            Ok(request) => self.dispatch(index, request, t0),
-            Err(e) => {
-                self.fail(index, &e.id, e.code, &e.message);
-                true
-            }
-        }
-    }
-
-    fn dispatch(&mut self, index: u64, request: protocol::Request, t0: UnitStart) -> bool {
+    fn dispatch(&mut self, index: u64, request: protocol::Request, t0: Stamp) -> bool {
         match request.op {
             RequestOp::Ping => {
                 op_counter("ping").inc();
-                self.shared
-                    .set(index, protocol::op_response(&request.id, "ping"));
+                let line = protocol::op_response(&request.id, "ping");
+                self.slots.resolve(index, Slot::line(line));
                 request_seconds("ping").observe(t0.at.elapsed().as_secs_f64());
                 true
             }
@@ -999,25 +751,23 @@ impl SessionDriver<'_> {
                 // The snapshot counters are fixed now (in stream order);
                 // the per-backend completed counts are filled in by the
                 // writer when every preceding response has been delivered.
-                self.shared.set_stats(
-                    index,
-                    request.id,
-                    protocol::StatsSnapshot {
-                        received: self.summary.received,
-                        cache_hits: self.summary.cache_hits,
-                        cache_misses: self.summary.cache_misses,
-                        errors: self.summary.errors,
-                        sessions: self.service.engine.sessions.load(Ordering::SeqCst),
-                    },
-                );
+                let snapshot = protocol::StatsSnapshot {
+                    received: self.summary.received,
+                    cache_hits: self.summary.cache_hits,
+                    cache_misses: self.summary.cache_misses,
+                    errors: self.summary.errors,
+                    sessions: self.service.engine.sessions.load(Ordering::SeqCst),
+                };
+                let id = request.id;
+                self.slots.resolve(index, Slot::Stats { id, snapshot });
                 request_seconds("stats").observe(t0.at.elapsed().as_secs_f64());
                 true
             }
             RequestOp::Shutdown => {
                 op_counter("shutdown").inc();
                 self.service.initiate_shutdown();
-                self.shared
-                    .set(index, protocol::op_response(&request.id, "shutdown"));
+                let line = protocol::op_response(&request.id, "shutdown");
+                self.slots.resolve(index, Slot::line(line));
                 false
             }
             RequestOp::Hello => {
@@ -1025,8 +775,15 @@ impl SessionDriver<'_> {
                 // A bare hello (no codec field) re-affirms JSON lines.
                 let codec = request.codec.unwrap_or(WireCodec::JsonLines);
                 self.pending_switch = Some(codec);
-                self.shared
-                    .set_switch(index, protocol::hello_response(&request.id, codec), codec);
+                let line = protocol::hello_response(&request.id, codec);
+                self.slots.resolve(
+                    index,
+                    Slot::Ready {
+                        line,
+                        computed: None,
+                        switch: Some(codec),
+                    },
+                );
                 true
             }
             RequestOp::Partition => {
@@ -1048,18 +805,13 @@ impl SessionDriver<'_> {
         id: Json,
         spec: mg_core::service::PartitionSpec,
         wire_trace: Option<mg_obs::WireTrace>,
-        t0: UnitStart,
+        t0: Stamp,
     ) {
         let engine = &self.service.engine;
         let matrix = match engine.resolve_matrix(&spec.matrix) {
             Ok(matrix) => matrix,
             Err((code, message)) => {
-                self.summary.errors += 1;
-                server_metrics().errors.inc();
-                self.shared.set(
-                    index,
-                    protocol::error_response(&id, code, &message, self.shard()),
-                );
+                self.fail(index, &id, code, &message);
                 request_seconds("partition").observe(t0.at.elapsed().as_secs_f64());
                 return;
             }
@@ -1086,69 +838,44 @@ impl SessionDriver<'_> {
         // field has already been stripped from everything that shapes
         // response bytes (the key, the spec, the encoders).
         let trace_slow = engine.config.trace_slow;
-        let req_trace: Option<ReqTrace> = match wire_trace {
-            Some(w) => Some(ReqTrace {
-                ctx: TraceContext {
-                    trace_id: w.trace_id,
-                    span_id: trace::next_span_id(),
-                    parent_id: w.parent,
-                },
-                speculative: false,
-            }),
-            None => trace_slow.map(|_| ReqTrace {
-                ctx: trace::collector().begin_speculative(),
-                speculative: true,
-            }),
-        };
+        let req_trace = RequestTrace::open(wire_trace, trace_slow, t0);
         if let Some(rt) = &req_trace {
-            trace::record_child(&rt.ctx, "decode", t0.sys_us, t0.at.elapsed());
+            t0.record_child(&rt.ctx, "decode");
         }
         let job_trace = req_trace.map(|rt| JobTrace {
             ctx: rt.ctx,
-            queued_us: trace::now_us(),
-            queued_at: Instant::now(),
+            queued: Stamp::now(),
         });
 
-        let shared = self.shared.clone();
+        let slots = self.slots.clone();
         let include_partition = spec.include_partition;
         let timing = engine.config.timing;
         let deliver_id = id.clone();
         // Count the job as outstanding from submission until delivery;
         // synchronous cache hits cancel out before anyone can observe
         // the increment through a stats slot.
-        self.shared.outstanding.fetch_add(1, Ordering::SeqCst);
+        self.slots.outstanding.fetch_add(1, Ordering::SeqCst);
         let deliver: Deliver = Box::new(move |outcome, cached, secs| {
-            shared.outstanding.fetch_sub(1, Ordering::SeqCst);
+            slots.outstanding.fetch_sub(1, Ordering::SeqCst);
             let time_ms = timing.then_some(secs * 1000.0);
-            let encode_start = req_trace
-                .as_ref()
-                .map(|_| (trace::now_us(), Instant::now()));
+            let encode = Stamp::now();
             let line =
                 protocol::ok_response(&deliver_id, &outcome, cached, include_partition, time_ms);
-            let total = t0.at.elapsed();
             if let Some(rt) = &req_trace {
-                let (enc_us, enc_at) = encode_start.expect("captured with the trace");
-                trace::record_child(&rt.ctx, "encode", enc_us, enc_at.elapsed());
-                trace::record_span(
-                    rt.ctx.trace_id,
-                    rt.ctx.span_id,
-                    rt.ctx.parent_id,
-                    "request",
-                    t0.sys_us,
-                    total,
-                );
-                if rt.speculative {
-                    if trace_slow.is_some_and(|threshold| total >= threshold) {
-                        trace::collector().commit(rt.ctx.trace_id);
-                    } else {
-                        trace::collector().discard(rt.ctx.trace_id);
-                    }
-                }
+                encode.record_child(&rt.ctx, "encode");
+                rt.close(trace_slow);
             }
-            request_seconds("partition").observe(total.as_secs_f64());
+            request_seconds("partition").observe(t0.at.elapsed().as_secs_f64());
             // Tag freshly computed lines with their backend so the writer
             // can tally per-backend completions for deferred stats slots.
-            shared.set_computed(index, line, (!cached).then_some(outcome.backend));
+            slots.resolve(
+                index,
+                Slot::Ready {
+                    line,
+                    computed: (!cached).then_some(outcome.backend),
+                    switch: None,
+                },
+            );
         });
 
         match engine.submit(key, backend, matrix, deliver, job_trace) {
@@ -1163,44 +890,17 @@ impl SessionDriver<'_> {
             SubmitOutcome::Rejected => {
                 // The deliver callback never runs for rejected jobs.
                 if let Some(rt) = &req_trace {
-                    if rt.speculative {
-                        trace::collector().discard(rt.ctx.trace_id);
-                    }
+                    rt.abandon();
                 }
-                self.shared.outstanding.fetch_sub(1, Ordering::SeqCst);
-                self.summary.errors += 1;
-                server_metrics().errors.inc();
-                self.shared.set(
+                self.slots.outstanding.fetch_sub(1, Ordering::SeqCst);
+                self.fail(
                     index,
-                    protocol::error_response(
-                        &id,
-                        ErrorCode::ShuttingDown,
-                        "server is draining; request rejected",
-                        self.shard(),
-                    ),
+                    &id,
+                    ErrorCode::ShuttingDown,
+                    "server is draining; request rejected",
                 );
             }
         }
-    }
-
-    /// Marks the input stream as finished so the writer can terminate
-    /// once every pending response has been emitted.
-    pub fn finish_input(&self) {
-        self.shared.finish_input();
-    }
-
-    /// The session's counters so far (the `responses` field is only
-    /// final after the writer finishes).
-    pub fn summary(&self) -> SessionSummary {
-        self.summary
-    }
-}
-
-impl SessionDriver<'_> {
-    /// Sets the final `responses` count (transports that pump the writer
-    /// themselves feed the [`write_responses`] return value back here).
-    pub(crate) fn record_responses(&mut self, written: u64) {
-        self.summary.responses = written;
     }
 }
 
