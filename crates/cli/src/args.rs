@@ -34,7 +34,6 @@ const VALUE_FLAGS: &[&str] = &[
     "--id",
     "--op",
     "--shard-id",
-    "--max-sessions",
     // route (the sharding front end):
     "--shards",
     "--window",

@@ -104,9 +104,6 @@ SERVE OPTIONS (protocol: crates/server/PROTOCOL.md):
   --timing      append non-deterministic time_ms to computed responses
   --shard-id ID diagnostic shard tag added to stats/error responses
                 (for shards behind mgpart route; omit to stay untagged)
-  --max-sessions N  most TCP sessions open at once; a connection beyond
-                it gets one typed `overloaded` error line and is closed
-                (default 0 = unlimited)
   --metrics-addr HOST:PORT   serve a Prometheus-style text snapshot of the
                 metrics registry on a side TCP port (out-of-band: never
                 touches the protocol stream; scrape with `mgpart metrics`).
@@ -125,7 +122,6 @@ ROUTE OPTIONS (semantics: crates/server/PROTOCOL.md, \"Routing\"):
   --listen ADDR TCP listen address; omit for stdio pipe mode
   --cache N     router-level LRU response cache entries, 0 = off  (default 128)
   --window N    max in-flight requests per shard connection  (default 64)
-  --max-sessions N  same TCP admission limit as serve  (default 0 = unlimited)
   --backend B   backend assumed for cost estimation when requests carry
                 no backend field  (default mondriaan; match the shards')
   --heavy-cost C  estimated-cost threshold that biases placement of
@@ -797,7 +793,6 @@ fn serve(parsed: &Parsed) -> Result<(), String> {
         timing: parsed.has("--timing"),
         shard_id: parsed.flag_opt("--shard-id"),
         trace_slow: trace_slow_flag(parsed)?,
-        max_sessions: parsed.flag_parse("--max-sessions", 0usize)?,
     };
     // Name this process's track in exported traces: shards show up as
     // their topology id, a standalone server as "server".
@@ -883,7 +878,6 @@ fn route(parsed: &Parsed) -> Result<(), String> {
         probe_interval,
         read_deadline: seconds_flag(parsed, "--read-deadline")?,
         trace_slow: trace_slow_flag(parsed)?,
-        max_sessions: parsed.flag_parse("--max-sessions", 0usize)?,
         ..RouterConfig::default()
     };
     let shard_count = topology.len();

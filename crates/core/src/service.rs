@@ -143,9 +143,6 @@ pub enum ErrorCode {
     /// An internal worker failed (e.g. panicked) while the request was in
     /// flight; the request was lost but the session keeps draining.
     Internal,
-    /// A TCP front end is at its `--max-sessions` limit: the connection
-    /// is answered with this error and closed.
-    Overloaded,
 }
 
 impl ErrorCode {
@@ -165,7 +162,6 @@ impl ErrorCode {
             ErrorCode::UnknownShard => "unknown_shard",
             ErrorCode::RequestTimeout => "request_timeout",
             ErrorCode::Internal => "internal",
-            ErrorCode::Overloaded => "overloaded",
         }
     }
 }
@@ -310,7 +306,6 @@ mod tests {
         assert_eq!(ErrorCode::UnknownShard.as_str(), "unknown_shard");
         assert_eq!(ErrorCode::RequestTimeout.as_str(), "request_timeout");
         assert_eq!(ErrorCode::Internal.as_str(), "internal");
-        assert_eq!(ErrorCode::Overloaded.as_str(), "overloaded");
     }
 
     #[test]

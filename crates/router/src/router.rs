@@ -106,10 +106,6 @@ pub struct RouterConfig {
     /// (the default) disables the sampler; explicitly traced requests
     /// are always recorded regardless.
     pub trace_slow: Option<Duration>,
-    /// Most TCP sessions open at once (`--max-sessions`); a connection
-    /// beyond it is answered with a typed `overloaded` error and closed.
-    /// 0 (the default) = unlimited.
-    pub max_sessions: usize,
 }
 
 impl Default for RouterConfig {
@@ -125,7 +121,6 @@ impl Default for RouterConfig {
             probe_interval: Duration::from_millis(500),
             read_deadline: None,
             trace_slow: None,
-            max_sessions: 0,
         }
     }
 }
@@ -326,10 +321,6 @@ impl Runtime for Router {
 
     fn initiate_shutdown(&self) {
         Router::initiate_shutdown(self);
-    }
-
-    fn max_sessions(&self) -> usize {
-        self.core.config.max_sessions
     }
 }
 

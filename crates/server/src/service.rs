@@ -84,10 +84,6 @@ pub struct ServiceConfig {
     /// that is kept only when end-to-end latency reaches the threshold.
     /// `None` disables sampling; explicit `trace` fields always record.
     pub trace_slow: Option<Duration>,
-    /// Most TCP sessions open at once (`--max-sessions`); a connection
-    /// beyond it is answered with a typed `overloaded` error and closed.
-    /// 0 (the default) = unlimited.
-    pub max_sessions: usize,
 }
 
 impl Default for ServiceConfig {
@@ -103,7 +99,6 @@ impl Default for ServiceConfig {
             timing: false,
             shard_id: None,
             trace_slow: None,
-            max_sessions: 0,
         }
     }
 }
@@ -557,14 +552,6 @@ impl Runtime for Service {
         self.engine.initiate_shutdown();
     }
 
-    fn max_sessions(&self) -> usize {
-        self.engine.config.max_sessions
-    }
-
-    fn shard_tag(&self) -> Option<&str> {
-        self.engine.config.shard_id.as_deref()
-    }
-
     /// Drains the engine: every accepted request is answered before
     /// [`crate::TcpServer::join`] returns.
     fn drain(&self) {
@@ -858,10 +845,10 @@ impl SessionDriver<'_> {
         let deliver: Deliver = Box::new(move |outcome, cached, secs| {
             slots.outstanding.fetch_sub(1, Ordering::SeqCst);
             let time_ms = timing.then_some(secs * 1000.0);
-            let encode = Stamp::now();
+            let encode = req_trace.map(|rt| (rt, Stamp::now()));
             let line =
                 protocol::ok_response(&deliver_id, &outcome, cached, include_partition, time_ms);
-            if let Some(rt) = &req_trace {
+            if let Some((rt, encode)) = &encode {
                 encode.record_child(&rt.ctx, "encode");
                 rt.close(trace_slow);
             }

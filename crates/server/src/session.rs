@@ -11,7 +11,7 @@
 //!   order, a writer thread emits them in submission order through the
 //!   session's [`Render`];
 //! * [`TcpFrontEnd`] — the threaded TCP listener over any [`Runtime`],
-//!   with session reaping and `max_sessions` admission control;
+//!   with session reaping;
 //! * [`decode_unit`] — the unit → request decoding both handlers share;
 //! * [`lock_ok`] / [`wait_ok`] — poison-tolerant locking, so a panicking
 //!   thread degrades its own request instead of every session sharing
@@ -26,8 +26,8 @@ use crate::protocol::{self, Request, RequestError};
 use mg_core::service::ErrorCode;
 use mg_obs::trace::{self, TraceContext};
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -457,14 +457,6 @@ pub trait Runtime: Send + Sync + 'static {
     /// Begins shutdown without the in-band op.
     fn initiate_shutdown(&self);
 
-    /// Most sessions open at once; 0 = unlimited.
-    fn max_sessions(&self) -> usize;
-
-    /// Diagnostic shard tag for locally produced error lines.
-    fn shard_tag(&self) -> Option<&str> {
-        None
-    }
-
     /// Runs once the accept loop and every session it spawned have ended.
     fn drain(&self) {}
 }
@@ -539,11 +531,6 @@ fn accept_loop<S: Runtime>(runtime: &Arc<S>, listener: &TcpListener, live: &Atom
         }
         match listener.accept() {
             Ok((stream, _peer)) => {
-                let limit = runtime.max_sessions();
-                if limit > 0 && sessions.len() >= limit {
-                    refuse(&**runtime, stream, limit);
-                    continue;
-                }
                 let session_runtime = runtime.clone();
                 match std::thread::Builder::new()
                     .name(format!("{}-session", S::NAME))
@@ -581,32 +568,4 @@ fn tcp_session<S: Runtime>(runtime: &S, stream: TcpStream) {
     run(&mut handler, input, write_half, &|| {
         runtime.is_shutting_down()
     });
-}
-
-/// Turns away a connection over the session limit: one typed
-/// `overloaded` error line, then close, with no thread spawned for it.
-fn refuse<S: Runtime>(runtime: &S, mut stream: TcpStream, limit: usize) {
-    let line = protocol::error_response(
-        &Json::Null,
-        ErrorCode::Overloaded,
-        &format!("session limit reached ({limit} open); connection refused"),
-        runtime.shard_tag(),
-    );
-    let _ = stream.set_write_timeout(Some(IDLE_TICK));
-    let _ = codec::write_response_unit(&mut stream, WireCodec::JsonLines, &line);
-    let _ = stream.shutdown(Shutdown::Write);
-    // Read (a bounded amount of) what already arrived, so closing does
-    // not reset the connection before the client reads the error.
-    if stream.set_nonblocking(true).is_ok() {
-        let mut sink = [0u8; 4096];
-        for _ in 0..16 {
-            if !matches!(stream.read(&mut sink), Ok(n) if n > 0) {
-                break;
-            }
-        }
-    }
-    mg_obs::log::warn(
-        "session_refused",
-        &[("front_end", S::NAME.into()), ("limit", limit.into())],
-    );
 }

@@ -1,16 +1,11 @@
 //! The shared session runtime on its own: the pump, the ordered writer
-//! and the unit decoder driven by a toy handler, plus the TCP front
-//! end's `max_sessions` admission control on a real service.
+//! and the unit decoder driven by a toy handler.
 
-use mg_collection::{CollectionScale, CollectionSpec};
 use mg_server::codec::{batch_payload, json_payload, UnitKind, WireCodec, KIND_PARTITION};
 use mg_server::session::{self, decode_unit, Decoded, Handler, Render, Responses};
-use mg_server::{Service, ServiceConfig, TcpServer};
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
 use std::sync::mpsc;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Answers every request with its id, but holds every answer back until
 /// the input ends and then resolves the slots last to first, so the
@@ -151,65 +146,4 @@ fn a_batch_frame_decodes_to_one_slot_per_sub_frame_in_order() {
     let (go, seen) = decode_all(UnitKind::Frame, &batch, 2);
     assert!(!go);
     assert_eq!(seen.len(), 2);
-}
-
-fn smoke_service(max_sessions: usize) -> Arc<Service> {
-    Service::start(ServiceConfig {
-        threads: 1,
-        collection: CollectionSpec {
-            seed: 11,
-            scale: CollectionScale::Smoke,
-        },
-        shard_id: Some("s7".into()),
-        max_sessions,
-        ..ServiceConfig::default()
-    })
-}
-
-fn ping(stream: &TcpStream, id: u64) -> String {
-    let mut w = stream;
-    w.write_all(format!("{{\"id\":{id},\"op\":\"ping\"}}\n").as_bytes())
-        .expect("send");
-    let mut line = String::new();
-    BufReader::new(stream).read_line(&mut line).expect("read");
-    line
-}
-
-/// A connection beyond `max_sessions` gets one typed `overloaded` line
-/// and is closed without a session thread; once a slot frees up, new
-/// connections are served again.
-#[test]
-fn connections_beyond_max_sessions_are_refused_with_a_typed_error() {
-    let server = TcpServer::bind(smoke_service(1), "127.0.0.1:0").expect("bind");
-    let first = TcpStream::connect(server.local_addr).expect("connect");
-    assert!(ping(&first, 1).contains("\"status\":\"ok\""));
-
-    let mut refused = TcpStream::connect(server.local_addr).expect("connect");
-    refused
-        .write_all(b"{\"id\":2,\"op\":\"ping\"}\n")
-        .expect("send");
-    // A served (not refused) connection would never reach EOF.
-    refused
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .expect("timeout");
-    let mut text = String::new();
-    refused.read_to_string(&mut text).expect("read to EOF");
-    assert_eq!(
-        text,
-        "{\"id\":null,\"status\":\"error\",\"code\":\"overloaded\",\
-         \"message\":\"session limit reached (1 open); connection refused\",\
-         \"shard\":\"s7\"}\n"
-    );
-    assert_eq!(server.live_sessions(), 1);
-
-    drop(first);
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while server.live_sessions() != 0 {
-        assert!(Instant::now() < deadline, "closed session never reaped");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    let again = TcpStream::connect(server.local_addr).expect("connect");
-    assert!(ping(&again, 3).contains("\"status\":\"ok\""));
-    drop(again);
-    server.shutdown_and_join();
 }
