@@ -25,7 +25,6 @@ const VALUE_FLAGS: &[&str] = &[
     // serve / request (the service front end):
     "--listen",
     "--queue",
-    "--batch",
     "--cache",
     "--collection-scale",
     "--collection-seed",

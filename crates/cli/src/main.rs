@@ -91,8 +91,8 @@ SWEEP OPTIONS:
 SERVE OPTIONS (protocol: crates/server/PROTOCOL.md):
   --listen ADDR TCP listen address (e.g. 127.0.0.1:7077; port 0 = ephemeral);
                 omit for stdio pipe mode (requests on stdin, responses on stdout)
-  --threads N   worker threads of the batch pool, 0 = all cores  (default 0)
-  --batch N     micro-batch size handed to the pool  (default 32)
+  --threads N   worker threads, each running one job at a time,
+                0 = all cores  (default 0)
   --queue N     bounded submission queue; full = backpressure  (default 256)
   --cache N     LRU response-cache entries, 0 = off  (default 128)
   --seed S      master seed for requests without one  (default 2014)
@@ -781,7 +781,6 @@ fn render_trace_report(doc: &Json) -> String {
 fn serve(parsed: &Parsed) -> Result<(), String> {
     let config = ServiceConfig {
         threads: parsed.flag_parse("--threads", 0usize)?,
-        max_batch: parsed.flag_parse("--batch", 32usize)?,
         queue_capacity: parsed.flag_parse("--queue", 256usize)?,
         cache_capacity: parsed.flag_parse("--cache", 128usize)?,
         master_seed: parsed.flag_parse("--seed", 2014u64)?,

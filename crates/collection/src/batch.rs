@@ -14,8 +14,6 @@
 //! determinism contract extended from a single split to a whole sweep.
 
 use crossbeam::utils::CachePadded;
-use parking_lot::Mutex;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// One (matrix × method × ε) cell of a sweep, run on a named backend.
@@ -203,86 +201,6 @@ where
     tagged.into_iter().map(|(_, value)| value).collect()
 }
 
-/// [`run_batch`] with *streaming* delivery: `sink(index, result)` is
-/// called in strict index order, each result handed over as soon as every
-/// lower-indexed job has finished — not only when the whole batch is done.
-///
-/// Scheduling is identical to [`run_batch`] (shard-per-worker with
-/// work stealing, every index claimed exactly once); out-of-order
-/// completions park in a reorder buffer until their turn. The sink runs on
-/// whichever worker thread completes the prefix, one call at a time (it is
-/// behind a mutex), so it may block briefly but must not call back into
-/// the pool. This is the serving front end's substrate: a session can
-/// stream response `i` while jobs `> i` are still executing, and the
-/// delivery order — hence the output byte stream — is independent of the
-/// thread count.
-pub fn run_batch_ordered<T, F, S>(num_jobs: usize, threads: usize, worker: F, sink: S)
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-    S: FnMut(usize, T) + Send,
-{
-    struct Reorder<T, S> {
-        next: usize,
-        parked: BTreeMap<usize, T>,
-        sink: S,
-    }
-    let threads = threads.max(1).min(num_jobs.max(1));
-    let ranges = shard_ranges(num_jobs, threads);
-    let cursors: Vec<CachePadded<AtomicUsize>> = (0..threads)
-        .map(|_| CachePadded::new(AtomicUsize::new(0)))
-        .collect();
-    let reorder = Mutex::new(Reorder {
-        next: 0,
-        parked: BTreeMap::new(),
-        sink,
-    });
-
-    crossbeam::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                let ranges = &ranges;
-                let cursors = &cursors;
-                let worker = &worker;
-                let reorder = &reorder;
-                scope.spawn(move |_| {
-                    for step in 0..threads {
-                        let shard = (w + step) % threads;
-                        let range = &ranges[shard];
-                        loop {
-                            let claimed = cursors[shard].fetch_add(1, Ordering::Relaxed);
-                            if claimed >= range.len() {
-                                break;
-                            }
-                            let index = range.start + claimed;
-                            let value = worker(index);
-                            let guard = &mut *reorder.lock();
-                            if index == guard.next {
-                                (guard.sink)(index, value);
-                                guard.next += 1;
-                                while let Some(parked) = guard.parked.remove(&guard.next) {
-                                    (guard.sink)(guard.next, parked);
-                                    guard.next += 1;
-                                }
-                            } else {
-                                guard.parked.insert(index, value);
-                            }
-                        }
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("ordered batch worker panicked");
-        }
-    })
-    .expect("ordered batch scope");
-
-    let guard = reorder.into_inner();
-    debug_assert_eq!(guard.next, num_jobs, "ordered delivery lost a result");
-    debug_assert!(guard.parked.is_empty());
-}
-
 /// [`run_batch`] over an explicit job list: `worker(&jobs[i])` for every
 /// job, results in job order.
 pub fn run_jobs<T, F>(jobs: &[BatchJob], threads: usize, worker: F) -> Vec<T>
@@ -388,63 +306,6 @@ mod tests {
         for (i, c) in counters.iter().enumerate() {
             assert_eq!(c.load(Ordering::Relaxed), 1, "job {i}");
         }
-    }
-
-    #[test]
-    fn ordered_delivery_is_in_index_order_and_complete() {
-        for threads in [1usize, 2, 3, 8] {
-            let mut delivered: Vec<(usize, usize)> = Vec::new();
-            run_batch_ordered(37, threads, |i| i * 3, |i, v| delivered.push((i, v)));
-            assert_eq!(delivered.len(), 37, "threads={threads}");
-            for (k, &(i, v)) in delivered.iter().enumerate() {
-                assert_eq!(i, k);
-                assert_eq!(v, k * 3);
-            }
-        }
-    }
-
-    #[test]
-    fn ordered_delivery_matches_run_batch() {
-        let batch = run_batch(29, 4, |i| i * i + 1);
-        let mut streamed = Vec::new();
-        run_batch_ordered(29, 4, |i| i * i + 1, |_, v| streamed.push(v));
-        assert_eq!(batch, streamed);
-    }
-
-    #[test]
-    fn ordered_delivery_streams_prefixes_before_the_batch_ends() {
-        // Job 0 is slow; every other job must park and then flush in order
-        // behind it. The sink asserts the prefix invariant: when index i is
-        // delivered, exactly i results were delivered before it.
-        let slow = AtomicU32::new(0);
-        let mut count = 0usize;
-        run_batch_ordered(
-            16,
-            4,
-            |i| {
-                if i == 0 {
-                    while slow.load(Ordering::Relaxed) < 8 {
-                        std::thread::yield_now();
-                    }
-                } else {
-                    slow.fetch_add(1, Ordering::Relaxed);
-                }
-                i
-            },
-            |i, v| {
-                assert_eq!(i, count);
-                assert_eq!(v, count);
-                count += 1;
-            },
-        );
-        assert_eq!(count, 16);
-    }
-
-    #[test]
-    fn ordered_delivery_handles_empty_batches() {
-        let mut called = false;
-        run_batch_ordered(0, 4, |i| i, |_, _| called = true);
-        assert!(!called);
     }
 
     #[test]

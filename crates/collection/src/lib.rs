@@ -21,8 +21,6 @@ pub mod batch;
 pub mod gd97b;
 pub mod suite;
 
-pub use batch::{
-    expand_jobs, job_seed, run_batch, run_batch_ordered, run_jobs, run_seed, worker_count, BatchJob,
-};
+pub use batch::{expand_jobs, job_seed, run_batch, run_jobs, run_seed, worker_count, BatchJob};
 pub use gd97b::gd97b_twin;
 pub use suite::{generate, CollectionEntry, CollectionScale, CollectionSpec};

@@ -1,12 +1,11 @@
 //! # mg-server — the streaming partition service
 //!
-//! A long-running front end on top of the batch engine: clients submit
+//! A long-running front end on top of the partitioners: clients submit
 //! JSON-lines partition requests (inline COO triplets, a named collection
 //! matrix, or a Matrix Market payload, plus method/ε/seed) and receive
 //! JSON-lines responses (volume, imbalance, per-phase stats, optionally
 //! the full assignment) streamed back **in submission order** while jobs
-//! execute **out of order** on the work-stealing pool of
-//! [`mg_collection::batch`].
+//! execute **out of order** on a pool of long-lived worker threads.
 //!
 //! Two transports share one protocol and one session runtime
 //! ([`session`], which the router reuses unchanged):

@@ -20,7 +20,8 @@ pub(crate) struct ServerMetrics {
     pub sessions_live: Gauge,
     /// Jobs waiting in the engine's bounded submission queue.
     pub queue_depth: Gauge,
-    /// Jobs of the micro-batch currently on the worker pool.
+    /// Jobs executing right now: each worker increments it when it pops a
+    /// job and decrements it once the job is resolved.
     pub inflight: Gauge,
 }
 

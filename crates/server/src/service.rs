@@ -1,15 +1,17 @@
-//! The serving engine: a bounded submission queue feeding the
-//! work-stealing batch pool, per-session ordered response streams, and a
-//! shared LRU response cache.
+//! The serving engine: a bounded submission queue feeding a persistent
+//! worker pool, per-session ordered response streams, and a shared LRU
+//! response cache.
 //!
 //! ## Execution model
 //!
 //! Sessions (one per stdio pipe or TCP connection) decode request lines
-//! and submit jobs to the shared [`Engine`]. A dispatcher thread drains
-//! the queue in *micro-batches* and runs each batch on the existing
-//! [`mg_collection::run_batch_ordered`] work-stealing pool — jobs execute
-//! out of order across workers, but results are delivered in order and
-//! each session's writer emits responses in its own submission order.
+//! and submit jobs to the shared [`Engine`]. A fixed set of long-lived
+//! worker threads pops jobs off the queue one at a time, executes each,
+//! and resolves the job itself: it caches the result, takes the
+//! coalesced followers, and fills the owning sessions' response slots.
+//! Jobs finish in any order; each session's writer emits responses in
+//! its own submission order. A panicking job is answered with a typed
+//! `internal` error and the worker keeps serving.
 //!
 //! ## Determinism
 //!
@@ -30,7 +32,7 @@
 //! socket backpressure instead of unbounded server memory. Shutdown (the
 //! `shutdown` op or [`Service::initiate_shutdown`]) stops new
 //! submissions, drains every queued and in-flight job, flushes every
-//! pending response, then lets the dispatcher exit.
+//! pending response, then lets the workers exit.
 
 use crate::cache::LruCache;
 use crate::codec::{UnitKind, WireCodec};
@@ -40,13 +42,14 @@ use crate::protocol;
 use crate::session::{
     self, lock_ok, wait_ok, Handler, Render, RequestTrace, Responses, Runtime, Stamp,
 };
-use mg_collection::{generate, job_seed, run_batch_ordered, worker_count, CollectionSpec};
+use mg_collection::{generate, job_seed, worker_count, CollectionSpec};
 use mg_core::service::{matrix_fingerprint, ErrorCode, MatrixPayload, PartitionOutcome, RequestOp};
 use mg_core::{parse_backend, Method, PartitionBackend, DEFAULT_BACKEND};
 use mg_obs::trace::{self, TraceContext};
 use mg_sparse::{load_imbalance, Coo};
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, Write};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -54,10 +57,9 @@ use std::time::{Duration, Instant};
 /// Configuration of a [`Service`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Worker threads of the batch pool; 0 = one per available core.
+    /// Long-lived worker threads, each running one job at a time;
+    /// 0 = one per available core.
     pub threads: usize,
-    /// Largest micro-batch the dispatcher hands to the pool at once.
-    pub max_batch: usize,
     /// Bounded submission-queue capacity; full ⇒ submitters block
     /// (backpressure all the way to the client socket).
     pub queue_capacity: usize,
@@ -90,7 +92,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             threads: 0,
-            max_batch: 32,
             queue_capacity: 256,
             cache_capacity: 128,
             master_seed: 2014,
@@ -121,17 +122,9 @@ impl Default for ServiceConfig {
 /// ([`seed_of`]), so both shapes report identical volumes and seeds.
 type CacheKey = (u64, &'static str, Method, u64, u64, bool);
 
-/// Completion callback: `(outcome, cached, compute_seconds)`.
-type Deliver = Box<dyn FnOnce(Arc<PartitionOutcome>, bool, f64) + Send>;
-
-/// One queued job as handed to the ordered batch pool: cache key,
-/// resolved backend, matrix, and the optional trace handle.
-type JobSpec = (
-    CacheKey,
-    &'static dyn PartitionBackend,
-    Arc<Coo>,
-    Option<JobTrace>,
-);
+/// Completion callback: `(outcome, cached, compute_seconds)`; the
+/// outcome is `None` when the job panicked.
+type Deliver = Box<dyn FnOnce(Option<Arc<PartitionOutcome>>, bool, f64) + Send>;
 
 /// Trace identity of a queued job's primary: the request's root span
 /// (`queue_wait` and `execute` record under it) plus when it queued.
@@ -167,7 +160,7 @@ struct EngineInner {
 
 struct Engine {
     inner: Mutex<EngineInner>,
-    /// Signals the dispatcher that work (or shutdown) is available.
+    /// Signals idle workers that work (or shutdown) is available.
     work: Condvar,
     /// Signals blocked submitters that queue space freed up.
     space: Condvar,
@@ -208,7 +201,7 @@ impl Engine {
             if let Some(hit) = inner.cache.get(&key) {
                 let outcome = hit.clone();
                 drop(inner);
-                deliver(outcome, true, 0.0);
+                deliver(Some(outcome), true, 0.0);
                 return SubmitOutcome::CacheHit;
             }
             if let Some(followers) = inner.inflight.get_mut(&key) {
@@ -228,8 +221,26 @@ impl Engine {
                 trace,
             });
             server_metrics().queue_depth.set(inner.queue.len() as u64);
-            self.work.notify_all();
+            self.work.notify_one();
             return SubmitOutcome::Queued;
+        }
+    }
+
+    /// Blocks until a job is queued and pops it; `None` once shutdown is
+    /// set *and* the queue is empty, so every accepted job still runs.
+    fn next_job(&self) -> Option<EngineJob> {
+        let mut inner = self.lock();
+        loop {
+            if let Some(job) = inner.queue.pop_front() {
+                server_metrics().queue_depth.set(inner.queue.len() as u64);
+                drop(inner);
+                self.space.notify_all();
+                return Some(job);
+            }
+            if inner.shutdown {
+                return None;
+            }
+            inner = wait_ok(&self.work, inner);
         }
     }
 
@@ -278,11 +289,11 @@ impl Engine {
 fn execute(
     matrix: &Coo,
     backend: &'static dyn PartitionBackend,
-    method: Method,
-    epsilon: f64,
-    seed: u64,
-    fingerprint: u64,
+    key: &CacheKey,
 ) -> PartitionOutcome {
+    let (fingerprint, _, method, eps_bits, _, _) = *key;
+    let epsilon = f64::from_bits(eps_bits);
+    let seed = seed_of(key);
     let result = backend.bipartition(matrix, method, epsilon, seed);
     let mut part_nnz = [0u64; 2];
     for (p, &size) in result.partition.part_sizes().iter().take(2).enumerate() {
@@ -310,104 +321,95 @@ fn execute(
     }
 }
 
-/// The dispatcher: drains the queue in micro-batches and runs each batch
-/// on the ordered work-stealing pool, resolving primaries and followers
-/// as results stream back. Exits once shutdown is requested *and* the
-/// queue is fully drained — never dropping an accepted job.
-fn dispatcher_loop(engine: &Engine) {
-    loop {
-        let batch: Vec<EngineJob> = {
-            let mut inner = engine.lock();
-            loop {
-                if !inner.queue.is_empty() {
-                    break;
-                }
-                if inner.shutdown {
-                    return;
-                }
-                inner = wait_ok(&engine.work, inner);
-            }
-            let n = inner.queue.len().min(engine.config.max_batch.max(1));
-            let drained: Vec<EngineJob> = inner.queue.drain(..n).collect();
-            server_metrics().queue_depth.set(inner.queue.len() as u64);
-            drained
-        };
-        engine.space.notify_all();
+/// One pool worker: runs queued jobs until shutdown drains the queue.
+fn worker_loop(engine: &Engine) {
+    while let Some(job) = engine.next_job() {
+        server_metrics().inflight.inc();
+        run_job(engine, job);
+        server_metrics().inflight.dec();
+    }
+}
 
-        let mut delivers: Vec<Option<Deliver>> = Vec::with_capacity(batch.len());
-        let mut specs: Vec<JobSpec> = Vec::with_capacity(batch.len());
-        for job in batch {
-            specs.push((job.key, job.backend, job.matrix, job.trace));
-            delivers.push(Some(job.deliver));
-        }
-        let threads = worker_count(engine.config.threads).min(specs.len()).max(1);
-        let specs = &specs;
-        server_metrics().inflight.set(specs.len() as u64);
-        run_batch_ordered(
-            specs.len(),
-            threads,
-            |i| {
-                let ((fingerprint, _, method, eps_bits, _, _), backend, matrix, job_trace) =
-                    &specs[i];
-                let seed = seed_of(&specs[i].0);
-                // Traced jobs: queue_wait ran from submission to now, and
-                // execute gets its own span installed thread-locally so
-                // the partitioner's phase timers record as its children.
-                let exec_span = job_trace.map(|jt| {
-                    jt.queued.record_child(&jt.ctx, "queue_wait");
-                    (jt.ctx.child(), trace::now_us())
-                });
-                let _scope = exec_span.map(|(ctx, _)| trace::enter(ctx));
-                let start = Instant::now();
-                let outcome = execute(
-                    matrix,
-                    *backend,
-                    *method,
-                    f64::from_bits(*eps_bits),
-                    seed,
-                    *fingerprint,
-                );
-                let elapsed = start.elapsed();
-                drop(_scope);
-                if let Some((ctx, start_us)) = exec_span {
-                    trace::record_span(
-                        ctx.trace_id,
-                        ctx.span_id,
-                        ctx.parent_id,
-                        "execute",
-                        start_us,
-                        elapsed,
-                    );
-                }
-                (outcome, elapsed.as_secs_f64())
-            },
-            |i, (outcome, secs)| {
-                let outcome = Arc::new(outcome);
-                let followers = {
-                    let mut inner = engine.lock();
-                    // Keys that never asked for the assignment cache a
-                    // *stripped* copy: the partition vector is O(nnz) and
-                    // would otherwise pin every large matrix in memory.
-                    let wants_partition = specs[i].0 .5;
-                    let cached_copy = if wants_partition || outcome.partition.is_empty() {
-                        outcome.clone()
-                    } else {
-                        let mut stripped = (*outcome).clone();
-                        stripped.partition = Vec::new();
-                        Arc::new(stripped)
-                    };
-                    inner.cache.insert(specs[i].0, cached_copy);
-                    inner.inflight.remove(&specs[i].0).unwrap_or_default()
-                };
-                if let Some(primary) = delivers[i].take() {
-                    primary(outcome.clone(), false, secs);
-                }
-                for follower in followers {
-                    follower(outcome.clone(), true, 0.0);
-                }
-            },
+/// Executes one job and resolves it: caches the result, then answers
+/// the primary and every follower coalesced onto its key. A panic in
+/// the backend is caught here and answered as a typed `internal` error,
+/// so it costs only the requests waiting on this key.
+fn run_job(engine: &Engine, job: EngineJob) {
+    let EngineJob {
+        key,
+        backend,
+        matrix,
+        deliver,
+        trace: job_trace,
+    } = job;
+    let (fingerprint, _, method, _, _, wants_partition) = key;
+    // Traced jobs: queue_wait ran from submission to now, and execute
+    // gets its own span installed thread-locally so the partitioner's
+    // phase timers record as its children.
+    let exec_span = job_trace.map(|jt| {
+        jt.queued.record_child(&jt.ctx, "queue_wait");
+        (jt.ctx.child(), trace::now_us())
+    });
+    let start = Instant::now();
+    let result = {
+        let _scope = exec_span.map(|(ctx, _)| trace::enter(ctx));
+        catch_unwind(AssertUnwindSafe(|| execute(&matrix, backend, &key)))
+    };
+    let elapsed = start.elapsed();
+    if let Some((ctx, start_us)) = exec_span {
+        trace::record_span(
+            ctx.trace_id,
+            ctx.span_id,
+            ctx.parent_id,
+            "execute",
+            start_us,
+            elapsed,
         );
-        server_metrics().inflight.set(0);
+    }
+    let outcome = result.map(Arc::new);
+    // Keys that never asked for the assignment cache a *stripped* copy:
+    // the partition vector is O(nnz) and would otherwise pin every large
+    // matrix in memory. A panicked job caches nothing.
+    let cached_copy = outcome.as_ref().ok().map(|outcome| {
+        if wants_partition || outcome.partition.is_empty() {
+            outcome.clone()
+        } else {
+            let mut stripped = (**outcome).clone();
+            stripped.partition = Vec::new();
+            Arc::new(stripped)
+        }
+    });
+    let followers = {
+        let mut inner = engine.lock();
+        if let Some(copy) = cached_copy {
+            inner.cache.insert(key, copy);
+        }
+        inner.inflight.remove(&key).unwrap_or_default()
+    };
+    let outcome = match outcome {
+        Ok(outcome) => Some(outcome),
+        Err(payload) => {
+            let message = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("non-string panic payload");
+            mg_obs::log::error(
+                "job_panicked",
+                &[
+                    ("backend", backend.name().into()),
+                    ("method", method.name().into()),
+                    ("fingerprint", format!("{fingerprint:016x}").into()),
+                    ("followers", followers.len().into()),
+                    ("message", message.into()),
+                ],
+            );
+            None
+        }
+    };
+    deliver(outcome.clone(), false, elapsed.as_secs_f64());
+    for follower in followers {
+        follower(outcome.clone(), true, 0.0);
     }
 }
 
@@ -430,13 +432,13 @@ fn seed_of(key: &CacheKey) -> u64 {
     )
 }
 
-/// A running partition service: the shared engine plus its dispatcher
-/// thread. Create with [`Service::start`], attach any number of sessions
+/// A running partition service: the shared engine plus its worker
+/// threads. Create with [`Service::start`], attach any number of sessions
 /// ([`Service::run_session`], or a [`crate::TcpServer`]), and stop with
 /// [`Service::initiate_shutdown`] (or the in-band `shutdown` op).
 pub struct Service {
     engine: Arc<Engine>,
-    dispatcher: Mutex<Option<std::thread::JoinHandle<()>>>,
+    workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 /// Per-session counters, all submission-order-deterministic.
@@ -456,7 +458,8 @@ pub struct SessionSummary {
 }
 
 impl Service {
-    /// Starts the engine and its dispatcher thread.
+    /// Starts the engine and its [`worker_count`]`(config.threads)` worker
+    /// threads.
     ///
     /// Panics if `config.default_backend` is not a registered backend —
     /// a config error surfaces here, not on the first request. The name
@@ -480,14 +483,18 @@ impl Service {
             sessions: AtomicU64::new(0),
             config,
         });
-        let dispatcher_engine = engine.clone();
-        let dispatcher = std::thread::Builder::new()
-            .name("mg-server-dispatcher".into())
-            .spawn(move || dispatcher_loop(&dispatcher_engine))
-            .expect("spawning dispatcher");
+        let workers = (0..worker_count(engine.config.threads))
+            .map(|i| {
+                let engine = engine.clone();
+                std::thread::Builder::new()
+                    .name(format!("mg-server-worker-{i}"))
+                    .spawn(move || worker_loop(&engine))
+                    .expect("spawning worker")
+            })
+            .collect();
         Arc::new(Service {
             engine,
-            dispatcher: Mutex::new(Some(dispatcher)),
+            workers: Mutex::new(workers),
         })
     }
 
@@ -502,12 +509,15 @@ impl Service {
         self.engine.is_shutting_down()
     }
 
-    /// Waits for the dispatcher to drain and exit. Implies
+    /// Waits for the workers to drain the queue and exit. Implies
     /// [`Service::initiate_shutdown`].
     pub fn shutdown_and_join(&self) {
         self.engine.initiate_shutdown();
-        if let Some(handle) = lock_ok(&self.dispatcher).take() {
-            handle.join().expect("dispatcher panicked");
+        let workers = std::mem::take(&mut *lock_ok(&self.workers));
+        for handle in workers {
+            // Job panics are caught in `run_job`; a worker can only die
+            // in a response callback, which must not abort the drain.
+            let _ = handle.join();
         }
     }
 
@@ -838,6 +848,7 @@ impl SessionDriver<'_> {
         let include_partition = spec.include_partition;
         let timing = engine.config.timing;
         let deliver_id = id.clone();
+        let shard = engine.config.shard_id.clone();
         // Count the job as outstanding from submission until delivery;
         // synchronous cache hits cancel out before anyone can observe
         // the increment through a stats slot.
@@ -846,20 +857,40 @@ impl SessionDriver<'_> {
             slots.outstanding.fetch_sub(1, Ordering::SeqCst);
             let time_ms = timing.then_some(secs * 1000.0);
             let encode = req_trace.map(|rt| (rt, Stamp::now()));
-            let line =
-                protocol::ok_response(&deliver_id, &outcome, cached, include_partition, time_ms);
+            // Tag freshly computed lines with their backend so the writer
+            // can tally per-backend completions for deferred stats slots.
+            let (line, computed) = match outcome {
+                Some(outcome) => (
+                    protocol::ok_response(
+                        &deliver_id,
+                        &outcome,
+                        cached,
+                        include_partition,
+                        time_ms,
+                    ),
+                    (!cached).then_some(outcome.backend),
+                ),
+                None => {
+                    server_metrics().errors.inc();
+                    let line = protocol::error_response(
+                        &deliver_id,
+                        ErrorCode::Internal,
+                        "partition job panicked; request lost",
+                        shard.as_deref(),
+                    );
+                    (line, None)
+                }
+            };
             if let Some((rt, encode)) = &encode {
                 encode.record_child(&rt.ctx, "encode");
                 rt.close(trace_slow);
             }
             request_seconds("partition").observe(t0.at.elapsed().as_secs_f64());
-            // Tag freshly computed lines with their backend so the writer
-            // can tally per-backend completions for deferred stats slots.
             slots.resolve(
                 index,
                 Slot::Ready {
                     line,
-                    computed: (!cached).then_some(outcome.backend),
+                    computed,
                     switch: None,
                 },
             );
@@ -901,6 +932,153 @@ impl Drop for SessionDriver<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mg_core::{BackendCapabilities, BipartitionResult};
+    use mg_partitioner::BisectionTargets;
+    use std::sync::mpsc::{channel, Receiver, Sender};
+
+    const WAIT: Duration = Duration::from_secs(30);
+
+    /// Test backend: signals `started`, then holds the job until
+    /// `release` fires (or [`WAIT`] expires) and either panics or
+    /// delegates to the default backend.
+    struct Gated {
+        started: Sender<()>,
+        release: Mutex<Receiver<()>>,
+        panics: bool,
+    }
+
+    fn real() -> &'static dyn PartitionBackend {
+        parse_backend(DEFAULT_BACKEND).unwrap()
+    }
+
+    impl PartitionBackend for Gated {
+        fn name(&self) -> &'static str {
+            "test-gated"
+        }
+        fn description(&self) -> &'static str {
+            "waits for a release signal, then panics or partitions"
+        }
+        fn capabilities(&self) -> BackendCapabilities {
+            real().capabilities()
+        }
+        fn estimated_cost(&self, a: &Coo) -> u64 {
+            real().estimated_cost(a)
+        }
+        fn bipartition_with_targets(
+            &self,
+            a: &Coo,
+            method: Method,
+            targets: &BisectionTargets,
+            seed: u64,
+        ) -> BipartitionResult {
+            self.started.send(()).unwrap();
+            let _ = lock_ok(&self.release).recv_timeout(WAIT);
+            assert!(!self.panics, "injected backend panic");
+            real().bipartition_with_targets(a, method, targets, seed)
+        }
+    }
+
+    /// A leaked [`Gated`] backend plus its `started` and `release` ends.
+    fn gated(panics: bool) -> (&'static Gated, Receiver<()>, Sender<()>) {
+        let (started, started_rx) = channel();
+        let (release_tx, release) = channel();
+        let backend = Box::leak(Box::new(Gated {
+            started,
+            release: Mutex::new(release),
+            panics,
+        }));
+        (backend, started_rx, release_tx)
+    }
+
+    fn submit(
+        service: &Service,
+        backend: &'static dyn PartitionBackend,
+        matrix: Coo,
+        deliver: impl FnOnce(Option<Arc<PartitionOutcome>>, bool) + Send + 'static,
+    ) -> SubmitOutcome {
+        let method = Method::MediumGrain { refine: true };
+        let key = (
+            matrix_fingerprint(&matrix),
+            backend.name(),
+            method,
+            0.03f64.to_bits(),
+            2014,
+            false,
+        );
+        let deliver: Deliver = Box::new(move |outcome, cached, _| deliver(outcome, cached));
+        service
+            .engine
+            .submit(key, backend, Arc::new(matrix), deliver, None)
+    }
+
+    #[test]
+    fn a_light_job_runs_beside_a_running_heavy_one() {
+        // Job A holds its worker until job B, submitted after A started,
+        // has been delivered: B must not wait for A.
+        let service = Service::start(ServiceConfig {
+            threads: 2,
+            ..ServiceConfig::default()
+        });
+        let (backend, started, release) = gated(false);
+        let (tx, delivered) = channel();
+        let tx_a = tx.clone();
+        let heavy = mg_sparse::gen::laplacian_2d(12, 12);
+        let queued = submit(&service, backend, heavy, move |_, _| {
+            tx_a.send("A").unwrap();
+        });
+        assert!(matches!(queued, SubmitOutcome::Queued));
+        started.recv_timeout(WAIT).expect("job A started");
+        let light = mg_sparse::gen::laplacian_2d(4, 4);
+        let queued = submit(&service, real(), light, move |_, _| {
+            tx.send("B").unwrap();
+            release.send(()).unwrap();
+        });
+        assert!(matches!(queued, SubmitOutcome::Queued));
+        let order: Vec<&str> = (0..2)
+            .map(|_| delivered.recv_timeout(2 * WAIT).expect("delivery"))
+            .collect();
+        assert_eq!(order, ["B", "A"], "the light job waited for the heavy one");
+        service.shutdown_and_join();
+    }
+
+    #[test]
+    fn a_panicking_job_answers_internal_and_the_pool_keeps_serving() {
+        let service = Service::start(ServiceConfig {
+            threads: 2,
+            ..ServiceConfig::default()
+        });
+        let (backend, started, release) = gated(true);
+        let (tx, delivered) = channel();
+        let matrix = mg_sparse::gen::laplacian_2d(6, 6);
+        let record = |tag: &'static str| {
+            let tx = tx.clone();
+            move |outcome: Option<Arc<PartitionOutcome>>, cached| {
+                tx.send((tag, outcome.is_some(), cached)).unwrap();
+            }
+        };
+        let primary = submit(&service, backend, matrix.clone(), record("primary"));
+        assert!(matches!(primary, SubmitOutcome::Queued));
+        started.recv_timeout(WAIT).expect("job started");
+        let follower = submit(&service, backend, matrix.clone(), record("follower"));
+        assert!(matches!(follower, SubmitOutcome::Follower));
+        release.send(()).unwrap();
+        let mut got: Vec<_> = (0..2)
+            .map(|_| delivered.recv_timeout(WAIT).expect("delivery"))
+            .collect();
+        got.sort();
+        // No outcome: the session renders these as `internal` errors.
+        assert_eq!(got, [("follower", false, true), ("primary", false, false)]);
+        {
+            let inner = service.engine.lock();
+            assert!(inner.inflight.is_empty());
+            assert!(inner.cache.is_empty(), "a panicked job must not be cached");
+        }
+
+        let next = submit(&service, real(), matrix, record("next"));
+        assert!(matches!(next, SubmitOutcome::Queued));
+        assert_eq!(delivered.recv_timeout(WAIT).unwrap(), ("next", true, false));
+        service.shutdown_and_join();
+    }
 
     #[test]
     fn start_canonicalizes_the_default_backend_name() {

@@ -111,10 +111,9 @@ fn script() -> String {
     text
 }
 
-fn run(threads: usize, max_batch: usize) -> String {
+fn run(threads: usize) -> String {
     let service = Service::start(ServiceConfig {
         threads,
-        max_batch,
         collection: CollectionSpec {
             seed: 11,
             scale: mg_collection::CollectionScale::Smoke,
@@ -129,34 +128,20 @@ fn run(threads: usize, max_batch: usize) -> String {
 
 #[test]
 fn response_stream_is_byte_identical_for_1_2_4_8_threads() {
-    let baseline = run(1, 32);
+    let baseline = run(1);
     assert!(!baseline.is_empty());
     assert!(baseline.contains("\"cached\":true"));
     assert!(baseline.contains("\"status\":\"error\""));
     for threads in [2usize, 4, 8] {
         assert_eq!(
             baseline,
-            run(threads, 32),
+            run(threads),
             "response stream diverged at {threads} threads"
         );
     }
 }
 
 #[test]
-fn response_stream_is_independent_of_micro_batch_slicing() {
-    // Batch boundaries change which jobs share a pool invocation; the
-    // bytes must not care.
-    let baseline = run(4, 32);
-    for max_batch in [1usize, 2, 5] {
-        assert_eq!(
-            baseline,
-            run(4, max_batch),
-            "response stream diverged at max_batch={max_batch}"
-        );
-    }
-}
-
-#[test]
 fn repeated_sessions_are_byte_identical() {
-    assert_eq!(run(3, 8), run(3, 8));
+    assert_eq!(run(3), run(3));
 }

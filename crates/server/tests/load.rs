@@ -20,11 +20,10 @@ fn inline_payload(a: &Coo) -> String {
     )
 }
 
-fn smoke_service(threads: usize, queue_capacity: usize, max_batch: usize) -> Arc<Service> {
+fn smoke_service(threads: usize, queue_capacity: usize) -> Arc<Service> {
     Service::start(ServiceConfig {
         threads,
         queue_capacity,
-        max_batch,
         collection: CollectionSpec {
             seed: 11,
             scale: CollectionScale::Smoke,
@@ -44,16 +43,16 @@ fn response_id(line: &str) -> u64 {
 
 #[test]
 fn pipe_load_respects_order_under_backpressure() {
-    // 120 requests over 10 distinct jobs through a 4-slot queue and
-    // 3-job micro-batches: the reader must block (backpressure) rather
-    // than lose or reorder anything.
+    // 120 requests over 10 distinct jobs through a 4-slot queue: the
+    // reader must block (backpressure) rather than lose or reorder
+    // anything.
     let matrices: Vec<Coo> = (0..10u32).map(|k| gen::laplacian_2d(6 + k, 7)).collect();
     let mut script = String::new();
     for r in 0..120u64 {
         let payload = inline_payload(&matrices[(r % 10) as usize]);
         script.push_str(&format!("{{\"id\":{r},\"matrix\":{payload}}}\n"));
     }
-    let service = smoke_service(4, 4, 3);
+    let service = smoke_service(4, 4);
     let mut out = Vec::new();
     let summary = service.run_session(script.as_bytes(), &mut out);
     assert_eq!(summary.received, 120);
@@ -87,7 +86,7 @@ fn mixed_load_counts_errors_and_hits_deterministically() {
             _ => script.push_str(&format!("{{\"id\":{r},\"op\":\"ping\"}}\n")),
         }
     }
-    let service = smoke_service(2, 8, 4);
+    let service = smoke_service(2, 8);
     let mut out = Vec::new();
     let summary = service.run_session(script.as_bytes(), &mut out);
     assert_eq!(summary.received, 30);
@@ -112,7 +111,7 @@ fn cache_serves_partitions_only_to_requesters_that_asked() {
          {{\"id\":2,\"matrix\":{payload},\"include_partition\":true}}\n\
          {{\"id\":3,\"matrix\":{payload}}}\n"
     );
-    let service = smoke_service(2, 8, 4);
+    let service = smoke_service(2, 8);
     let mut out = Vec::new();
     let summary = service.run_session(script.as_bytes(), &mut out);
     assert_eq!(summary.responses, 4);
@@ -152,9 +151,9 @@ fn cache_serves_partitions_only_to_requesters_that_asked() {
 
 #[test]
 fn shutdown_drains_in_flight_jobs_without_dropping_responses() {
-    // Queue up plenty of distinct jobs behind a tiny queue and batch,
-    // then shut down in-band: every accepted request must still get its
-    // response before the session ends.
+    // Queue up plenty of distinct jobs behind a tiny queue, then shut
+    // down in-band: every accepted request must still get its response
+    // before the session ends.
     let matrices: Vec<Coo> = (0..24u32).map(|k| gen::laplacian_2d(5 + k, 6)).collect();
     let mut script = String::new();
     for (r, m) in matrices.iter().enumerate() {
@@ -167,7 +166,7 @@ fn shutdown_drains_in_flight_jobs_without_dropping_responses() {
     // A line after shutdown must NOT be read (the session stops first).
     script.push_str("{\"id\":100,\"op\":\"ping\"}\n");
 
-    let service = smoke_service(4, 2, 2);
+    let service = smoke_service(4, 2);
     let mut out = Vec::new();
     let summary = service.run_session(script.as_bytes(), &mut out);
     service.shutdown_and_join();
@@ -209,7 +208,7 @@ fn tcp_roundtrip(addr: std::net::SocketAddr, lines: &[String]) -> Vec<String> {
 
 #[test]
 fn tcp_sessions_share_one_engine_and_drain_on_shutdown() {
-    let service = smoke_service(4, 16, 8);
+    let service = smoke_service(4, 16);
     let server = TcpServer::bind(service.clone(), "127.0.0.1:0").expect("bind");
     let addr = server.local_addr;
 
@@ -257,7 +256,7 @@ fn tcp_sessions_share_one_engine_and_drain_on_shutdown() {
 
 #[test]
 fn tcp_rejects_work_after_shutdown() {
-    let service = smoke_service(2, 8, 4);
+    let service = smoke_service(2, 8);
     let server = TcpServer::bind(service.clone(), "127.0.0.1:0").expect("bind");
     let addr = server.local_addr;
     // Shut down while a second connection is still open and idle: that
