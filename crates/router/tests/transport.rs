@@ -1,14 +1,15 @@
 //! The router's TCP front end is the shard's: the same session runtime,
 //! so the wire-path guarantees the server's transport tests pin hold at
 //! the router too — the unterminated final request, typed errors for
-//! non-UTF-8 bytes, and session reaping.
+//! non-UTF-8 bytes, session reaping, and the line-length cap.
 
 use mg_collection::{CollectionScale, CollectionSpec};
 use mg_router::{LocalCluster, RouterConfig, RouterTcpServer};
+use mg_server::codec::MAX_FRAME;
 use mg_server::ServiceConfig;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpStream};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 fn cluster() -> LocalCluster {
@@ -77,18 +78,19 @@ fn wait_for_live(server: &RouterTcpServer, target: usize) {
     }
 }
 
+fn ping(stream: &TcpStream) -> String {
+    let mut w = stream;
+    w.write_all(b"{\"id\":1,\"op\":\"ping\"}\n").expect("send");
+    let mut line = String::new();
+    BufReader::new(stream).read_line(&mut line).expect("read");
+    line
+}
+
 #[test]
 fn routed_tcp_reaps_closed_sessions() {
     let cluster = cluster();
     let router = Arc::new(cluster.router(RouterConfig::default()));
     let server = RouterTcpServer::bind(router.clone(), "127.0.0.1:0").expect("bind");
-    let ping = |stream: &TcpStream| {
-        let mut w = stream;
-        w.write_all(b"{\"id\":1,\"op\":\"ping\"}\n").expect("send");
-        let mut line = String::new();
-        BufReader::new(stream).read_line(&mut line).expect("read");
-        line
-    };
 
     let held: Vec<TcpStream> = (0..2)
         .map(|_| TcpStream::connect(server.local_addr).expect("connect"))
@@ -103,6 +105,61 @@ fn routed_tcp_reaps_closed_sessions() {
     let again = TcpStream::connect(server.local_addr).expect("connect");
     assert!(ping(&again).contains("\"status\":\"ok\""));
     drop(again);
+
+    router.initiate_shutdown();
+    server.join();
+    drop(router);
+    cluster.shutdown();
+}
+
+/// A newline-free stream past the `MAX_FRAME` cap gets one `bad_request`
+/// from the router itself, which then closes the session; a ping on a
+/// second session is answered while the stream is in flight and after.
+#[test]
+fn routed_line_over_the_cap_ends_its_session_with_one_bad_request() {
+    let cluster = cluster();
+    let router = Arc::new(cluster.router(RouterConfig::default()));
+    let server = RouterTcpServer::bind(router.clone(), "127.0.0.1:0").expect("bind");
+
+    let bystander = TcpStream::connect(server.local_addr).expect("connect");
+    let stream = TcpStream::connect(server.local_addr).expect("connect");
+    // Fail rather than hang if the session is never closed.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(120)))
+        .expect("timeout");
+    let (half_sent, mid_stream) = mpsc::channel();
+    let sender = {
+        let mut stream = stream.try_clone().expect("clone");
+        std::thread::spawn(move || {
+            let block = vec![b'a'; 1 << 20];
+            let blocks = MAX_FRAME / block.len();
+            for sent in 0..blocks {
+                if sent == blocks / 2 {
+                    half_sent.send(()).expect("the test waits");
+                }
+                stream.write_all(&block)?;
+            }
+            stream.write_all(b"a")
+        })
+    };
+    mid_stream.recv().expect("the sender runs");
+    assert!(ping(&bystander).contains("\"status\":\"ok\""));
+    let lines: Vec<String> = BufReader::new(&stream)
+        .lines()
+        .map(|line| line.expect("read"))
+        .collect();
+    sender
+        .join()
+        .unwrap()
+        .expect("the router reads the whole stream");
+    assert_eq!(lines.len(), 1, "{lines:?}");
+    assert!(
+        lines[0].contains("\"code\":\"bad_request\"")
+            && lines[0].contains(&format!("line exceeds the {MAX_FRAME}-byte cap")),
+        "{}",
+        lines[0]
+    );
+    assert!(ping(&bystander).contains("\"status\":\"ok\""));
 
     router.initiate_shutdown();
     server.join();

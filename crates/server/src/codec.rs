@@ -88,12 +88,13 @@ pub const KIND_PARTITION: u8 = 0x02;
 /// Payload kind: a batch of pipelined sub-payloads.
 pub const KIND_BATCH: u8 = 0x03;
 
-/// Hard cap on a declared frame length. A peer announcing more than this
-/// is treated as a framing error and the session ends — there is no way
-/// to resynchronise after refusing to buffer a frame.
+/// Hard cap on a declared frame length, and on a JSON line's length. A
+/// peer announcing a longer frame, or sending a longer line, is treated
+/// as a framing error and the session ends — there is no way to
+/// resynchronise after refusing to buffer a unit.
 pub const MAX_FRAME: usize = 64 << 20;
 
-/// A fatal framing violation (oversized frame): the reader cannot
+/// A fatal framing violation (oversized frame or line): the reader cannot
 /// resynchronise, so the session answers with one error and ends.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrameError {
@@ -122,7 +123,15 @@ pub enum UnitKind {
 pub struct UnitScanner {
     buf: Vec<u8>,
     start: usize,
+    /// Bytes after `start` already searched and known to hold no `\n`:
+    /// the line search resumes here, so each byte of a line is examined
+    /// once however many pushes deliver it. Relative to `start`, so
+    /// compaction in `push` leaves it valid.
+    scanned: usize,
     codec: Option<WireCodec>,
+    /// Bytes the line search has examined, for the linearity test.
+    #[cfg(test)]
+    examined: usize,
 }
 
 impl UnitScanner {
@@ -139,6 +148,7 @@ impl UnitScanner {
     /// Switches the inbound codec (after a `hello` was processed).
     pub fn set_codec(&mut self, codec: WireCodec) {
         self.codec = Some(codec);
+        self.scanned = 0;
     }
 
     /// Appends a raw chunk. May compact the internal buffer, so ranges
@@ -159,18 +169,36 @@ impl UnitScanner {
     /// scanner's buffer (see [`UnitScanner::bytes`]) and stays valid
     /// until the next `push`. Lines exclude their `\n` terminator (a
     /// trailing `\r` is left for the caller to trim); frames exclude
-    /// their length prefix but include the kind byte.
+    /// their length prefix but include the kind byte. A line or frame
+    /// longer than [`MAX_FRAME`] is a [`FrameError`].
     pub fn next_unit(&mut self) -> Result<Option<(UnitKind, Range<usize>)>, FrameError> {
         let rest = &self.buf[self.start..];
         match self.codec() {
-            WireCodec::JsonLines => match rest.iter().position(|&b| b == b'\n') {
-                Some(pos) => {
-                    let range = self.start..self.start + pos;
-                    self.start += pos + 1;
-                    Ok(Some((UnitKind::Line, range)))
+            WireCodec::JsonLines => {
+                // Search only bytes no earlier call has seen, and never
+                // past the cap, so a long line is refused whatever the
+                // read sizes.
+                let window = self.scanned..rest.len().min(MAX_FRAME + 1);
+                #[cfg(test)]
+                {
+                    self.examined += window.len();
                 }
-                None => Ok(None),
-            },
+                match rest[window.clone()].iter().position(|&b| b == b'\n') {
+                    Some(offset) => {
+                        let range = self.start..self.start + window.start + offset;
+                        self.start = range.end + 1;
+                        self.scanned = 0;
+                        Ok(Some((UnitKind::Line, range)))
+                    }
+                    None if window.end > MAX_FRAME => Err(FrameError {
+                        message: format!("line exceeds the {MAX_FRAME}-byte cap"),
+                    }),
+                    None => {
+                        self.scanned = window.end;
+                        Ok(None)
+                    }
+                }
+            }
             WireCodec::Binary => {
                 if rest.len() < 4 {
                     return Ok(None);
@@ -209,6 +237,7 @@ impl UnitScanner {
         let tail = self.buf[self.start..].to_vec();
         self.buf.clear();
         self.start = 0;
+        self.scanned = 0;
         Some(tail)
     }
 }
@@ -762,6 +791,84 @@ mod tests {
         s.push(&(MAX_FRAME as u32 + 1).to_le_bytes());
         let err = s.next_unit().unwrap_err();
         assert!(err.message.contains("cap"), "{}", err.message);
+    }
+
+    /// Pushes `len` bytes of `fill` in `chunk`-sized reads, draining
+    /// units after each push as the session pump does.
+    fn push_run(s: &mut UnitScanner, fill: u8, len: usize, chunk: usize) {
+        let block = vec![fill; chunk];
+        let mut left = len;
+        while left > 0 {
+            let n = left.min(chunk);
+            s.push(&block[..n]);
+            left -= n;
+            assert_eq!(s.next_unit().unwrap(), None, "no line ends yet");
+        }
+    }
+
+    #[test]
+    fn scanner_examines_each_line_byte_once_whatever_the_read_size() {
+        const CHUNK: usize = 16 * 1024;
+        const LINE: usize = 4 << 20;
+        let mut s = UnitScanner::new();
+        push_run(&mut s, b'a', LINE, CHUNK);
+        s.push(b"\n");
+        let (_, range) = s.next_unit().unwrap().unwrap();
+        assert_eq!(range.len(), LINE);
+        // Rescanning from the line start after every read would examine
+        // about LINE²/(2·CHUNK) bytes, 128× the line here.
+        assert!(
+            s.examined <= LINE + CHUNK,
+            "examined {} bytes for a {LINE}-byte line",
+            s.examined
+        );
+    }
+
+    #[test]
+    fn scanner_caps_lines_at_max_frame() {
+        const CHUNK: usize = 1 << 20;
+        let mut s = UnitScanner::new();
+        push_run(&mut s, b'a', MAX_FRAME, CHUNK);
+        s.push(b"\n");
+        let (_, range) = s.next_unit().unwrap().unwrap();
+        assert_eq!(range.len(), MAX_FRAME, "a line of exactly the cap is fine");
+
+        // One byte more is refused, even with its `\n` in the same read.
+        push_run(&mut s, b'b', MAX_FRAME, CHUNK);
+        s.push(b"b\n");
+        let err = s.next_unit().unwrap_err();
+        assert_eq!(
+            err.message,
+            format!("line exceeds the {MAX_FRAME}-byte cap")
+        );
+    }
+
+    #[test]
+    fn scanner_resumes_lines_across_codec_switches_and_eof() {
+        let mut s = UnitScanner::new();
+        s.push(b"{\"op\":\"hel");
+        assert_eq!(s.next_unit().unwrap(), None);
+        let mut rest = b"lo\"}\n".to_vec();
+        rest.extend_from_slice(&encode_frame(&json_payload("{\"op\":\"ping\"}")));
+        s.push(&rest);
+        let (_, line) = s.next_unit().unwrap().unwrap();
+        assert_eq!(s.bytes(&line), b"{\"op\":\"hello\"}");
+        s.set_codec(WireCodec::Binary);
+        let (kind, frame) = s.next_unit().unwrap().unwrap();
+        assert_eq!(kind, UnitKind::Frame);
+        assert_eq!(&s.bytes(&frame)[1..], b"{\"op\":\"ping\"}");
+
+        // Back on lines, a partly scanned line comes out whole at EOF and
+        // leaves no stale resume offset behind.
+        s.set_codec(WireCodec::JsonLines);
+        s.push(b"{\"id\":");
+        assert_eq!(s.next_unit().unwrap(), None);
+        s.push(b"1}");
+        assert_eq!(s.next_unit().unwrap(), None);
+        assert_eq!(s.take_eof_remainder().unwrap(), b"{\"id\":1}");
+        s.push(b"x\n");
+        let (_, line) = s.next_unit().unwrap().unwrap();
+        assert_eq!(s.bytes(&line), b"x");
     }
 
     #[test]

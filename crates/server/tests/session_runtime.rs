@@ -1,19 +1,26 @@
 //! The shared session runtime on its own: the pump, the ordered writer
 //! and the unit decoder driven by a toy handler.
 
-use mg_server::codec::{batch_payload, json_payload, UnitKind, WireCodec, KIND_PARTITION};
+use mg_server::codec::{
+    batch_payload, encode_frame, json_payload, UnitKind, WireCodec, KIND_PARTITION,
+};
 use mg_server::session::{self, decode_unit, Decoded, Handler, Render, Responses};
+use std::collections::VecDeque;
+use std::io::{BufReader, Read};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
 /// Answers every request with its id, but holds every answer back until
 /// the input ends and then resolves the slots last to first, so the
-/// writer sees them resolve in reverse submission order.
+/// writer sees them resolve in reverse submission order. Records every
+/// unit the pump hands it, and switches codec after a `hello` asks to.
 #[derive(Default)]
 struct ReverseEcho {
     slots: Arc<Responses<String>>,
     held: Vec<(u64, String)>,
+    units: Vec<(UnitKind, Vec<u8>)>,
+    switch: Option<WireCodec>,
 }
 
 struct Lines(Arc<Responses<String>>);
@@ -38,10 +45,14 @@ impl Handler for ReverseEcho {
     }
 
     fn handle_unit(&mut self, kind: UnitKind, bytes: &[u8]) -> bool {
+        self.units.push((kind, bytes.to_vec()));
         decode_unit(kind, bytes, &mut |decoded| {
             let index = self.slots.open();
             let line = match decoded {
-                Ok((request, _)) => request.id.to_string(),
+                Ok((request, _)) => {
+                    self.switch = self.switch.or(request.codec);
+                    request.id.to_string()
+                }
                 Err(e) => format!("error:{}", e.code),
             };
             self.held.push((index, line));
@@ -50,7 +61,7 @@ impl Handler for ReverseEcho {
     }
 
     fn take_codec_switch(&mut self) -> Option<WireCodec> {
-        None
+        self.switch.take()
     }
 
     fn protocol_error(&mut self, message: &str) {
@@ -146,4 +157,90 @@ fn a_batch_frame_decodes_to_one_slot_per_sub_frame_in_order() {
     let (go, seen) = decode_all(UnitKind::Frame, &batch, 2);
     assert!(!go);
     assert_eq!(seen.len(), 2);
+}
+
+/// Input that reaches the pump in exactly these reads, one per chunk.
+struct Reads(VecDeque<Vec<u8>>);
+
+impl Read for Reads {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let Some(chunk) = self.0.front_mut() else {
+            return Ok(0);
+        };
+        let n = chunk.len().min(buf.len());
+        buf[..n].copy_from_slice(&chunk[..n]);
+        chunk.drain(..n);
+        if chunk.is_empty() {
+            self.0.pop_front();
+        }
+        Ok(n)
+    }
+}
+
+/// Runs one session over `reads` and returns the units the handler saw
+/// and the response text.
+fn run_reads(reads: Vec<Vec<u8>>) -> (Vec<(UnitKind, Vec<u8>)>, String) {
+    let mut handler = ReverseEcho::default();
+    let mut out = Vec::new();
+    let input = BufReader::with_capacity(1 << 20, Reads(reads.into()));
+    session::run(&mut handler, input, &mut out, &|| false);
+    (handler.units, String::from_utf8(out).unwrap())
+}
+
+/// A ping whose string id pads it to `len` bytes.
+fn long_ping(len: usize) -> Vec<u8> {
+    let frame = "{\"id\":\"\",\"op\":\"ping\"}";
+    let pad = "x".repeat(len - frame.len());
+    format!("{{\"id\":\"{pad}\",\"op\":\"ping\"}}").into_bytes()
+}
+
+#[test]
+fn a_long_line_over_many_reads_and_the_short_line_behind_it_arrive_whole() {
+    let long = long_ping(200_000);
+    let short = b"{\"id\":2,\"op\":\"ping\"}".to_vec();
+    let split = long.len() - 100;
+    let mut reads: Vec<Vec<u8>> = long[..split].chunks(4096).map(<[u8]>::to_vec).collect();
+    let mut last = long[split..].to_vec();
+    last.push(b'\n');
+    last.extend_from_slice(&short);
+    last.push(b'\n');
+    reads.push(last);
+    let (units, out) = run_reads(reads);
+    assert_eq!(units, vec![(UnitKind::Line, long), (UnitKind::Line, short)]);
+    assert!(out.ends_with("\n2\n"), "{out}");
+}
+
+#[test]
+fn a_partly_scanned_line_at_eof_is_delivered_whole() {
+    let tail = long_ping(50_000);
+    let mut script = b"{\"id\":1,\"op\":\"ping\"}\n".to_vec();
+    script.extend_from_slice(&tail);
+    let reads = script.chunks(3000).map(<[u8]>::to_vec).collect();
+    let (units, _) = run_reads(reads);
+    assert_eq!(units.len(), 2);
+    assert_eq!(units[0].1, b"{\"id\":1,\"op\":\"ping\"}");
+    assert_eq!(units[1], (UnitKind::Line, tail));
+}
+
+#[test]
+fn frames_pipelined_behind_a_hello_scanned_over_several_reads_parse_as_frames() {
+    let hello = b"{\"id\":1,\"op\":\"hello\",\"codec\":\"binary\"}".to_vec();
+    let second = encode_frame(&json_payload("{\"id\":2,\"op\":\"ping\"}"));
+    let third = encode_frame(&json_payload("{\"id\":3,\"op\":\"ping\"}"));
+    let mut joined = hello[10..].to_vec();
+    joined.push(b'\n');
+    joined.extend_from_slice(&second);
+    joined.extend_from_slice(&third[..5]);
+    let reads = vec![
+        hello[..4].to_vec(),
+        hello[4..10].to_vec(),
+        joined,
+        third[5..].to_vec(),
+    ];
+    let (units, out) = run_reads(reads);
+    assert_eq!(units.len(), 3, "{units:?}");
+    assert_eq!(units[0], (UnitKind::Line, hello));
+    assert_eq!(units[1], (UnitKind::Frame, second[4..].to_vec()));
+    assert_eq!(units[2], (UnitKind::Frame, third[4..].to_vec()));
+    assert_eq!(out, "1\n2\n3\n");
 }

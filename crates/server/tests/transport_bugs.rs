@@ -1,12 +1,14 @@
 //! Regression tests for wire-path correctness bugs: a final request
 //! losing its newline to the connection close, invalid UTF-8 request
-//! bytes, and the accept loop's per-connection handle bookkeeping.
+//! bytes, the accept loop's per-connection handle bookkeeping, and a
+//! newline-free stream that would buffer without bound.
 
 use mg_collection::{CollectionScale, CollectionSpec};
+use mg_server::codec::MAX_FRAME;
 use mg_server::{Service, ServiceConfig, TcpServer};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpStream};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 fn smoke_service(threads: usize) -> Arc<Service> {
@@ -151,6 +153,65 @@ fn accept_loop_reaps_finished_session_handles_under_churn() {
     assert!(server.live_sessions() <= 3);
     drop(held);
     wait_for_live(&server, 0);
+
+    server.shutdown_and_join();
+}
+
+fn ping(stream: &TcpStream) -> String {
+    let mut w = stream;
+    w.write_all(b"{\"id\":1,\"op\":\"ping\"}\n").expect("send");
+    let mut line = String::new();
+    BufReader::new(stream).read_line(&mut line).expect("read");
+    line
+}
+
+/// A newline-free stream must not buffer without bound: past the
+/// `MAX_FRAME` cap the session answers one `bad_request` and closes,
+/// and a ping on a second session is answered while the stream is in
+/// flight and after.
+#[test]
+fn a_line_over_the_cap_ends_its_session_with_one_bad_request() {
+    let service = smoke_service(1);
+    let server = TcpServer::bind(service.clone(), "127.0.0.1:0").expect("bind");
+
+    let bystander = TcpStream::connect(server.local_addr).expect("connect");
+    let stream = TcpStream::connect(server.local_addr).expect("connect");
+    // Fail rather than hang if the session is never closed.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(120)))
+        .expect("timeout");
+    let (half_sent, mid_stream) = mpsc::channel();
+    let sender = {
+        let mut stream = stream.try_clone().expect("clone");
+        std::thread::spawn(move || {
+            let block = vec![b'a'; 1 << 20];
+            let blocks = MAX_FRAME / block.len();
+            for sent in 0..blocks {
+                if sent == blocks / 2 {
+                    half_sent.send(()).expect("the test waits");
+                }
+                stream.write_all(&block)?;
+            }
+            stream.write_all(b"a")
+        })
+    };
+    mid_stream.recv().expect("the sender runs");
+    assert!(ping(&bystander).contains("\"status\":\"ok\""));
+    let lines: Vec<String> = BufReader::new(&stream)
+        .lines()
+        .map(|line| line.expect("read"))
+        .collect();
+    sender
+        .join()
+        .unwrap()
+        .expect("the server reads the whole stream");
+    assert_eq!(
+        lines,
+        vec![format!(
+            "{{\"id\":null,\"status\":\"error\",\"code\":\"bad_request\",\"message\":\"line exceeds the {MAX_FRAME}-byte cap\"}}"
+        )]
+    );
+    assert!(ping(&bystander).contains("\"status\":\"ok\""));
 
     server.shutdown_and_join();
 }
