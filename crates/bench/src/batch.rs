@@ -9,16 +9,15 @@
 //! so results do not depend on sweep order, thread count or scheduling —
 //! the determinism contract of the paper's §V extended from a single
 //! split to a whole experiment campaign. The opt-in verify pass
-//! cross-checks every reported volume through the sharded pipeline of
-//! [`mg_core::parallel`]: large instances take the parallel kernels (per
-//! [`ShardPolicy`]), small ones the sequential scan. Both routes are
-//! bit-identical.
+//! recounts every reported volume from the per-row and per-column `λ`
+//! stamp scans ([`row_lambdas`], [`col_lambdas`]), independent of the
+//! bitmask count the partitioners report.
 
 use crate::runner::class_label;
 use mg_collection::batch::{expand_jobs, run_jobs, run_seed, worker_count};
 use mg_collection::{generate, CollectionEntry, CollectionSpec};
-use mg_core::{parse_backend, sharded_volume, Method, PartitionBackend, ShardPolicy};
-use mg_sparse::{load_imbalance, MatrixClass};
+use mg_core::{parse_backend, Method, PartitionBackend};
+use mg_sparse::{col_lambdas, load_imbalance, row_lambdas, Coo, MatrixClass, NonzeroPartition};
 use std::time::Instant;
 
 /// Configuration of a batched sweep.
@@ -46,13 +45,9 @@ pub struct BatchSweepConfig {
     pub backend: String,
     /// Worker threads for the job pool; 0 = one per available core.
     pub threads: usize,
-    /// Intra-job routing policy for the verify pass: instances with at
-    /// least `min_parallel_nnz` nonzeros take the parallel kernels.
-    pub policy: ShardPolicy,
     /// Cross-check every reported volume against an independent
-    /// recomputation through the sharded pipeline
-    /// ([`mg_core::sharded_volume`]); panics on mismatch. Off by default
-    /// — it doubles the volume work per run.
+    /// recomputation from the `λ` stamp scans; panics on mismatch. Off by
+    /// default — it doubles the volume work per run.
     pub verify: bool,
 }
 
@@ -69,7 +64,6 @@ impl BatchSweepConfig {
             seed: 0xB15EC7,
             backend: backend.to_string(),
             threads: 0,
-            policy: ShardPolicy::verification(),
             verify: false,
         }
     }
@@ -262,11 +256,8 @@ fn measure_cell(
         let result = backend.bipartition(&entry.matrix, method, job.epsilon, run_seed(job, run));
         time_sum += start.elapsed().as_secs_f64();
         if config.verify {
-            // Independent recomputation through the sharded pipeline:
-            // large instances take the parallel kernel, small ones the
-            // sequential scan. Identical values either way, so the check
-            // never perturbs determinism.
-            let check = sharded_volume(&entry.matrix, &result.partition, &config.policy);
+            // A read-only recount: the check never perturbs the result.
+            let check = lambda_volume(&entry.matrix, &result.partition);
             assert_eq!(
                 check, result.volume,
                 "volume mismatch for {} {} eps={}",
@@ -291,6 +282,15 @@ fn measure_cell(
         imbalance_max,
         time_avg_s: time_sum / runs as f64,
     }
+}
+
+/// Eqn (3) volume `Σ(λ_i − 1) + Σ(λ_j − 1)` from the `λ` stamp scans.
+fn lambda_volume(a: &Coo, partition: &NonzeroPartition) -> u64 {
+    row_lambdas(a, partition)
+        .into_iter()
+        .chain(col_lambdas(a, partition))
+        .map(|l| u64::from(l).saturating_sub(1))
+        .sum()
 }
 
 #[cfg(test)]

@@ -5,7 +5,6 @@
 //! 2. **Coarsening scheme**: heavy-connectivity matching vs. agglomerative
 //!    clustering vs. random matching.
 //! 3. **Restricted V-cycles**: 0 vs. 2 extra cycles.
-//! 4. **Full iterative method** (§V future work) vs. MG+IR.
 //!
 //! Prints normalised geometric means of communication volume (and time)
 //! over the collection, relative to the paper's default configuration.
@@ -15,15 +14,12 @@
 use mg_bench::geomean::geometric_mean;
 use mg_bench::{write_artifact, CliOptions};
 use mg_collection::generate;
-use mg_core::{
-    medium_grain_bipartition_with_split, medium_grain_full_iterative, split_with_strategy,
-    FullIterativeOptions, Method, SplitStrategy,
-};
+use mg_core::{medium_grain_bipartition_with_split, split_with_strategy, Method, SplitStrategy};
 use mg_partitioner::{BisectionTargets, CoarseningScheme, PartitionerConfig};
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// One ablation configuration: a name and a closure producing (volume,
@@ -101,22 +97,6 @@ fn variants() -> Vec<Variant> {
         }),
     ));
 
-    // --- 4. Full iterative method (§V future work). ---
-    v.push((
-        "full iterative (4 rounds)",
-        Box::new(|a, seed| {
-            let cfg = PartitionerConfig::mondriaan_like();
-            let opts = FullIterativeOptions {
-                iterations: 4,
-                patience: 4,
-            };
-            let mut rng = StdRng::seed_from_u64(seed);
-            let t = Instant::now();
-            let r = medium_grain_full_iterative(a, 0.03, &cfg, &opts, &mut rng);
-            (r.volume, t.elapsed().as_secs_f64())
-        }),
-    ));
-
     v
 }
 
@@ -143,9 +123,9 @@ fn main() {
             .unwrap_or(4)
     };
 
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|_| loop {
+            scope.spawn(|| loop {
                 let idx = cursor.fetch_add(1, Ordering::Relaxed);
                 if idx >= entries.len() {
                     break;
@@ -159,16 +139,15 @@ fn main() {
                         vol += v as f64;
                         time += t;
                     }
-                    volumes.lock()[vi][idx] = vol / opts.runs as f64;
-                    times.lock()[vi][idx] = time / opts.runs as f64;
+                    volumes.lock().expect("no worker panicked")[vi][idx] = vol / opts.runs as f64;
+                    times.lock().expect("no worker panicked")[vi][idx] = time / opts.runs as f64;
                 }
             });
         }
-    })
-    .expect("ablation worker panicked");
+    });
 
-    let volumes = volumes.into_inner();
-    let times = times.into_inner();
+    let volumes = volumes.into_inner().expect("no worker panicked");
+    let times = times.into_inner().expect("no worker panicked");
 
     // Normalise against the baseline (variant 0).
     let mut out = String::from("Ablation — geometric means relative to MG+IR (paper defaults)\n\n");

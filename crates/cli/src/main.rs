@@ -81,8 +81,8 @@ SWEEP OPTIONS:
   --seed S      master seed; every cell derives its own stream  (default 2014)
   -o FILE       write JSON lines to FILE instead of stdout
   --timing      append mean wall-clock time to each line (non-deterministic)
-  --verify      cross-check every volume through the sharded pipeline
-                (instances of 1024+ nonzeros take the parallel kernels)
+  --verify      recount every volume from the per-row/column lambda scans
+                and abort on any mismatch
 
   Results are bit-identical for any --threads value: each cell is seeded
   from a stable hash of its (backend, matrix, method, eps) key, not sweep

@@ -1,6 +1,6 @@
 //! End-to-end tests of the `mgpart` binary: backend selection on the
-//! sweep path, the typed empty-sweep failure (nonzero exit), and the
-//! backend registry listing.
+//! sweep path, the `--verify` recount, the typed empty-sweep failure
+//! (nonzero exit), and the backend registry listing.
 
 use std::process::{Command, Output};
 
@@ -98,6 +98,17 @@ fn backend_sweeps_are_byte_identical_across_thread_counts() {
     assert!(baseline.status.success(), "stderr: {}", stderr(&baseline));
     let four = run_narrow_sweep(&["--backend", "coarse-grain", "--threads", "4"]);
     assert_eq!(stdout(&baseline), stdout(&four));
+}
+
+#[test]
+fn verify_recounts_volumes_without_perturbing_the_stream() {
+    let sweep = ["sweep", "--scale", "smoke", "-m", "lb,mg-ir"];
+    let plain = mgpart(&sweep);
+    assert!(plain.status.success(), "stderr: {}", stderr(&plain));
+    let verified = mgpart(&[&sweep[..], &["--verify"]].concat());
+    assert!(verified.status.success(), "stderr: {}", stderr(&verified));
+    assert!(!plain.stdout.is_empty());
+    assert_eq!(plain.stdout, verified.stdout);
 }
 
 #[test]

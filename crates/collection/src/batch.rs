@@ -13,8 +13,12 @@
 //! so the output is bit-for-bit identical for every thread count — the §V
 //! determinism contract extended from a single split to a whole sweep.
 
-use crossbeam::utils::CachePadded;
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// A shard cursor on a cache line of its own, so workers draining
+/// neighbouring shards do not contend on one line.
+#[repr(align(128))]
+struct ShardCursor(AtomicUsize);
 
 /// One (matrix × method × ε) cell of a sweep, run on a named backend.
 #[derive(Debug, Clone, PartialEq)]
@@ -159,23 +163,23 @@ where
 {
     let threads = threads.max(1).min(num_jobs.max(1));
     let ranges = shard_ranges(num_jobs, threads);
-    let cursors: Vec<CachePadded<AtomicUsize>> = (0..threads)
-        .map(|_| CachePadded::new(AtomicUsize::new(0)))
+    let cursors: Vec<ShardCursor> = (0..threads)
+        .map(|_| ShardCursor(AtomicUsize::new(0)))
         .collect();
 
-    let mut per_worker: Vec<Vec<(usize, T)>> = crossbeam::scope(|scope| {
+    let mut per_worker: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|w| {
                 let ranges = &ranges;
                 let cursors = &cursors;
                 let worker = &worker;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut out: Vec<(usize, T)> = Vec::new();
                     for step in 0..threads {
                         let shard = (w + step) % threads;
                         let range = &ranges[shard];
                         loop {
-                            let claimed = cursors[shard].fetch_add(1, Ordering::Relaxed);
+                            let claimed = cursors[shard].0.fetch_add(1, Ordering::Relaxed);
                             if claimed >= range.len() {
                                 break;
                             }
@@ -191,8 +195,7 @@ where
             .into_iter()
             .map(|h| h.join().expect("batch worker panicked"))
             .collect()
-    })
-    .expect("batch scope");
+    });
 
     let mut tagged: Vec<(usize, T)> = per_worker.drain(..).flatten().collect();
     debug_assert_eq!(tagged.len(), num_jobs);

@@ -29,11 +29,8 @@
 pub mod backend;
 pub mod baselines;
 pub mod bmatrix;
-pub mod full_iterative;
-pub mod kway;
 pub mod medium_grain;
 pub mod methods;
-pub mod parallel;
 pub mod recursive;
 pub mod refine;
 pub mod service;
@@ -44,14 +41,8 @@ pub use backend::{
     DEFAULT_BACKEND,
 };
 pub use bmatrix::MediumGrainModel;
-pub use full_iterative::{medium_grain_full_iterative, FullIterativeOptions};
-pub use kway::{kway_refine, KwayOutcome};
 pub use medium_grain::{medium_grain_bipartition, medium_grain_bipartition_with_split};
 pub use methods::{BipartitionResult, Method};
-pub use parallel::{
-    parallel_communication_volume, parallel_split_with_preference, sharded_split, sharded_volume,
-    ShardPolicy,
-};
 pub use recursive::{recursive_bisection, recursive_bisection_backend, MultiwayResult};
 pub use refine::{iterative_refinement, RefineOptions};
 pub use service::{

@@ -126,7 +126,7 @@ pub fn fm_refine_with_scratch(
 /// better state)` — "better" meaning lower (violation, −cut) key.
 ///
 /// Tentative moves may exceed a budget by up to one maximum vertex weight
-/// (the classic FM balance criterion); the best-prefix selection enforces
+/// (the classic FM balance rule); the best-prefix selection enforces
 /// the true budgets, so the *returned* state never ends up worse than the
 /// start.
 fn fm_pass(

@@ -1,7 +1,6 @@
-//! The routing determinism contract (the acceptance criterion of the
-//! sharding tentpole): one session's response byte stream is a pure
-//! function of its request byte stream for **any shard count at any
-//! worker-thread count** — 1, 2 and 4 identically-configured shards, each
+//! The routing determinism contract: one session's response byte stream
+//! is a pure function of its request byte stream for **any shard count at
+//! any worker-thread count** — 1, 2 and 4 identically-configured shards, each
 //! at 1, 2 and 4 threads, must produce the same bytes, because placement
 //! is a pure function of the request, every job is seeded from its key,
 //! and the router cache only re-issues shard-produced lines.

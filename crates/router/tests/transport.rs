@@ -1,7 +1,8 @@
 //! The router's TCP front end is the shard's: the same session runtime,
 //! so the wire-path guarantees the server's transport tests pin hold at
 //! the router too — the unterminated final request, typed errors for
-//! non-UTF-8 bytes, session reaping, and the line-length cap.
+//! non-UTF-8 bytes, session reaping, the line-length cap, and JSON nested
+//! past the parser's depth guard.
 
 use mg_collection::{CollectionScale, CollectionSpec};
 use mg_router::{LocalCluster, RouterConfig, RouterTcpServer};
@@ -165,4 +166,36 @@ fn routed_line_over_the_cap_ends_its_session_with_one_bad_request() {
     server.join();
     drop(router);
     cluster.shutdown();
+}
+
+/// The routed twin of the server's depth-guard case: JSON nested past
+/// 128 levels gets one `bad_json` line and the session goes on.
+#[test]
+fn routed_pipe_refuses_json_nested_past_the_depth_guard_and_keeps_serving() {
+    let cluster = cluster();
+    let router = cluster.router(RouterConfig::default());
+    let mut script = "[".repeat(100_000);
+    script.push('\n');
+    script.push_str("{\"id\":1,\"op\":\"ping\"}\n");
+    script.push_str("{\"id\":2,\"rows\":2,\"cols\":2,\"entries\":");
+    script.push_str(&"[".repeat(129));
+    script.push_str(&"]".repeat(129));
+    script.push_str("}\n{\"id\":3,\"op\":\"ping\"}\n");
+    let mut out = Vec::new();
+    let summary = router.run_session(script.as_bytes(), &mut out);
+    drop(router);
+    cluster.shutdown();
+    assert_eq!(summary.responses, 4);
+    assert_eq!(summary.errors, 2);
+    let text = String::from_utf8(out).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(
+        lines,
+        [
+            "{\"id\":null,\"status\":\"error\",\"code\":\"bad_json\",\"message\":\"invalid JSON at byte 129: nesting too deep\"}",
+            "{\"id\":1,\"status\":\"ok\",\"op\":\"ping\"}",
+            "{\"id\":null,\"status\":\"error\",\"code\":\"bad_json\",\"message\":\"invalid JSON at byte 164: nesting too deep\"}",
+            "{\"id\":3,\"status\":\"ok\",\"op\":\"ping\"}",
+        ]
+    );
 }

@@ -562,6 +562,12 @@ mod tests {
     fn rejects_overlong_nesting() {
         let deep = "[".repeat(200) + &"]".repeat(200);
         assert!(Json::parse(&deep).is_err());
+        // The guard's boundary: a value 128 levels down parses, 129 does not.
+        let nested = |depth: usize| "[".repeat(depth) + "0" + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.message, "nesting too deep");
+        assert_eq!(err.offset, MAX_DEPTH + 1);
     }
 
     #[test]

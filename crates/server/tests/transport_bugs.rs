@@ -1,7 +1,8 @@
 //! Regression tests for wire-path correctness bugs: a final request
 //! losing its newline to the connection close, invalid UTF-8 request
-//! bytes, the accept loop's per-connection handle bookkeeping, and a
-//! newline-free stream that would buffer without bound.
+//! bytes, the accept loop's per-connection handle bookkeeping, a
+//! newline-free stream that would buffer without bound, and JSON nested
+//! past the parser's depth guard.
 
 use mg_collection::{CollectionScale, CollectionSpec};
 use mg_server::codec::MAX_FRAME;
@@ -214,4 +215,34 @@ fn a_line_over_the_cap_ends_its_session_with_one_bad_request() {
     assert!(ping(&bystander).contains("\"status\":\"ok\""));
 
     server.shutdown_and_join();
+}
+
+/// JSON nested past the parser's 128-level guard gets one `bad_json`
+/// line, never a stack overflow, and the session goes on: the `ping`
+/// behind each hostile line is answered.
+#[test]
+fn pipe_refuses_json_nested_past_the_depth_guard_and_keeps_serving() {
+    let service = smoke_service(1);
+    let mut script = "[".repeat(100_000);
+    script.push('\n');
+    script.push_str("{\"id\":1,\"op\":\"ping\"}\n");
+    script.push_str("{\"id\":2,\"rows\":2,\"cols\":2,\"entries\":");
+    script.push_str(&"[".repeat(129));
+    script.push_str(&"]".repeat(129));
+    script.push_str("}\n{\"id\":3,\"op\":\"ping\"}\n");
+    let mut out = Vec::new();
+    let summary = service.run_session(script.as_bytes(), &mut out);
+    assert_eq!(summary.responses, 4);
+    assert_eq!(summary.errors, 2);
+    let text = String::from_utf8(out).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(
+        lines,
+        [
+            "{\"id\":null,\"status\":\"error\",\"code\":\"bad_json\",\"message\":\"invalid JSON at byte 129: nesting too deep\"}",
+            "{\"id\":1,\"status\":\"ok\",\"op\":\"ping\"}",
+            "{\"id\":null,\"status\":\"error\",\"code\":\"bad_json\",\"message\":\"invalid JSON at byte 164: nesting too deep\"}",
+            "{\"id\":3,\"status\":\"ok\",\"op\":\"ping\"}",
+        ]
+    );
 }

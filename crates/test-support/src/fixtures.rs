@@ -1,4 +1,4 @@
-//! Deterministic fixture matrices shared by integration tests and benches.
+//! Deterministic fixture matrices shared by integration tests.
 
 use mg_sparse::{gen, Coo};
 
@@ -24,24 +24,4 @@ pub fn standard_workload() -> Vec<(&'static str, Coo)> {
         ("arrow", gen::arrow(200, 4)),
         ("rmat", gen::rmat(9, 4000, 0.57, 0.19, 0.19, &mut rng)),
     ]
-}
-
-/// The three matrices the criterion benches time methods on: a 2D mesh, a
-/// power-law graph and a tall rectangular term–document pattern.
-pub fn representative_matrices() -> Vec<(&'static str, Coo)> {
-    let mut rng = seeded_rng(42);
-    vec![
-        ("laplace2d_40", gen::laplacian_2d(40, 40)),
-        (
-            "rmat_s11",
-            gen::rmat(11, 16_000, 0.57, 0.19, 0.19, &mut rng),
-        ),
-        ("termdoc_900x300", gen::term_document(900, 300, 8, &mut rng)),
-    ]
-}
-
-/// The substrate-bench matrix: large enough that model build / FM / volume
-/// timings are meaningful (3600 rows, ≈17.8k nonzeros).
-pub fn substrate_bench_matrix() -> Coo {
-    gen::laplacian_2d(60, 60)
 }

@@ -1,6 +1,6 @@
 //! # mg-test-support — shared deterministic test workloads
 //!
-//! Every integration test and bench in the workspace needs the same three
+//! Every integration test in the workspace needs the same three
 //! things: a seeded RNG stream, representative fixture matrices, and
 //! proptest strategies for arbitrary matrices/hypergraphs. Before this crate
 //! they were copy-pasted per test file with drifting parameters; now they

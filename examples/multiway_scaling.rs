@@ -6,9 +6,8 @@
 //! cargo run --release --example multiway_scaling
 //! ```
 
-use mediumgrain::core::kway_refine;
 use mediumgrain::prelude::*;
-use mediumgrain::sparse::{gen, part_budget};
+use mediumgrain::sparse::gen;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -17,8 +16,8 @@ fn main() {
     let a = gen::laplacian_3d(16, 16, 16);
     println!("matrix: {}x{}, {} nonzeros\n", a.rows(), a.cols(), a.nnz());
     println!(
-        "{:>4} {:>10} {:>10} {:>10} {:>10} {:>12}",
-        "p", "volume", "+kway", "BSP cost", "max part", "imbalance"
+        "{:>4} {:>10} {:>10} {:>10} {:>12}",
+        "p", "volume", "BSP cost", "max part", "imbalance"
     );
 
     let config = PartitionerConfig::mondriaan_like();
@@ -32,20 +31,15 @@ fn main() {
             &config,
             &mut rng,
         );
-        // Post-process with the direct k-way greedy refiner (an extension
-        // beyond the paper): moves single nonzeros between arbitrary parts.
-        let refined = kway_refine(&a, &result.partition, part_budget(a.nnz(), p, 0.03), 8);
-        assert!(refined.volume <= result.volume);
-        let cost = bsp_cost(&a, &refined.partition);
-        let max = refined.partition.part_sizes().into_iter().max().unwrap();
+        let cost = bsp_cost(&a, &result.partition);
+        let max = result.partition.part_sizes().into_iter().max().unwrap();
         println!(
-            "{:>4} {:>10} {:>10} {:>10} {:>10} {:>11.4}",
+            "{:>4} {:>10} {:>10} {:>10} {:>11.4}",
             p,
             result.volume,
-            refined.volume,
             cost.total(),
             max,
-            load_imbalance(&refined.partition),
+            load_imbalance(&result.partition),
         );
     }
     println!("\nvolume grows sublinearly with p; per-part load stays within ε.");
