@@ -46,7 +46,6 @@ const VALUE_FLAGS: &[&str] = &[
     // bench (the wire-path benchmark harness):
     "--requests",
     "--validate",
-    "--baseline",
     "--against",
     // observability (serve / route / metrics / trace):
     "--metrics-addr",

@@ -1,40 +1,33 @@
 //! `mgpart bench` — the wire-path benchmark harness (the BENCH
 //! trajectory).
 //!
-//! Drives real serve/route sessions — in-process pipe sessions for
-//! decode/throughput numbers, TCP round-trips for latency — across both
-//! wire codecs, and emits machine-readable JSON
-//! (`{"schema":"mgpart-bench/v1", ...}`) so CI can diff trajectories.
+//! Drives in-process serve sessions over both wire codecs and emits
+//! machine-readable JSON (`{"schema":"mgpart-bench/v1", ...}`) so CI can
+//! diff trajectories.
 //!
-//! Three modes:
+//! Two modes:
 //!
-//! * default run: measure every workload × codec × transport cell and
+//! * default run: measure every pipe workload under both codecs and
 //!   print a table (`--json` / `-o FILE` for the JSON document instead);
 //!   the run ends with the *compute trajectory* — fresh large inline
 //!   partitions per backend, sized so the partitioner phases (not the
-//!   wire) dominate, summarised in the document's `compute` block.
-//!   `--baseline FILE` embeds the compute phases of a previously
-//!   generated document and records per-phase speedups against it;
+//!   wire) dominate, summarised in the document's `compute` block;
 //! * `--validate FILE`: schema-check a bench document and enforce the
 //!   trajectory gates (binary beats JSON on bytes for inline payloads,
 //!   on throughput for the decode-bound cached workload, and — for a
-//!   document carrying a compute baseline — the kernel-speedup gate).
+//!   document carrying a compute `improvement` block, like the committed
+//!   `BENCH_9.json` — the kernel-speedup gate).
 //!   `--against COMMITTED` additionally compares the validated
 //!   document's compute-phase *shares* to the committed trajectory file
 //!   within a tolerance band, so CI catches per-phase regressions
-//!   without depending on wall-clock absolutes;
-//! * `--conformance`: run one mixed request stream through both codecs
-//!   at 1/2/4 worker threads and require byte-identical response texts.
+//!   without depending on wall-clock absolutes.
 
 use crate::args::Parsed;
 use mg_collection::{CollectionScale, CollectionSpec};
-use mg_router::{LocalCluster, RouterConfig};
-use mg_server::codec::{batch_payload, encode_frame, json_payload, partition_payload, KIND_JSON};
+use mg_server::codec::{encode_frame, json_payload, partition_payload};
 use mg_server::json::obj;
-use mg_server::{parse_request_line, Json, Service, ServiceConfig, TcpServer};
+use mg_server::{parse_request_line, Json, Service, ServiceConfig};
 use mg_sparse::{gen, Coo, Idx};
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -56,8 +49,8 @@ const COMPUTE_BACKENDS: &[&str] = &["mondriaan", "patoh"];
 
 /// The phases the kernel-speedup gate is allowed to count: the three hot
 /// loops of the raw-speed pass (ROADMAP "part 2"). A committed document
-/// carrying a compute `baseline` must show ≥ [`GATE_SPEEDUP`]× on at
-/// least [`GATE_PHASES_REQUIRED`] of them.
+/// carrying a compute `improvement` block must show ≥ [`GATE_SPEEDUP`]×
+/// on at least [`GATE_PHASES_REQUIRED`] of them.
 const GATE_PHASES: &[&str] = &["medium_grain_build", "fm_refinement", "volume_count"];
 const GATE_SPEEDUP: f64 = 1.3;
 const GATE_PHASES_REQUIRED: usize = 2;
@@ -81,18 +74,16 @@ struct BenchConfig {
     quick: bool,
 }
 
+/// One measured pipe session (every row travels the in-process pipe).
 struct Row {
     workload: String,
     codec: &'static str,
-    transport: &'static str,
     requests: u64,
     responses: u64,
     seconds: f64,
     bytes_out: u64,
     bytes_in: u64,
-    cache_hits: Option<u64>,
-    p50_ms: Option<f64>,
-    p99_ms: Option<f64>,
+    cache_hits: u64,
 }
 
 impl Row {
@@ -104,9 +95,6 @@ impl Row {
 pub fn bench(parsed: &Parsed) -> Result<(), String> {
     if let Some(path) = parsed.flag_opt("--validate") {
         return validate_file(&path, parsed.flag_opt("--against").as_deref());
-    }
-    if parsed.has("--conformance") {
-        return conformance();
     }
     let quick = parsed.has("--quick");
     let config = BenchConfig {
@@ -120,10 +108,7 @@ pub fn bench(parsed: &Parsed) -> Result<(), String> {
 
     // Snapshot the per-phase timing histograms (paper Fig. 5) so the
     // document reports the compute breakdown of exactly this run.
-    let phase_before: Vec<(u64, f64)> = mg_obs::PHASES
-        .iter()
-        .map(|p| mg_obs::phase_stats(p))
-        .collect();
+    let phase_before = phase_snapshot();
 
     let mut rows: Vec<Row> = Vec::new();
     for &workload in PIPE_WORKLOADS {
@@ -132,48 +117,25 @@ pub fn bench(parsed: &Parsed) -> Result<(), String> {
             rows.push(pipe_run(&config, workload, codec, &lines));
         }
     }
-    // Pipelined multi-job frames: the whole cached workload in ONE frame.
-    rows.push(batch_run(&config));
-    // TCP round-trips for latency percentiles (serial, so throughput here
-    // is per-round-trip rate, not the pipelined rate the pipe rows show).
-    for &workload in &["inline_cached", "ping"] {
-        let lines = workload_lines(workload, &config);
-        let n = (lines.len() / 2).max(8).min(lines.len());
-        for codec in ["json", "binary"] {
-            rows.push(tcp_run(&config, workload, codec, &lines[..n])?);
-        }
-    }
-    // The router in front of real TCP shards, pipe session on top.
-    let lines = workload_lines("inline", &config);
-    for codec in ["json", "binary"] {
-        rows.push(routed_run(&config, codec, &lines));
-    }
 
     // The compute trajectory: fresh large inline partitions per backend,
     // snapshotting the phase histograms around exactly these cells so the
     // `compute` block reports a wire-free kernel profile.
-    let baseline = match parsed.flag_opt("--baseline") {
-        Some(path) => Some(load_compute_phases(&path)?),
-        None => None,
-    };
-    let compute_before: Vec<(u64, f64)> = mg_obs::PHASES
+    let compute_before = phase_snapshot();
+    let compute_rows: Vec<Row> = COMPUTE_BACKENDS
         .iter()
-        .map(|p| mg_obs::phase_stats(p))
+        .map(|backend| {
+            let lines = compute_lines(backend, &config);
+            pipe_run(&config, &format!("compute_{backend}"), "binary", &lines)
+        })
         .collect();
-    let mut compute_rows: Vec<Row> = Vec::new();
-    for &backend in COMPUTE_BACKENDS {
-        let lines = compute_lines(backend, &config);
-        compute_rows.push(pipe_run(
-            &config,
-            &format!("compute_{backend}"),
-            "binary",
-            &lines,
-        ));
-    }
-    let compute = compute_json(&compute_rows, &compute_before, baseline.as_deref());
+    let compute = compute_json(&compute_rows, &compute_before);
     rows.extend(compute_rows);
 
-    let phases = phases_json(&phase_before);
+    let phases = phase_deltas(&phase_before)
+        .into_iter()
+        .map(|(p, c, s)| phase_entry(p, c, s))
+        .collect();
     let document = render_document(&config, &rows, phases, compute);
     if let Some(path) = parsed.flag_opt("-o") {
         std::fs::write(&path, format!("{document}\n"))
@@ -270,26 +232,29 @@ fn compute_lines(backend: &str, config: &BenchConfig) -> Vec<String> {
         .collect()
 }
 
-/// Reads the `compute.phases` block of a previously generated bench
-/// document, for `--baseline`: the pre-change tree's kernel profile.
-fn load_compute_phases(path: &str) -> Result<Vec<(String, u64, f64)>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let document = Json::parse(text.trim()).map_err(|e| format!("{path}: not valid JSON: {e}"))?;
-    let phases = document
-        .get("compute")
-        .and_then(|c| c.get("phases"))
-        .and_then(Json::as_array)
-        .ok_or_else(|| format!("{path}: no compute.phases block (not a compute-era document?)"))?;
-    phases
+/// `(count, seconds)` recorded so far for every phase of
+/// [`mg_obs::PHASES`], in order.
+fn phase_snapshot() -> Vec<(u64, f64)> {
+    mg_obs::PHASES
         .iter()
-        .map(|entry| {
-            let phase = entry
-                .get("phase")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("{path}: compute phase entry without a name"))?;
-            let count = entry.get("count").and_then(Json::as_u64).unwrap_or(0);
-            let seconds = entry.get("seconds").and_then(Json::as_f64).unwrap_or(0.0);
-            Ok((phase.to_string(), count, seconds))
+        .map(|p| mg_obs::phase_stats(p))
+        .collect()
+}
+
+/// Per-phase `(phase, count, seconds)` recorded since `before`, a
+/// [`phase_snapshot`]: deltas of the global `mgpart_phase_seconds`
+/// histograms (paper Fig. 5).
+fn phase_deltas(before: &[(u64, f64)]) -> Vec<(&'static str, u64, f64)> {
+    mg_obs::PHASES
+        .iter()
+        .zip(before)
+        .map(|(phase, (count_before, seconds_before))| {
+            let (count_now, seconds_now) = mg_obs::phase_stats(phase);
+            (
+                *phase,
+                count_now.saturating_sub(*count_before),
+                (seconds_now - seconds_before).max(0.0),
+            )
         })
         .collect()
 }
@@ -305,33 +270,16 @@ fn phase_entry(phase: &str, count: u64, seconds: f64) -> Json {
 }
 
 /// The `compute` block: per-backend cells, the phase deltas of exactly
-/// those cells, the hot-phase fraction, and — when a `--baseline`
-/// document was given — the embedded baseline profile plus per-phase
-/// speedups against it.
-fn compute_json(
-    rows: &[Row],
-    before: &[(u64, f64)],
-    baseline: Option<&[(String, u64, f64)]>,
-) -> Json {
-    let deltas: Vec<(String, u64, f64)> = mg_obs::PHASES
-        .iter()
-        .zip(before)
-        .map(|(phase, (count_before, seconds_before))| {
-            let (count_now, seconds_now) = mg_obs::phase_stats(phase);
-            (
-                phase.to_string(),
-                count_now.saturating_sub(*count_before),
-                (seconds_now - seconds_before).max(0.0),
-            )
-        })
-        .collect();
+/// those cells, and the hot-phase fraction.
+fn compute_json(rows: &[Row], before: &[(u64, f64)]) -> Json {
+    let deltas = phase_deltas(before);
     let total: f64 = deltas.iter().map(|(_, _, s)| s).sum();
     let hot: f64 = deltas
         .iter()
-        .filter(|(p, _, _)| GATE_PHASES.contains(&p.as_str()))
+        .filter(|(p, _, _)| GATE_PHASES.contains(p))
         .map(|(_, _, s)| s)
         .sum();
-    let mut fields = vec![
+    obj(vec![
         ("workloads", Json::Arr(rows.iter().map(row_json).collect())),
         (
             "requests",
@@ -342,8 +290,8 @@ fn compute_json(
             "phases",
             Json::Arr(
                 deltas
-                    .iter()
-                    .map(|(p, c, s)| phase_entry(p, *c, *s))
+                    .into_iter()
+                    .map(|(p, c, s)| phase_entry(p, c, s))
                     .collect(),
             ),
         ),
@@ -351,40 +299,7 @@ fn compute_json(
             "hot_fraction",
             Json::Num(if total > 0.0 { hot / total } else { 0.0 }),
         ),
-    ];
-    if let Some(baseline) = baseline {
-        fields.push((
-            "baseline",
-            obj(vec![(
-                "phases",
-                Json::Arr(
-                    baseline
-                        .iter()
-                        .map(|(p, c, s)| phase_entry(p, *c, *s))
-                        .collect(),
-                ),
-            )]),
-        ));
-        let improvement: Vec<Json> = deltas
-            .iter()
-            .filter_map(|(phase, _, seconds)| {
-                let (_, _, base_seconds) = baseline.iter().find(|(p, _, _)| p == phase)?;
-                let speedup = if *seconds > 1e-12 {
-                    (base_seconds / seconds).min(9999.0)
-                } else {
-                    9999.0
-                };
-                Some(obj(vec![
-                    ("phase", Json::Str(phase.clone())),
-                    ("baseline_seconds", Json::Num(*base_seconds)),
-                    ("seconds", Json::Num(*seconds)),
-                    ("speedup", Json::Num(speedup)),
-                ]))
-            })
-            .collect();
-        fields.push(("improvement", Json::Arr(improvement)));
-    }
-    obj(fields)
+    ])
 }
 
 fn json_script(lines: &[String]) -> Vec<u8> {
@@ -396,17 +311,17 @@ fn json_script(lines: &[String]) -> Vec<u8> {
     script
 }
 
-fn request_payload(line: &str) -> Vec<u8> {
-    parse_request_line(line)
-        .ok()
-        .and_then(|request| partition_payload(&request))
-        .unwrap_or_else(|| json_payload(line))
-}
-
+/// The binary hello, then every request as a frame: partition requests
+/// in the compact kind-0x02 form when they qualify, everything else as a
+/// kind-0x01 JSON payload.
 fn binary_script(lines: &[String]) -> Vec<u8> {
     let mut script = format!("{HELLO_BINARY}\n").into_bytes();
     for line in lines {
-        script.extend_from_slice(&encode_frame(&request_payload(line)));
+        let payload = parse_request_line(line)
+            .ok()
+            .and_then(|request| partition_payload(&request))
+            .unwrap_or_else(|| json_payload(line));
+        script.extend_from_slice(&encode_frame(&payload));
     }
     script
 }
@@ -427,171 +342,12 @@ fn pipe_run(config: &BenchConfig, workload: &str, codec: &'static str, lines: &[
     Row {
         workload: workload.to_string(),
         codec,
-        transport: "pipe",
         requests: lines.len() as u64,
         responses: summary.responses - hello,
         seconds,
         bytes_out: script.len() as u64,
         bytes_in: out.len() as u64,
-        cache_hits: Some(summary.cache_hits),
-        p50_ms: None,
-        p99_ms: None,
-    }
-}
-
-fn batch_run(config: &BenchConfig) -> Row {
-    let lines = workload_lines("inline_cached", config);
-    let payloads: Vec<Vec<u8>> = lines.iter().map(|line| request_payload(line)).collect();
-    let mut script = format!("{HELLO_BINARY}\n").into_bytes();
-    script.extend_from_slice(&encode_frame(&batch_payload(&payloads)));
-
-    let service = fresh_service(config.threads);
-    let mut out = Vec::new();
-    let start = Instant::now();
-    let summary = service.run_session(script.as_slice(), &mut out);
-    let seconds = start.elapsed().as_secs_f64();
-    service.shutdown_and_join();
-    assert_eq!(summary.responses, lines.len() as u64 + 1);
-    Row {
-        workload: "inline_cached_batch".into(),
-        codec: "binary",
-        transport: "pipe",
-        requests: lines.len() as u64,
-        responses: summary.responses - 1,
-        seconds,
-        bytes_out: script.len() as u64,
-        bytes_in: out.len() as u64,
-        cache_hits: Some(summary.cache_hits),
-        p50_ms: None,
-        p99_ms: None,
-    }
-}
-
-fn percentile(sorted_ms: &[f64], q: f64) -> f64 {
-    if sorted_ms.is_empty() {
-        return 0.0;
-    }
-    let index = ((sorted_ms.len() - 1) as f64 * q).round() as usize;
-    sorted_ms[index.min(sorted_ms.len() - 1)]
-}
-
-fn tcp_run(
-    config: &BenchConfig,
-    workload: &str,
-    codec: &'static str,
-    lines: &[String],
-) -> Result<Row, String> {
-    let service = fresh_service(config.threads);
-    let server = TcpServer::bind(service, "127.0.0.1:0").map_err(|e| format!("bench bind: {e}"))?;
-    let mut stream =
-        TcpStream::connect(server.local_addr).map_err(|e| format!("bench connect: {e}"))?;
-    stream.set_nodelay(true).ok();
-    let mut reader = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
-    let mut bytes_out = 0u64;
-    let mut bytes_in = 0u64;
-    if codec == "binary" {
-        let hello = format!("{HELLO_BINARY}\n");
-        stream
-            .write_all(hello.as_bytes())
-            .map_err(|e| e.to_string())?;
-        bytes_out += hello.len() as u64;
-        let mut ack = String::new();
-        reader.read_line(&mut ack).map_err(|e| e.to_string())?;
-        bytes_in += ack.len() as u64;
-    }
-
-    let mut latencies_ms = Vec::with_capacity(lines.len());
-    let start = Instant::now();
-    for line in lines {
-        let buf = match codec {
-            "json" => {
-                let mut b = line.clone().into_bytes();
-                b.push(b'\n');
-                b
-            }
-            _ => encode_frame(&request_payload(line)),
-        };
-        let t = Instant::now();
-        stream.write_all(&buf).map_err(|e| e.to_string())?;
-        stream.flush().map_err(|e| e.to_string())?;
-        bytes_out += buf.len() as u64;
-        if codec == "json" {
-            let mut response = String::new();
-            reader.read_line(&mut response).map_err(|e| e.to_string())?;
-            bytes_in += response.len() as u64;
-        } else {
-            let mut header = [0u8; 4];
-            reader.read_exact(&mut header).map_err(|e| e.to_string())?;
-            let len = u32::from_le_bytes(header) as usize;
-            let mut payload = vec![0u8; len];
-            reader.read_exact(&mut payload).map_err(|e| e.to_string())?;
-            assert_eq!(payload[0], KIND_JSON);
-            bytes_in += 4 + len as u64;
-        }
-        latencies_ms.push(t.elapsed().as_secs_f64() * 1e3);
-    }
-    let seconds = start.elapsed().as_secs_f64();
-    drop(reader);
-    drop(stream);
-    server.shutdown_and_join();
-
-    latencies_ms.sort_by(|a, b| a.total_cmp(b));
-    Ok(Row {
-        workload: workload.to_string(),
-        codec,
-        transport: "tcp",
-        requests: lines.len() as u64,
-        responses: lines.len() as u64,
-        seconds,
-        bytes_out,
-        bytes_in,
-        cache_hits: None,
-        p50_ms: Some(percentile(&latencies_ms, 0.50)),
-        p99_ms: Some(percentile(&latencies_ms, 0.99)),
-    })
-}
-
-fn routed_run(config: &BenchConfig, codec: &'static str, lines: &[String]) -> Row {
-    let threads = config.threads;
-    let cluster = LocalCluster::spawn(2, |_| ServiceConfig {
-        threads,
-        collection: CollectionSpec {
-            seed: 11,
-            scale: CollectionScale::Smoke,
-        },
-        ..ServiceConfig::default()
-    });
-    let router = cluster.router(RouterConfig::default());
-    let script = match codec {
-        "json" => json_script(lines),
-        _ => binary_script(lines),
-    };
-    let mut out = Vec::new();
-    let start = Instant::now();
-    let summary = router.run_session(script.as_slice(), &mut out);
-    let seconds = start.elapsed().as_secs_f64();
-    cluster.shutdown();
-    let hello = u64::from(codec == "binary");
-    assert_eq!(summary.responses, lines.len() as u64 + hello);
-    Row {
-        workload: "routed_inline".into(),
-        codec,
-        transport: "pipe",
-        requests: lines.len() as u64,
-        responses: summary.responses - hello,
-        seconds,
-        bytes_out: script.len() as u64,
-        bytes_in: out.len() as u64,
-        cache_hits: Some(summary.cache_hits),
-        p50_ms: None,
-        p99_ms: None,
-    }
-}
-
-fn opt_num(value: Option<f64>) -> Json {
-    match value {
-        Some(v) => Json::Num(v),
-        None => Json::Null,
+        cache_hits: summary.cache_hits,
     }
 }
 
@@ -599,28 +355,20 @@ fn row_json(row: &Row) -> Json {
     obj(vec![
         ("workload", Json::Str(row.workload.clone())),
         ("codec", Json::Str(row.codec.into())),
-        ("transport", Json::Str(row.transport.into())),
+        ("transport", Json::Str("pipe".into())),
         ("requests", Json::UInt(row.requests)),
         ("responses", Json::UInt(row.responses)),
         ("seconds", Json::Num(row.seconds)),
         ("throughput_rps", Json::Num(row.throughput())),
         ("bytes_out", Json::UInt(row.bytes_out)),
         ("bytes_in", Json::UInt(row.bytes_in)),
-        (
-            "cache_hits",
-            match row.cache_hits {
-                Some(hits) => Json::UInt(hits),
-                None => Json::Null,
-            },
-        ),
-        ("p50_ms", opt_num(row.p50_ms)),
-        ("p99_ms", opt_num(row.p99_ms)),
+        ("cache_hits", Json::UInt(row.cache_hits)),
     ])
 }
 
-fn find<'a>(rows: &'a [Row], workload: &str, codec: &str, transport: &str) -> Option<&'a Row> {
+fn find<'a>(rows: &'a [Row], workload: &str, codec: &str) -> Option<&'a Row> {
     rows.iter()
-        .find(|r| r.workload == workload && r.codec == codec && r.transport == transport)
+        .find(|r| r.workload == workload && r.codec == codec)
 }
 
 /// The codec comparisons CI gates on: per pipe workload, binary/json
@@ -628,10 +376,9 @@ fn find<'a>(rows: &'a [Row], workload: &str, codec: &str, transport: &str) -> Op
 fn comparisons_json(rows: &[Row]) -> Vec<Json> {
     let mut comparisons = Vec::new();
     for &workload in PIPE_WORKLOADS {
-        let (Some(json), Some(binary)) = (
-            find(rows, workload, "json", "pipe"),
-            find(rows, workload, "binary", "pipe"),
-        ) else {
+        let (Some(json), Some(binary)) =
+            (find(rows, workload, "json"), find(rows, workload, "binary"))
+        else {
             continue;
         };
         comparisons.push(obj(vec![
@@ -660,27 +407,6 @@ fn comparisons_json(rows: &[Row]) -> Vec<Json> {
     comparisons
 }
 
-/// The per-phase compute breakdown of this run: deltas of the global
-/// `mgpart_phase_seconds` histograms (paper Fig. 5) against a snapshot
-/// taken before the first measured cell.
-fn phases_json(before: &[(u64, f64)]) -> Vec<Json> {
-    mg_obs::PHASES
-        .iter()
-        .zip(before)
-        .map(|(phase, (count_before, seconds_before))| {
-            let (count_now, seconds_now) = mg_obs::phase_stats(phase);
-            let count = count_now.saturating_sub(*count_before);
-            let seconds = (seconds_now - seconds_before).max(0.0);
-            obj(vec![
-                ("phase", Json::Str((*phase).into())),
-                ("count", Json::UInt(count)),
-                ("seconds", Json::Num(seconds)),
-                ("mean_seconds", Json::Num(seconds / count.max(1) as f64)),
-            ])
-        })
-        .collect()
-}
-
 fn render_document(config: &BenchConfig, rows: &[Row], phases: Vec<Json>, compute: Json) -> String {
     obj(vec![
         ("schema", Json::Str(SCHEMA.into())),
@@ -703,25 +429,19 @@ fn render_document(config: &BenchConfig, rows: &[Row], phases: Vec<Json>, comput
 
 fn print_table(rows: &[Row]) {
     println!(
-        "{:<20} {:<7} {:<5} {:>8} {:>12} {:>12} {:>12} {:>9} {:>9}",
-        "workload", "codec", "wire", "requests", "rps", "bytes_out", "bytes_in", "p50_ms", "p99_ms"
+        "{:<20} {:<7} {:>8} {:>12} {:>12} {:>12} {:>10}",
+        "workload", "codec", "requests", "rps", "bytes_out", "bytes_in", "cache_hits"
     );
     for row in rows {
-        let fmt_ms = |v: Option<f64>| match v {
-            Some(v) => format!("{v:.3}"),
-            None => "-".into(),
-        };
         println!(
-            "{:<20} {:<7} {:<5} {:>8} {:>12.0} {:>12} {:>12} {:>9} {:>9}",
+            "{:<20} {:<7} {:>8} {:>12.0} {:>12} {:>12} {:>10}",
             row.workload,
             row.codec,
-            row.transport,
             row.requests,
             row.throughput(),
             row.bytes_out,
             row.bytes_in,
-            fmt_ms(row.p50_ms),
-            fmt_ms(row.p99_ms),
+            row.cache_hits,
         );
     }
 }
@@ -987,118 +707,4 @@ fn validate_document(document: &Json) -> Result<(), String> {
         ));
     }
     Ok(())
-}
-
-// ---------------------------------------------------------------------
-// --conformance: identical response texts across codecs and threads
-// ---------------------------------------------------------------------
-
-/// Splits a response byte stream into texts, tracking the hello switch.
-fn response_texts(out: &[u8]) -> Vec<String> {
-    let mut texts = Vec::new();
-    let mut pos = 0;
-    let mut binary = false;
-    while pos < out.len() {
-        let text = if binary {
-            let len = u32::from_le_bytes(out[pos..pos + 4].try_into().unwrap()) as usize;
-            assert_eq!(out[pos + 4], KIND_JSON);
-            let text = std::str::from_utf8(&out[pos + 5..pos + 4 + len]).unwrap();
-            pos += 4 + len;
-            text.to_string()
-        } else {
-            let nl = out[pos..]
-                .iter()
-                .position(|&b| b == b'\n')
-                .expect("unterminated response line");
-            let text = std::str::from_utf8(&out[pos..pos + nl])
-                .unwrap()
-                .to_string();
-            pos += nl + 1;
-            text
-        };
-        if text.contains("\"op\":\"hello\"") && text.contains("\"codec\":\"binary\"") {
-            binary = true;
-        }
-        texts.push(text);
-    }
-    texts
-}
-
-fn conformance() -> Result<(), String> {
-    // A mixed stream: fresh compute, cache repeats, a collection matrix,
-    // pings, a typed error, an assignment request.
-    let a = gen::laplacian_2d(20, 17);
-    let b = gen::laplacian_2d(9, 9);
-    let lines: Vec<String> = vec![
-        format!("{{\"id\":1,\"matrix\":{},\"seed\":5}}", inline_json(&a)),
-        "{\"id\":2,\"op\":\"ping\"}".into(),
-        format!("{{\"id\":3,\"matrix\":{},\"seed\":5}}", inline_json(&a)),
-        "{\"id\":4,\"matrix\":{\"collection\":\"laplace2d_00_k20\"},\"seed\":3}".into(),
-        "{\"id\":5,\"method\":\"zz\"}".into(),
-        format!(
-            "{{\"id\":6,\"matrix\":{},\"seed\":5,\"include_partition\":true}}",
-            inline_json(&b)
-        ),
-    ];
-    for threads in [1usize, 2, 4] {
-        let service = fresh_service(threads);
-        let mut json_out = Vec::new();
-        service.run_session(json_script(&lines).as_slice(), &mut json_out);
-        service.shutdown_and_join();
-        let json_texts = response_texts(&json_out);
-
-        let service = fresh_service(threads);
-        let mut binary_out = Vec::new();
-        service.run_session(binary_script(&lines).as_slice(), &mut binary_out);
-        service.shutdown_and_join();
-        let binary_texts = response_texts(&binary_out);
-
-        if json_texts != binary_texts[1..] {
-            return Err(format!(
-                "codec conformance failed at {threads} threads: \
-                 JSON and binary response texts differ"
-            ));
-        }
-        println!(
-            "conformance ok at {threads} threads ({} responses)",
-            lines.len()
-        );
-    }
-    Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::percentile;
-
-    #[test]
-    fn percentile_of_one_element_is_that_element() {
-        assert_eq!(percentile(&[7.5], 0.50), 7.5);
-        assert_eq!(percentile(&[7.5], 0.99), 7.5);
-        assert_eq!(percentile(&[7.5], 0.0), 7.5);
-        assert_eq!(percentile(&[7.5], 1.0), 7.5);
-    }
-
-    #[test]
-    fn percentile_of_empty_input_is_zero() {
-        assert_eq!(percentile(&[], 0.50), 0.0);
-    }
-
-    #[test]
-    fn percentile_hits_exact_rank_boundaries() {
-        // 1..=100: nearest-rank on (len-1)*q.
-        let sorted: Vec<f64> = (1..=100).map(f64::from).collect();
-        assert_eq!(percentile(&sorted, 0.0), 1.0);
-        // (100-1)*0.50 = 49.5 → rounds to index 50 → value 51.
-        assert_eq!(percentile(&sorted, 0.50), 51.0);
-        // (100-1)*0.99 = 98.01 → index 98 → value 99.
-        assert_eq!(percentile(&sorted, 0.99), 99.0);
-        assert_eq!(percentile(&sorted, 1.0), 100.0);
-    }
-
-    #[test]
-    fn percentile_is_clamped_to_the_last_element() {
-        let sorted = [1.0, 2.0];
-        assert_eq!(percentile(&sorted, 2.0), 2.0);
-    }
 }

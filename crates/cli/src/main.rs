@@ -172,20 +172,15 @@ BENCH OPTIONS (schema: mgpart-bench/v1; trajectory files: BENCH_<n>.json):
   --quick       smaller counts for CI smoke runs
   --json        print the machine-readable JSON document to stdout
   -o FILE       write the JSON document to FILE
-  --baseline F  embed the compute phases of a previously generated bench
-                document and record per-phase speedups against it in the
-                compute block
   --validate F  schema-check a bench document and enforce the trajectory
                 gates (binary beats JSON on request bytes for inline-COO
                 workloads and on throughput for the decode-bound cached
                 workload; compute workloads kernel-bound; ≥1.3× speedup
-                on 2 of 3 hot phases when a baseline is embedded);
-                nonzero exit on violation
+                on 2 of 3 hot phases when the document carries a compute
+                improvement block); nonzero exit on violation
   --against F   with --validate: also compare the document's compute-phase
                 shares to committed trajectory file F within a tolerance
                 band (machine-speed independent regression gate)
-  --conformance run one mixed stream through both codecs at 1/2/4 worker
-                threads and require byte-identical response texts
 
 METRICS OPTIONS (schema: crates/obs/metrics.schema):
   ADDR          a --metrics-addr endpoint to scrape; the snapshot is

@@ -14,9 +14,9 @@
 //!    Prometheus-style text snapshot of the registry, plus the matching
 //!    scraper and schema validator.
 //!
-//! [`span`] ties 1 and 2 together: phase timers record into the
-//! `mgpart_phase_seconds` histogram (the paper's Fig. 5 phases), and
-//! spans emit start/end events carrying session/request/shard ids.
+//! [`span`] holds the phase timers: they record into the
+//! `mgpart_phase_seconds` histogram (the paper's Fig. 5 phases) and, when
+//! a trace is active, add a child span per phase.
 //!
 //! [`trace`] adds per-request distributed tracing on the same
 //! out-of-band rules: propagated 128-bit trace contexts, a bounded
@@ -32,5 +32,5 @@ pub mod trace;
 pub use expose::{parse_schema, scrape, scrape_trace, validate_exposition, MetricsServer};
 pub use log::{Level, Value};
 pub use metrics::{registry, Counter, Gauge, Histogram, Registry};
-pub use span::{phase, phase_stats, PhaseTimer, Span, PHASES, PHASE_BOUNDS};
+pub use span::{phase, phase_stats, PhaseTimer, PHASES, PHASE_BOUNDS};
 pub use trace::{TraceCollector, TraceContext, WireTrace};

@@ -19,7 +19,7 @@ pub enum Level {
     Warn = 2,
     /// Lifecycle milestones (listening, drained). The default.
     Info = 3,
-    /// Span start/end, per-request detail.
+    /// Per-request detail.
     Debug = 4,
     /// Firehose.
     Trace = 5,

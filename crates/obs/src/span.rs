@@ -1,8 +1,7 @@
-//! Timing spans: phase timers that feed the `mgpart_phase_seconds`
-//! histogram (the paper's Fig. 5 time profile, live), and generic spans
-//! that emit start/end log events carrying session/request/shard ids.
+//! Phase timers that feed the `mgpart_phase_seconds` histogram (the
+//! paper's Fig. 5 time profile, live) and, under an active trace, record
+//! one child span per phase.
 
-use crate::log::{self, Level, Value};
 use crate::metrics::{registry, Histogram};
 use crate::trace::{self, TraceContext};
 use std::time::Instant;
@@ -64,46 +63,6 @@ impl Drop for PhaseTimer {
     }
 }
 
-/// A debug-level span: emits `span_start` when created and `span_end`
-/// (with `elapsed_ms`) when dropped, both carrying the given fields —
-/// typically session/request/shard ids.
-pub struct Span {
-    name: &'static str,
-    /// `Some` only when `debug` was enabled at open time; `None` spans
-    /// skip the end event too, keeping the disabled path allocation-free.
-    fields: Option<Vec<(&'static str, Value)>>,
-    start: Instant,
-}
-
-/// Opens a span. The field vector is built lazily, so when `debug` is
-/// disabled a span costs only an `Instant` — no allocation, no clone.
-pub fn span(name: &'static str, fields: impl FnOnce() -> Vec<(&'static str, Value)>) -> Span {
-    let fields = log::enabled(Level::Debug).then(|| {
-        let fields = fields();
-        let mut start_fields = fields.clone();
-        start_fields.push(("span", Value::Str("start".to_string())));
-        log::debug(name, &start_fields);
-        fields
-    });
-    Span {
-        name,
-        fields,
-        start: Instant::now(),
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        if let Some(fields) = self.fields.take() {
-            let elapsed_ms = self.start.elapsed().as_secs_f64() * 1e3;
-            let mut end_fields = fields;
-            end_fields.push(("span", Value::Str("end".to_string())));
-            end_fields.push(("elapsed_ms", Value::F64(elapsed_ms)));
-            log::debug(self.name, &end_fields);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,16 +75,6 @@ mod tests {
         }
         let (count1, _) = phase_stats("medium_grain_build");
         assert!(count1 > count0);
-    }
-
-    #[test]
-    fn span_drop_is_quiet_at_default_level() {
-        // Default level is info, so this exercises only the cheap path:
-        // the closure must never run and no field vector is built.
-        let s = span("test_span", || {
-            panic!("fields must stay lazy when debug is disabled")
-        });
-        drop(s);
     }
 
     #[test]

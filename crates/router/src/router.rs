@@ -668,13 +668,14 @@ impl Handler for RouterSessionDriver {
     /// (JSON-lines) shards as their canonical re-rendered line; text
     /// requests are forwarded as the original text.
     fn handle_unit(&mut self, kind: UnitKind, bytes: &[u8]) -> bool {
+        let t0 = Stamp::now();
         session::decode_unit(kind, bytes, &mut |decoded| {
             let index = self.begin();
             match decoded {
-                Ok((request, Some(line))) => self.dispatch(index, request, line),
+                Ok((request, Some(line))) => self.dispatch(index, request, line, t0),
                 Ok((request, None)) => {
                     let line = codec::request_json_line(&request);
-                    self.dispatch(index, request, &line)
+                    self.dispatch(index, request, &line, t0)
                 }
                 Err(e) => {
                     self.local_error(index, &e.id, e.code, &e.message, None);
@@ -730,9 +731,10 @@ impl RouterSessionDriver {
         self.session.slots.open()
     }
 
-    /// Routes one decoded request. Returns `false` when the session
-    /// should stop reading (an in-band `shutdown`).
-    fn dispatch(&mut self, index: u64, request: protocol::Request, line: &str) -> bool {
+    /// Routes one decoded request whose unit arrived at `t0`. Returns
+    /// `false` when the session should stop reading (an in-band
+    /// `shutdown`).
+    fn dispatch(&mut self, index: u64, request: protocol::Request, line: &str, t0: Stamp) -> bool {
         match request.op {
             RequestOp::Ping => {
                 let line = protocol::op_response(&request.id, "ping");
@@ -763,7 +765,7 @@ impl RouterSessionDriver {
             }
             RequestOp::Partition => {
                 let spec = request.spec.expect("partition requests carry a spec");
-                self.route_partition(index, line, request.id, spec, request.trace);
+                self.route_partition(index, line, request.id, spec, request.trace, t0);
             }
         }
         true
@@ -833,15 +835,15 @@ impl RouterSessionDriver {
 
     /// Records the `route` span of a traced request: the synchronous
     /// routing decision (placement, cache lookup, replica ranking).
-    fn close_route_span(rt: &Option<RequestTrace>, route_span: Option<trace::TraceContext>) {
-        if let (Some(rt), Some(rs)) = (rt, route_span) {
+    fn close_route_span(route_span: Option<(trace::TraceContext, Stamp)>) {
+        if let Some((rs, start)) = route_span {
             trace::record_span(
                 rs.trace_id,
                 rs.span_id,
                 rs.parent_id,
                 "route",
-                rt.start.us,
-                rt.start.at.elapsed(),
+                start.us,
+                start.at.elapsed(),
             );
         }
     }
@@ -853,10 +855,16 @@ impl RouterSessionDriver {
         id: Json,
         spec: mg_core::service::PartitionSpec,
         wire: Option<mg_obs::WireTrace>,
+        t0: Stamp,
     ) {
-        let start = Stamp::now();
+        // As on the server, the root `request` span opens where the unit
+        // arrived, so it covers decode; `route` starts where decode ends.
         let trace_slow = self.core().config.trace_slow;
-        let rt = RequestTrace::open(wire, trace_slow, start);
+        let rt = RequestTrace::open(wire, trace_slow, t0);
+        let route_span = rt.as_ref().map(|rt| {
+            t0.record_child(&rt.ctx, "decode");
+            (rt.ctx.child(), Stamp::now())
+        });
         let placed = if self.core().shutdown.load(Ordering::SeqCst) {
             Err((
                 ErrorCode::ShuttingDown,
@@ -875,7 +883,6 @@ impl RouterSessionDriver {
                 return;
             }
         };
-        let route_span = rt.as_ref().map(|rt| rt.ctx.child());
         let key: RouterKey = (
             placement.key,
             spec.method,
@@ -886,7 +893,7 @@ impl RouterSessionDriver {
         );
         let lookup = Stamp::now();
         let stored = lock_ok(&self.core().cache).get(&key).cloned();
-        if let Some(rs) = &route_span {
+        if let Some((rs, _)) = &route_span {
             lookup.record_child(rs, "cache_lookup");
         }
         if let Some(line) = stored.and_then(|stored| with_id(&stored, &id)) {
@@ -895,11 +902,11 @@ impl RouterSessionDriver {
             self.session
                 .slots
                 .resolve(index, RSlot::line(line, true, false));
-            Self::close_route_span(&rt, route_span);
+            Self::close_route_span(route_span);
             if let Some(rt) = &rt {
                 rt.close(trace_slow);
             }
-            router_request_seconds("router").observe(start.at.elapsed().as_secs_f64());
+            router_request_seconds("router").observe(t0.at.elapsed().as_secs_f64());
             return;
         }
         // Pre-validated: the request field by the protocol decoder, the
@@ -920,7 +927,7 @@ impl RouterSessionDriver {
         // Close `route` before the forward: the dispatch leg owns the
         // enqueue-through-delivery window, and a speculative trace may
         // be settled by the reader the moment the write lands.
-        Self::close_route_span(&rt, route_span);
+        Self::close_route_span(route_span);
         self.forward(
             &ForwardReq {
                 index,

@@ -321,13 +321,15 @@ impl SessionState {
                     }
                     self.core.count_failover();
                     let shards = self.core.topology.shards();
-                    mg_obs::log::warn(
-                        "router_failover",
-                        &[
-                            ("from_shard", shards[from].id.as_str().into()),
-                            ("to_shard", shards[next].id.as_str().into()),
-                        ],
-                    );
+                    let mut fields = vec![
+                        ("from_shard", shards[from].id.as_str().into()),
+                        ("to_shard", shards[next].id.as_str().into()),
+                    ];
+                    // A traced entry's event joins its trace by id.
+                    if let Some((span, _)) = replay {
+                        fields.push(("trace_id", trace::trace_id_hex(span.trace_id).into()));
+                    }
+                    mg_obs::log::warn("router_failover", &fields);
                     return;
                 }
                 Err(returned) => {

@@ -394,16 +394,18 @@ fn run_job(engine: &Engine, job: EngineJob) {
                 .copied()
                 .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
                 .unwrap_or("non-string panic payload");
-            mg_obs::log::error(
-                "job_panicked",
-                &[
-                    ("backend", backend.name().into()),
-                    ("method", method.name().into()),
-                    ("fingerprint", format!("{fingerprint:016x}").into()),
-                    ("followers", followers.len().into()),
-                    ("message", message.into()),
-                ],
-            );
+            let mut fields = vec![
+                ("backend", backend.name().into()),
+                ("method", method.name().into()),
+                ("fingerprint", format!("{fingerprint:016x}").into()),
+                ("followers", followers.len().into()),
+                ("message", message.into()),
+            ];
+            // A traced job's event joins its trace by id.
+            if let Some(jt) = job_trace {
+                fields.push(("trace_id", trace::trace_id_hex(jt.ctx.trace_id).into()));
+            }
+            mg_obs::log::error("job_panicked", &fields);
             None
         }
     };

@@ -7,6 +7,7 @@ use mg_server::codec::{
     batch_payload, encode_frame, json_payload, partition_payload, KIND_JSON, MAX_FRAME,
 };
 use mg_server::{parse_request_line, Service, ServiceConfig};
+use mg_sparse::{gen, Coo};
 use std::sync::Arc;
 
 fn smoke_service(threads: usize) -> Arc<Service> {
@@ -73,6 +74,18 @@ fn response_texts(out: &[u8]) -> Vec<String> {
     texts
 }
 
+/// A partition request for `a` as an inline-COO line, seed 5, with
+/// `extra` (`,"key":value` pairs) appended to the request object.
+fn inline_request(id: u64, a: &Coo, extra: &str) -> String {
+    let entries: Vec<String> = a.iter().map(|(i, j)| format!("[{i},{j}]")).collect();
+    format!(
+        "{{\"id\":{id},\"matrix\":{{\"rows\":{},\"cols\":{},\"entries\":[{}]}},\"seed\":5{extra}}}",
+        a.rows(),
+        a.cols(),
+        entries.join(",")
+    )
+}
+
 const INLINE: &str = "{\"id\":1,\"matrix\":{\"rows\":4,\"cols\":4,\
                       \"entries\":[[0,0],[1,1],[2,2],[3,3],[0,1],[1,2],[2,3]]},\"seed\":5}";
 
@@ -105,6 +118,11 @@ fn hello_negotiates_binary_and_acks_in_the_old_codec() {
 /// around the text differs.
 #[test]
 fn binary_responses_are_byte_identical_to_json_lines_at_any_thread_count() {
+    let grid = gen::laplacian_2d(20, 17);
+    let grid_first = inline_request(7, &grid, "");
+    let grid_again = inline_request(8, &grid, ""); // cache hit on id 7's key
+    let with_partition =
+        inline_request(10, &gen::laplacian_2d(9, 9), ",\"include_partition\":true");
     let requests = [
         INLINE,
         "{\"id\":2,\"op\":\"ping\"}",
@@ -113,6 +131,10 @@ fn binary_responses_are_byte_identical_to_json_lines_at_any_thread_count() {
         "{\"id\":5,\"method\":\"zz\"}", // typed error, same text both ways
         "{\"id\":6,\"matrix\":{\"rows\":3,\"cols\":3,\
           \"entries\":[[0,0],[1,1],[2,2]]},\"seed\":5,\"include_partition\":true}",
+        &grid_first,
+        &grid_again,
+        "{\"id\":9,\"matrix\":{\"collection\":\"laplace2d_00_k20\"},\"seed\":3}",
+        &with_partition,
     ];
     let mut json_texts_by_threads = Vec::new();
     for threads in [1usize, 2, 4] {
@@ -146,6 +168,7 @@ fn binary_responses_are_byte_identical_to_json_lines_at_any_thread_count() {
     // And thread count never changes the stream either.
     assert_eq!(json_texts_by_threads[0], json_texts_by_threads[1]);
     assert_eq!(json_texts_by_threads[0], json_texts_by_threads[2]);
+    assert!(json_texts_by_threads[0][7].contains("\"cached\":true"));
 }
 
 #[test]
