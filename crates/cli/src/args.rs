@@ -36,7 +36,6 @@ const VALUE_FLAGS: &[&str] = &[
     // route (the sharding front end):
     "--shards",
     "--window",
-    "--heavy-cost",
     "--shard",
     "--replicas",
     "--probe-interval",
@@ -118,6 +117,18 @@ impl Parsed {
     /// `true` if the boolean switch is present.
     pub fn has(&self, switch: &str) -> bool {
         self.switches.iter().any(|s| s == switch)
+    }
+
+    /// Fails, naming the first offender, unless every flag, switch and
+    /// positional is in `allowed` — so a typo such as `--thread` is an
+    /// error instead of a silently ignored switch.
+    pub fn allow_only(&self, command: &str, allowed: &[&str]) -> Result<(), String> {
+        let given = self.flags.iter().map(|(name, _)| name);
+        let mut given = given.chain(&self.switches).chain(&self.positionals);
+        match given.find(|arg| !allowed.contains(&arg.as_str())) {
+            Some(arg) => Err(format!("{command} does not take {arg:?}")),
+            None => Ok(()),
+        }
     }
 }
 

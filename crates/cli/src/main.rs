@@ -98,6 +98,7 @@ SERVE OPTIONS (protocol: crates/server/PROTOCOL.md):
   --seed S      master seed for requests without one  (default 2014)
   --backend B   default backend for requests without a \"backend\" field
                 (default mondriaan)
+  --engine B    alias of --backend
   --collection-scale S   collection served to {\"collection\": name} requests
                          (smoke | default | large, default smoke)
   --collection-seed S    seed of that collection  (default 11)
@@ -115,17 +116,13 @@ SERVE OPTIONS (protocol: crates/server/PROTOCOL.md):
                 always recorded; responses are byte-identical either way
 
 ROUTE OPTIONS (semantics: crates/server/PROTOCOL.md, \"Routing\"):
-  --shards LIST comma-separated shard specs [id=]host:port[*capacity];
-                ids default to s0,s1,...; capacities (default 1) weight
-                the rendezvous placement. Zero shards, duplicate ids or
-                duplicate addresses are typed config errors.
+  --shards LIST comma-separated shard specs [id=]host:port; ids default
+                to s0,s1,... and feed the rendezvous placement. Zero
+                shards, duplicate ids or addresses, and a missing host or
+                non-numeric port are typed config errors.
   --listen ADDR TCP listen address; omit for stdio pipe mode
   --cache N     router-level LRU response cache entries, 0 = off  (default 128)
   --window N    max in-flight requests per shard connection  (default 64)
-  --backend B   backend assumed for cost estimation when requests carry
-                no backend field  (default mondriaan; match the shards')
-  --heavy-cost C  estimated-cost threshold that biases placement of
-                  expensive jobs toward high-capacity shards (default 10000000)
   --replicas R  replication factor: each key's top-R rendezvous ranks form
                 its replica set; requests go to the best-ranked live
                 replica and fail over down the ranking on shard death
@@ -773,7 +770,21 @@ fn render_trace_report(doc: &Json) -> String {
     out
 }
 
+/// The options a USAGE section lists: the `--flag` opening each of its
+/// lines, from the line starting with `heading` to the next blank line.
+fn usage_flags(heading: &str) -> Vec<&'static str> {
+    USAGE
+        .lines()
+        .skip_while(|line| !line.starts_with(heading))
+        .skip(1)
+        .take_while(|line| !line.is_empty())
+        .filter(|line| line.starts_with("  --"))
+        .filter_map(|line| line.split_whitespace().next())
+        .collect()
+}
+
 fn serve(parsed: &Parsed) -> Result<(), String> {
+    parsed.allow_only("serve", &usage_flags("SERVE OPTIONS"))?;
     let config = ServiceConfig {
         threads: parsed.flag_parse("--threads", 0usize)?,
         queue_capacity: parsed.flag_parse("--queue", 256usize)?,
@@ -857,6 +868,7 @@ fn seconds_flag(parsed: &Parsed, name: &str) -> Result<Option<std::time::Duratio
 }
 
 fn route(parsed: &Parsed) -> Result<(), String> {
+    parsed.allow_only("route", &usage_flags("ROUTE OPTIONS"))?;
     // A missing --shards list is the empty topology: same typed error,
     // nonzero exit.
     let topology = Topology::parse(&parsed.flag("--shards", ""))
@@ -866,8 +878,6 @@ fn route(parsed: &Parsed) -> Result<(), String> {
     let config = RouterConfig {
         window: parsed.flag_parse("--window", 64usize)?,
         cache_capacity: parsed.flag_parse("--cache", 128usize)?,
-        default_backend: backend_from_flags(parsed)?.name(),
-        heavy_cost: parsed.flag_parse("--heavy-cost", RouterConfig::default().heavy_cost)?,
         replicas: parsed.flag_parse("--replicas", 1usize)?,
         probe_interval,
         read_deadline: seconds_flag(parsed, "--read-deadline")?,

@@ -182,15 +182,44 @@ fn request_timeout_exits_nonzero_with_a_typed_error() {
 }
 
 #[test]
-fn route_rejects_out_of_range_capacities_with_a_typed_error() {
+fn route_rejects_malformed_ports_with_a_typed_error() {
     for shards in ["a=127.0.0.1:1*0", "a=127.0.0.1:1*4000000000"] {
         let out = mgpart(&["route", "--shards", shards]);
         assert!(!out.status.success(), "{shards:?} must exit nonzero");
         let err = stderr(&out);
         assert!(
-            err.contains("topology error") && err.contains("invalid capacity"),
+            err.contains("topology error") && err.contains("bad shard spec"),
             "{shards:?} stderr: {err}"
         );
+    }
+}
+
+#[test]
+fn serve_and_route_reject_options_they_do_not_take() {
+    // Unlisted options and stray words fail first, naming the offender;
+    // every option the USAGE sections list gets past the check and the
+    // run fails later, on a value or on the empty topology.
+    for (line, named) in [
+        ("route --shards 127.0.0.1:1 --replica 2", "--replica"),
+        ("serve --thread 2 stray", "--thread"),
+        ("serve stray", "stray"),
+        (
+            "serve --listen h:1 --queue 1 --cache 1 --seed 1 --backend patoh \
+             --engine patoh --collection-scale smoke --collection-seed 1 --timing \
+             --shard-id s0 --metrics-addr h:2 --trace-slow-ms 1 --threads many",
+            "bad value for --threads",
+        ),
+        (
+            "route --listen h:1 --cache 1 --window 1 --replicas 2 --probe-interval 1 \
+             --read-deadline 1 --metrics-addr h:2 --trace-slow-ms 1",
+            "zero shards",
+        ),
+    ] {
+        let args: Vec<&str> = line.split_whitespace().collect();
+        let out = mgpart(&args);
+        assert!(!out.status.success(), "{line:?} must exit nonzero");
+        let err = stderr(&out);
+        assert!(err.contains(named), "{line:?} stderr: {err}");
     }
 }
 

@@ -81,12 +81,6 @@ pub trait PartitionBackend: Send + Sync {
     /// What this backend can do.
     fn capabilities(&self) -> BackendCapabilities;
 
-    /// Cost-model hook: a rough, relative estimate of the work units to
-    /// bipartition `a`. Comparable *across backends* for one matrix, so a
-    /// scheduler (or a future shard router) can place or order jobs by
-    /// expected cost without running them.
-    fn estimated_cost(&self, a: &Coo) -> u64;
-
     /// The multilevel engine preset backing this backend, if it is one —
     /// the seam recursive bisection and ablation benches use to reach the
     /// underlying [`PartitionerConfig`].
@@ -205,14 +199,6 @@ impl PartitionBackend for MultilevelBackend {
             uses_geometry: false,
             granularity: Granularity::Nonzero,
         }
-    }
-
-    fn estimated_cost(&self, a: &Coo) -> u64 {
-        // Multilevel work is roughly nnz × (candidate polish + FM passes)
-        // per level; the level count is logarithmic and folded into the
-        // constant.
-        let config = self.engine_config().expect("registered preset");
-        (a.nnz() as u64) * u64::from(config.initial_candidates + config.fm_max_passes)
     }
 
     fn engine_config(&self) -> Option<PartitionerConfig> {
@@ -360,11 +346,6 @@ impl PartitionBackend for CoarseGrainBackend {
         }
     }
 
-    fn estimated_cost(&self, a: &Coo) -> u64 {
-        // One counting pass, one sort over rows + cols, one scan.
-        a.nnz() as u64 + u64::from(a.rows()) + u64::from(a.cols())
-    }
-
     fn bipartition_with_targets(
         &self,
         a: &Coo,
@@ -439,12 +420,6 @@ impl PartitionBackend for GeometricBackend {
             uses_geometry: true,
             granularity: Granularity::Nonzero,
         }
-    }
-
-    fn estimated_cost(&self, a: &Coo) -> u64 {
-        // One sort of the nonzeros.
-        let n = a.nnz() as u64;
-        n * (64 - n.leading_zeros() as u64).max(1)
     }
 
     fn bipartition_with_targets(
@@ -737,20 +712,6 @@ mod tests {
         assert!(geo.uses_geometry);
         assert!(!geo.seed_sensitive);
         assert_eq!(geo.granularity, Granularity::Nonzero);
-    }
-
-    #[test]
-    fn estimated_costs_rank_direct_backends_below_multilevel() {
-        let a = mg_sparse::gen::laplacian_2d(16, 16);
-        let multilevel = parse_backend("mondriaan").unwrap().estimated_cost(&a);
-        for cheap in ["coarse-grain", "geometric"] {
-            let cost = parse_backend(cheap).unwrap().estimated_cost(&a);
-            assert!(cost > 0);
-            assert!(
-                cost < multilevel,
-                "{cheap} should be estimated cheaper than multilevel ({cost} vs {multilevel})"
-            );
-        }
     }
 
     #[test]

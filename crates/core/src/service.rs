@@ -244,30 +244,18 @@ pub fn payload_matrix(payload: &MatrixPayload) -> Result<Option<Coo>, (ErrorCode
     }
 }
 
-/// A request's placement identity: the key a router hashes to pick a
-/// shard (and the request half of its cache identity), plus the decoded
-/// matrix when the payload shipped one (available for cost estimation).
-#[derive(Debug)]
-pub struct Placement {
-    /// Content fingerprint for inline / Matrix Market payloads,
-    /// [`name_fingerprint`] for collection names.
-    pub key: u64,
-    /// The decoded matrix; `None` for collection payloads.
-    pub matrix: Option<Coo>,
-}
-
-/// Extracts the placement identity of a payload — [`matrix_fingerprint`]
-/// when the content travels with the request, [`name_fingerprint`] when
-/// only a collection name does. Fails with the same typed error the
-/// serving engine would produce for an undecodable payload.
-pub fn placement_key(payload: &MatrixPayload) -> Result<Placement, (ErrorCode, String)> {
-    let matrix = payload_matrix(payload)?;
-    let key = match (&matrix, payload) {
-        (Some(a), _) => matrix_fingerprint(a),
+/// Extracts the placement key of a payload — the key a router hashes to
+/// pick a shard, and the request half of its cache identity:
+/// [`matrix_fingerprint`] when the content travels with the request,
+/// [`name_fingerprint`] when only a collection name does. Fails with the
+/// same typed error the serving engine would produce for an undecodable
+/// payload.
+pub fn placement_key(payload: &MatrixPayload) -> Result<u64, (ErrorCode, String)> {
+    Ok(match (payload_matrix(payload)?, payload) {
+        (Some(a), _) => matrix_fingerprint(&a),
         (None, MatrixPayload::Collection(name)) => name_fingerprint(name),
         (None, _) => unreachable!("payload_matrix returns None only for collections"),
-    };
-    Ok(Placement { key, matrix })
+    })
 }
 
 #[cfg(test)]
@@ -320,17 +308,14 @@ mod tests {
         );
         let a = Coo::new(3, 4, vec![(0, 1), (2, 3), (1, 1)]).unwrap();
         for payload in [&inline, &mtx] {
-            let p = placement_key(payload).unwrap();
-            assert_eq!(p.key, matrix_fingerprint(&a));
-            assert_eq!(p.matrix.as_ref().map(Coo::nnz), Some(3));
+            assert_eq!(placement_key(payload).unwrap(), matrix_fingerprint(&a));
         }
     }
 
     #[test]
     fn placement_keys_hash_collection_names_without_content() {
-        let p = placement_key(&MatrixPayload::Collection("laplace2d_00_k10".into())).unwrap();
-        assert_eq!(p.key, name_fingerprint("laplace2d_00_k10"));
-        assert!(p.matrix.is_none());
+        let key = placement_key(&MatrixPayload::Collection("laplace2d_00_k10".into())).unwrap();
+        assert_eq!(key, name_fingerprint("laplace2d_00_k10"));
         assert_ne!(
             name_fingerprint("laplace2d_00_k10"),
             name_fingerprint("laplace2d_00_k20")

@@ -1,7 +1,7 @@
 //! Topology configuration: the shard list and its validation.
 //!
 //! A topology is an ordered list of [`ShardSpec`]s. The order matters
-//! only for display; placement depends on the shard *ids* and weights
+//! only for display and tie-breaks; placement depends on the shard *ids*
 //! (rendezvous hashing, see [`crate::placement`]), so appending a shard
 //! never remaps traffic between the existing ones.
 
@@ -16,9 +16,6 @@ pub struct ShardSpec {
     pub id: String,
     /// TCP address (`host:port`) the shard listens on.
     pub addr: String,
-    /// Relative capacity weight (≥ 1); a shard with capacity 2 attracts
-    /// roughly twice the keys of a capacity-1 shard.
-    pub capacity: u32,
 }
 
 /// A validated shard list.
@@ -38,24 +35,9 @@ pub enum TopologyError {
     /// Two shards share an address; one process would own 2× the keys
     /// silently.
     DuplicateAddr(String),
-    /// A shard capacity outside `1..=`[`MAX_SHARD_CAPACITY`]: capacity 0
-    /// can never win a rendezvous score (the shard would silently attract
-    /// no keys), and absurdly large capacities degrade the weighted-score
-    /// arithmetic (capacities are squared for heavy jobs).
-    InvalidCapacity {
-        /// The offending shard's id.
-        id: String,
-        /// The rejected capacity as written.
-        capacity: u64,
-    },
-    /// A `--shards` element that does not parse as `[id=]host:port[*cap]`.
+    /// A `--shards` element that does not parse as `[id=]host:port`.
     BadSpec(String),
 }
-
-/// Largest accepted shard capacity. Far above any sane weight ratio, yet
-/// small enough that capacity² (the heavy-job bias) stays comfortably
-/// inside exact `f64` integer range.
-pub const MAX_SHARD_CAPACITY: u32 = 1_000_000;
 
 impl fmt::Display for TopologyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -67,18 +49,8 @@ impl fmt::Display for TopologyError {
             TopologyError::DuplicateAddr(addr) => {
                 write!(f, "topology lists shard address {addr:?} more than once")
             }
-            TopologyError::InvalidCapacity { id, capacity } => {
-                write!(
-                    f,
-                    "shard {id:?} has invalid capacity {capacity}; capacities must be \
-                     between 1 and {MAX_SHARD_CAPACITY}"
-                )
-            }
             TopologyError::BadSpec(spec) => {
-                write!(
-                    f,
-                    "bad shard spec {spec:?}; expected [id=]host:port[*capacity]"
-                )
+                write!(f, "bad shard spec {spec:?}; expected [id=]host:port")
             }
         }
     }
@@ -95,12 +67,6 @@ impl Topology {
         let mut ids = std::collections::HashSet::new();
         let mut addrs = std::collections::HashSet::new();
         for shard in &shards {
-            if shard.capacity == 0 || shard.capacity > MAX_SHARD_CAPACITY {
-                return Err(TopologyError::InvalidCapacity {
-                    id: shard.id.clone(),
-                    capacity: u64::from(shard.capacity),
-                });
-            }
             if !ids.insert(shard.id.as_str()) {
                 return Err(TopologyError::DuplicateId(shard.id.clone()));
             }
@@ -111,9 +77,9 @@ impl Topology {
         Ok(Topology { shards })
     }
 
-    /// Parses a `--shards` list: comma-separated `[id=]host:port[*capacity]`
-    /// elements. Ids default to `s0`, `s1`, … in list order; capacities
-    /// default to 1.
+    /// Parses a `--shards` list: comma-separated `[id=]host:port` elements,
+    /// where the host is non-empty and the port a `u16`. Ids default to
+    /// `s0`, `s1`, … in list order.
     pub fn parse(list: &str) -> Result<Topology, TopologyError> {
         let mut shards = Vec::new();
         for (index, raw) in list
@@ -122,33 +88,21 @@ impl Topology {
             .filter(|s| !s.is_empty())
             .enumerate()
         {
-            let (id, rest) = match raw.split_once('=') {
-                Some((id, rest)) if !id.is_empty() && !id.contains(':') => (id.to_string(), rest),
-                Some(_) => return Err(TopologyError::BadSpec(raw.to_string())),
+            let bad = || TopologyError::BadSpec(raw.to_string());
+            let (id, addr) = match raw.split_once('=') {
+                Some((id, addr)) if !id.is_empty() && !id.contains(':') => (id.to_string(), addr),
+                Some(_) => return Err(bad()),
                 None => (format!("s{index}"), raw),
             };
-            let (addr, capacity) = match rest.split_once('*') {
-                Some((addr, cap)) => {
-                    // Parse wide so `*0` and absurdly large capacities
-                    // both fail as *capacity* errors (not generic parse
-                    // errors); Topology::new range-checks the narrow copy.
-                    let wide: u64 = cap
-                        .parse()
-                        .map_err(|_| TopologyError::BadSpec(raw.to_string()))?;
-                    if wide == 0 || wide > u64::from(MAX_SHARD_CAPACITY) {
-                        return Err(TopologyError::InvalidCapacity { id, capacity: wide });
-                    }
-                    (addr, wide as u32)
-                }
-                None => (rest, 1),
-            };
-            if !addr.contains(':') || addr.is_empty() {
-                return Err(TopologyError::BadSpec(raw.to_string()));
+            let valid = addr
+                .rsplit_once(':')
+                .is_some_and(|(host, port)| !host.is_empty() && port.parse::<u16>().is_ok());
+            if !valid {
+                return Err(bad());
             }
             shards.push(ShardSpec {
                 id,
                 addr: addr.to_string(),
-                capacity,
             });
         }
         Topology::new(shards)
@@ -186,15 +140,13 @@ mod tests {
         assert_eq!(t.shards()[0].id, "s0");
         assert_eq!(t.shards()[1].id, "s1");
         assert_eq!(t.shards()[1].addr, "127.0.0.1:7102");
-        assert_eq!(t.shards()[0].capacity, 1);
     }
 
     #[test]
     fn parses_named_and_weighted_shards() {
-        let t = Topology::parse("big=10.0.0.1:7077*4,small=10.0.0.2:7077").unwrap();
+        let t = Topology::parse("big=10.0.0.1:7077,small=10.0.0.2:7077").unwrap();
         assert_eq!(t.shards()[0].id, "big");
-        assert_eq!(t.shards()[0].capacity, 4);
-        assert_eq!(t.shards()[1].capacity, 1);
+        assert_eq!(t.shards()[0].addr, "10.0.0.1:7077");
         assert_eq!(t.index_of("small"), Some(1));
         assert_eq!(t.index_of("absent"), None);
     }
@@ -220,61 +172,22 @@ mod tests {
 
     #[test]
     fn malformed_specs_are_typed_errors() {
-        for bad in ["noport", "x=*2", "a=h:1*many", "a=h:1*-3", "=h:1"] {
+        for bad in [
+            "noport",
+            "x=*2",
+            "a=h:1*many",
+            "a=h:1*-3",
+            "h:1*2",
+            "=h:1",
+            "h:abc",
+            "h:99999",
+            ":7077",
+        ] {
             assert!(
                 matches!(Topology::parse(bad), Err(TopologyError::BadSpec(_))),
                 "{bad:?} should be a BadSpec"
             );
         }
-    }
-
-    #[test]
-    fn out_of_range_capacities_are_typed_invalid_capacity_errors() {
-        // Zero would never win a rendezvous score; absurdly large values
-        // degrade the weighting arithmetic. Both reject as InvalidCapacity.
-        assert_eq!(
-            Topology::parse("a=h:1*0"),
-            Err(TopologyError::InvalidCapacity {
-                id: "a".into(),
-                capacity: 0,
-            })
-        );
-        assert_eq!(
-            Topology::parse("h:1*18446744073709551615"),
-            Err(TopologyError::InvalidCapacity {
-                id: "s0".into(),
-                capacity: u64::MAX,
-            })
-        );
-        assert_eq!(
-            Topology::parse(&format!("big=h:1*{}", u64::from(MAX_SHARD_CAPACITY) + 1)),
-            Err(TopologyError::InvalidCapacity {
-                id: "big".into(),
-                capacity: u64::from(MAX_SHARD_CAPACITY) + 1,
-            })
-        );
-        // The boundary itself is accepted.
-        let t = Topology::parse(&format!("h:1*{MAX_SHARD_CAPACITY}")).unwrap();
-        assert_eq!(t.shards()[0].capacity, MAX_SHARD_CAPACITY);
-        // The constructed (non-parsed) path range-checks too.
-        let direct = Topology::new(vec![ShardSpec {
-            id: "x".into(),
-            addr: "h:9".into(),
-            capacity: 0,
-        }]);
-        assert_eq!(
-            direct,
-            Err(TopologyError::InvalidCapacity {
-                id: "x".into(),
-                capacity: 0,
-            })
-        );
-        assert!(TopologyError::InvalidCapacity {
-            id: "x".into(),
-            capacity: 0,
-        }
-        .to_string()
-        .contains("invalid capacity 0"));
     }
 
     #[test]

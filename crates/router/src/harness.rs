@@ -230,7 +230,6 @@ impl LocalCluster {
                     .shard_id
                     .clone()
                     .unwrap_or_else(|| format!("s{index}"));
-                let capacity = 1;
                 let service = Service::start(config);
                 let server = TcpServer::bind(service.clone(), "127.0.0.1:0")
                     .expect("binding loopback shard");
@@ -242,7 +241,7 @@ impl LocalCluster {
                     (server_addr.clone(), None)
                 };
                 LocalShard {
-                    spec: ShardSpec { id, addr, capacity },
+                    spec: ShardSpec { id, addr },
                     service,
                     server: Some(server),
                     server_addr,

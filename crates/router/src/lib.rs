@@ -11,15 +11,13 @@
 //!                     └──▶ mg-server shard s2
 //! ```
 //!
-//! Placement is a **weighted rendezvous hash** over the request's
-//! placement key — the matrix content fingerprint, or the collection-name
-//! fingerprint for named matrices ([`mg_core::service::placement_key`],
-//! shared with the shard cache) — weighted by shard capacity, with
-//! requests above the configured estimated-cost threshold biased toward
-//! larger shards. Repeats short-circuit at a router-level LRU before they
-//! cross the wire; per-shard connections replay their unanswered
-//! requests after a reconnect; a bounded in-flight window per shard
-//! provides backpressure.
+//! Placement is a **rendezvous hash** over the request's placement key —
+//! the matrix content fingerprint, or the collection-name fingerprint for
+//! named matrices ([`mg_core::service::placement_key`], shared with the
+//! shard cache) — and the shard ids. Repeats short-circuit at a
+//! router-level LRU before they cross the wire; per-shard connections
+//! replay their unanswered requests after a reconnect; a bounded
+//! in-flight window per shard provides backpressure.
 //!
 //! With `--replicas R` the top-R rendezvous ranks of each key form its
 //! **replica set**: requests go to the best-ranked replica currently
@@ -58,9 +56,9 @@ pub mod router;
 mod shard;
 
 pub use cache::RouterKey;
-pub use config::{ShardSpec, Topology, TopologyError, MAX_SHARD_CAPACITY};
+pub use config::{ShardSpec, Topology, TopologyError};
 pub use harness::{LocalCluster, LocalShard, ShardProxy};
-pub use placement::{place, place_replicas, rank, rendezvous};
+pub use placement::rank;
 pub use router::{Router, RouterConfig, RouterSummary};
 
 /// The router's TCP front end: the same session runtime and listener as

@@ -1,94 +1,38 @@
-//! Deterministic request placement: weighted rendezvous hashing over the
+//! Deterministic request placement: rendezvous hashing over the
 //! placement key.
 //!
 //! Every (key, shard id) pair hashes — via the workspace's shared
-//! [`mix64`] finaliser — to a score scaled by the shard's weight; the
-//! highest score wins. Rendezvous hashing gives the two properties the
-//! router's contracts rest on:
+//! [`mix64`] finaliser — to a 64-bit score; the highest score wins.
+//! Rendezvous hashing gives the two properties the router's contracts
+//! rest on:
 //!
 //! * **stability** — removing a shard remaps *only* the keys that shard
-//!   owned (~1/K of the keyspace for K equal shards); every other key
-//!   keeps its owner, so shard-local caches stay warm through topology
+//!   owned (~1/K of the keyspace for K shards); every other key keeps
+//!   its owner, so shard-local caches stay warm through topology
 //!   changes;
-//! * **purity** — placement is a function of (key, shard ids, weights)
-//!   alone, never of load or arrival order, which is what makes a
-//!   session's response stream identical for 1 shard and K shards.
-//!
-//! The weight of a shard is its configured capacity; requests whose
-//! estimated cost (the backend registry's [`estimated_cost`] hook)
-//! crosses [`RouterConfig::heavy_cost`](crate::RouterConfig) count
-//! capacity *squared*, deterministically biasing expensive jobs toward
-//! the larger shards while cheap traffic spreads ~proportionally.
-//!
-//! [`estimated_cost`]: mg_core::PartitionBackend::estimated_cost
+//! * **purity** — placement is a function of (key, shard ids) alone,
+//!   never of load or arrival order, which is what makes a session's
+//!   response stream identical for 1 shard and K shards.
 
 use crate::config::ShardSpec;
 use mg_core::service::{mix64, name_fingerprint};
+use std::cmp::Reverse;
 
-/// Weighted rendezvous over explicit `(id, weight)` pairs: returns the
-/// index of the winning entry. Ties (astronomically unlikely with mixed
-/// 64-bit scores, but possible) break toward the lower index, keeping the
-/// function total and deterministic.
-///
-/// Weights scale scores via the standard `-w / ln(u)` construction with
-/// `u ∈ (0, 1)` derived from the mixed hash, so a weight-2 entry owns
-/// twice the keyspace of a weight-1 entry in expectation.
-pub fn rendezvous(key: u64, entries: &[(&str, f64)]) -> usize {
-    rank(key, entries, 1).first().copied().unwrap_or(0)
-}
-
-/// Weighted rendezvous *ranking*: the indices of the top-`r` entries by
-/// score, best first — the replica set of a key. `rank(key, e, 1)[0]`
-/// is exactly [`rendezvous`]`(key, e)`, so `--replicas 1` preserves the
-/// historical single-owner placement bit-for-bit. Ties break toward the
-/// lower index; `r` is clamped to the entry count (and to ≥ 1).
-pub fn rank(key: u64, entries: &[(&str, f64)], r: usize) -> Vec<usize> {
-    let mut scored: Vec<(usize, f64)> = entries
+/// The replica set of a key: the indices of the top-`r` shards by
+/// rendezvous score, best first. `rank(key, s, 1)` is the single owner;
+/// growing `r` only ever *appends* ranks, so enabling replication never
+/// moves a key's primary. Ties break toward the lower index; `r` is
+/// clamped to the shard count (and to ≥ 1).
+pub fn rank(key: u64, shards: &[ShardSpec], r: usize) -> Vec<usize> {
+    let mut scored: Vec<(usize, u64)> = shards
         .iter()
         .enumerate()
-        .map(|(index, (id, weight))| {
-            let h = mix64(key ^ name_fingerprint(id));
-            // Map the high 53 bits into (0, 1); the +1/+2 offsets keep u
-            // strictly inside the open interval so ln(u) is finite and < 0.
-            let u = ((h >> 11) + 1) as f64 / ((1u64 << 53) + 2) as f64;
-            let score = if *weight > 0.0 {
-                -weight / u.ln()
-            } else {
-                f64::NEG_INFINITY
-            };
-            (index, score)
-        })
+        .map(|(index, s)| (index, mix64(key ^ name_fingerprint(&s.id))))
         .collect();
-    // Stable order under equal scores = lower index first.
-    scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-    scored.truncate(r.clamp(1, entries.len().max(1)));
+    // A stable sort: equal scores keep the lower index first.
+    scored.sort_by_key(|s| Reverse(s.1));
+    scored.truncate(r.clamp(1, shards.len().max(1)));
     scored.into_iter().map(|(index, _)| index).collect()
-}
-
-fn weights(shards: &[ShardSpec], heavy: bool) -> Vec<(&str, f64)> {
-    shards
-        .iter()
-        .map(|s| {
-            let capacity = f64::from(s.capacity);
-            let weight = if heavy { capacity * capacity } else { capacity };
-            (s.id.as_str(), weight)
-        })
-        .collect()
-}
-
-/// Places a request key onto one of `shards`: rendezvous with weight =
-/// capacity, or capacity² when the request is `heavy` (its estimated cost
-/// crossed the router's threshold).
-pub fn place(key: u64, shards: &[ShardSpec], heavy: bool) -> usize {
-    rendezvous(key, &weights(shards, heavy))
-}
-
-/// The replica set of a key: the top-`r` shards by the same weighted
-/// rendezvous scores [`place`] uses, best first. `place_replicas(k, s,
-/// h, 1)` is `[place(k, s, h)]`; growing `r` only ever *appends* ranks,
-/// so enabling replication never moves a key's primary.
-pub fn place_replicas(key: u64, shards: &[ShardSpec], heavy: bool, r: usize) -> Vec<usize> {
-    rank(key, &weights(shards, heavy), r)
 }
 
 #[cfg(test)]
@@ -100,7 +44,6 @@ mod tests {
             .map(|i| ShardSpec {
                 id: format!("s{i}"),
                 addr: format!("127.0.0.1:{}", 7100 + i),
-                capacity: 1,
             })
             .collect()
     }
@@ -109,8 +52,7 @@ mod tests {
     fn single_shard_owns_everything() {
         let t = shards(1);
         for key in [0u64, 1, u64::MAX, 0xDEAD_BEEF] {
-            assert_eq!(place(key, &t, false), 0);
-            assert_eq!(place(key, &t, true), 0);
+            assert_eq!(rank(key, &t, 1), vec![0]);
         }
     }
 
@@ -118,60 +60,40 @@ mod tests {
     fn placement_is_deterministic_and_in_range() {
         let t = shards(5);
         for key in 0..500u64 {
-            let a = place(mix64(key), &t, false);
+            let a = rank(mix64(key), &t, 1)[0];
             assert!(a < 5);
-            assert_eq!(a, place(mix64(key), &t, false));
+            assert_eq!(a, rank(mix64(key), &t, 1)[0]);
         }
     }
 
     #[test]
-    fn capacity_weights_shift_ownership_toward_bigger_shards() {
-        let mut t = shards(2);
-        t[1].capacity = 3;
-        let mut counts = [0usize; 2];
-        for key in 0..4000u64 {
-            counts[place(mix64(key), &t, false)] += 1;
-        }
-        // Expected 1:3 split; accept a generous band around it.
-        assert!(
-            counts[1] > 2 * counts[0],
-            "capacity-3 shard should dominate: {counts:?}"
-        );
-        // Heavy jobs square the weights (1:9), pushing further.
-        let mut heavy = [0usize; 2];
-        for key in 0..4000u64 {
-            heavy[place(mix64(key), &t, true)] += 1;
-        }
-        assert!(
-            heavy[1] > counts[1],
-            "heavy traffic should skew harder toward capacity: {heavy:?} vs {counts:?}"
-        );
-    }
-
-    #[test]
-    fn rank_1_is_exactly_the_single_owner_placement() {
-        let t = shards(5);
-        for key in 0..500u64 {
-            let key = mix64(key);
-            for heavy in [false, true] {
-                assert_eq!(
-                    place_replicas(key, &t, heavy, 1),
-                    vec![place(key, &t, heavy)]
-                );
-            }
+    fn rankings_match_the_pinned_placements() {
+        // Pinned: a change that moves keys turns every shard cache cold.
+        let t = shards(4);
+        let pinned: [[usize; 4]; 8] = [
+            [3, 1, 0, 2],
+            [1, 3, 0, 2],
+            [0, 2, 1, 3],
+            [2, 3, 1, 0],
+            [1, 2, 0, 3],
+            [0, 2, 3, 1],
+            [0, 1, 2, 3],
+            [1, 3, 0, 2],
+        ];
+        for (k, expected) in pinned.iter().enumerate() {
+            assert_eq!(rank(mix64(k as u64), &t, 4), expected, "key {k}");
         }
     }
 
     #[test]
     fn growing_r_appends_ranks_without_moving_earlier_ones() {
-        let mut t = shards(5);
-        t[2].capacity = 3;
+        let t = shards(5);
         for key in 0..200u64 {
             let key = mix64(key);
-            let full = place_replicas(key, &t, false, 5);
+            let full = rank(key, &t, 5);
             assert_eq!(full.len(), 5);
             for r in 1..=5usize {
-                assert_eq!(place_replicas(key, &t, false, r), full[..r].to_vec());
+                assert_eq!(rank(key, &t, r), full[..r].to_vec());
             }
             // A ranking is a permutation prefix: no shard appears twice.
             let mut seen = full.clone();
@@ -184,8 +106,8 @@ mod tests {
     #[test]
     fn r_clamps_to_the_shard_count() {
         let t = shards(3);
-        assert_eq!(place_replicas(7, &t, false, 10).len(), 3);
-        assert_eq!(place_replicas(7, &t, false, 0).len(), 1);
+        assert_eq!(rank(7, &t, 10).len(), 3);
+        assert_eq!(rank(7, &t, 0).len(), 1);
     }
 
     #[test]
@@ -195,7 +117,7 @@ mod tests {
         let t = shards(4);
         let mut counts = [0usize; 4];
         for key in 0..4000u64 {
-            counts[place_replicas(mix64(key), &t, false, 2)[1]] += 1;
+            counts[rank(mix64(key), &t, 2)[1]] += 1;
         }
         for (index, count) in counts.iter().enumerate() {
             assert!(
@@ -213,8 +135,8 @@ mod tests {
         let mut moved = 0usize;
         let total = 2000u64;
         for key in 0..total {
-            let before = &t[place(mix64(key), &t, false)];
-            let after = &shrunk[place(mix64(key), &shrunk, false)];
+            let before = &t[rank(mix64(key), &t, 1)[0]];
+            let after = &shrunk[rank(mix64(key), &shrunk, 1)[0]];
             if before.id == removed.id {
                 moved += 1;
             } else {

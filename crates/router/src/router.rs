@@ -50,10 +50,9 @@ use crate::metrics::{
     dispatch_counter, health_transition, router_metrics, router_request_seconds, set_replicas,
     set_shard_alive,
 };
-use crate::placement::place_replicas;
+use crate::placement::rank;
 use crate::shard::{EntryTrace, PendingEntry, SessionState, ShardConn};
 use mg_core::service::{placement_key, ErrorCode, RequestOp};
-use mg_core::{parse_backend, DEFAULT_BACKEND};
 use mg_obs::trace;
 use mg_server::codec::{self, UnitKind, WireCodec};
 use mg_server::json::obj;
@@ -75,14 +74,6 @@ pub struct RouterConfig {
     pub window: usize,
     /// Router-level LRU response cache capacity in entries; 0 disables.
     pub cache_capacity: usize,
-    /// Backend assumed for cost estimation when a request carries no
-    /// `backend` field. Must match the shards' default backend for the
-    /// cost model to reflect what actually runs.
-    pub default_backend: &'static str,
-    /// Estimated-cost threshold ([`mg_core::PartitionBackend::estimated_cost`])
-    /// above which a request counts shard capacity *squared* in placement,
-    /// biasing heavy jobs toward larger shards.
-    pub heavy_cost: u64,
     /// Dial attempts per connect/reconnect before a shard counts as down.
     pub connect_attempts: u32,
     /// Delay between dial attempts.
@@ -113,8 +104,6 @@ impl Default for RouterConfig {
         RouterConfig {
             window: 64,
             cache_capacity: 128,
-            default_backend: DEFAULT_BACKEND,
-            heavy_cost: 10_000_000,
             connect_attempts: 5,
             retry_delay: Duration::from_millis(200),
             replicas: 1,
@@ -198,10 +187,8 @@ pub struct Router {
 
 impl Router {
     /// Builds a router over a validated topology. Fails (with a message)
-    /// when `config.default_backend` is not a registered backend or
-    /// `config.replicas` is 0.
-    pub fn new(topology: Topology, mut config: RouterConfig) -> Result<Router, String> {
-        config.default_backend = parse_backend(config.default_backend)?.name();
+    /// when `config.replicas` is 0 or the health prober cannot start.
+    pub fn new(topology: Topology, config: RouterConfig) -> Result<Router, String> {
         if config.replicas == 0 {
             return Err("replicas must be at least 1".into());
         }
@@ -884,7 +871,7 @@ impl RouterSessionDriver {
             }
         };
         let key: RouterKey = (
-            placement.key,
+            placement,
             spec.method,
             spec.backend,
             spec.epsilon.to_bits(),
@@ -909,20 +896,10 @@ impl RouterSessionDriver {
             router_request_seconds("router").observe(t0.at.elapsed().as_secs_f64());
             return;
         }
-        // Pre-validated: the request field by the protocol decoder, the
-        // default by Router::new.
-        let backend = parse_backend(spec.backend.unwrap_or(self.core().config.default_backend))
-            .expect("backend names are validated at decode/config time");
-        let heavy = placement
-            .matrix
-            .as_ref()
-            .is_some_and(|m| backend.estimated_cost(m) >= self.core().config.heavy_cost);
-        let replicas = self.core().config.replicas;
-        let ranked = place_replicas(
-            placement.key,
+        let ranked = rank(
+            placement,
             self.core().topology.shards(),
-            heavy,
-            replicas,
+            self.core().config.replicas,
         );
         // Close `route` before the forward: the dispatch leg owns the
         // enqueue-through-delivery window, and a speculative trace may

@@ -6,9 +6,7 @@
 //! topology-validation seam.
 
 use mg_core::service::placement_key;
-use mg_router::{
-    place_replicas, LocalCluster, Router, RouterConfig, ShardSpec, Topology, TopologyError,
-};
+use mg_router::{rank, LocalCluster, Router, RouterConfig, ShardSpec, Topology, TopologyError};
 use mg_server::{protocol, Service, ServiceConfig};
 use std::io::{BufRead, BufReader, Read};
 use std::net::TcpListener;
@@ -79,8 +77,8 @@ impl<F: FnMut()> Read for ScriptReader<F> {
 fn replica_set(line: &str, topology: &Topology, r: usize) -> Vec<usize> {
     let request = protocol::parse_request_line(line).expect("test script line parses");
     let spec = request.spec.expect("partition line carries a spec");
-    let placement = placement_key(&spec.matrix).expect("placement key");
-    place_replicas(placement.key, topology.shards(), false, r)
+    let key = placement_key(&spec.matrix).expect("placement key");
+    rank(key, topology.shards(), r)
 }
 
 /// Six distinct small matrices (no repeats, so every response is
@@ -466,12 +464,10 @@ fn topology_validation_is_a_typed_seam() {
         ShardSpec {
             id: "a".into(),
             addr: "h:1".into(),
-            capacity: 1,
         },
         ShardSpec {
             id: "a".into(),
             addr: "h:2".into(),
-            capacity: 1,
         },
     ]);
     assert_eq!(dup, Err(TopologyError::DuplicateId("a".into())));

@@ -1,9 +1,9 @@
 //! Property tests of the placement function (the satellite contract):
 //! every fingerprint maps to exactly one live shard, the distribution
-//! over random fingerprints stays within 2× of uniform for equal
-//! weights, and removing one of K shards remaps only ~1/K of the keys.
+//! over random fingerprints stays within 2× of uniform, and removing one
+//! of K shards remaps only ~1/K of the keys.
 
-use mg_router::{place, rendezvous, ShardSpec};
+use mg_router::{rank, ShardSpec};
 use proptest::prelude::*;
 
 fn shards(k: usize) -> Vec<ShardSpec> {
@@ -11,7 +11,6 @@ fn shards(k: usize) -> Vec<ShardSpec> {
         .map(|i| ShardSpec {
             id: format!("shard-{i}"),
             addr: format!("10.0.0.{i}:7077"),
-            capacity: 1,
         })
         .collect()
 }
@@ -36,13 +35,12 @@ proptest! {
     fn every_fingerprint_maps_to_exactly_one_live_shard(
         key in any::<u64>(),
         k in 1usize..9,
-        heavy in any::<bool>(),
     ) {
         let topology = shards(k);
-        let shard = place(key, &topology, heavy);
+        let shard = rank(key, &topology, 1)[0];
         prop_assert!(shard < k, "picked shard {shard} of {k}");
         // Exactly one: placement is a function (same inputs, same pick).
-        prop_assert_eq!(shard, place(key, &topology, heavy));
+        prop_assert_eq!(shard, rank(key, &topology, 1)[0]);
     }
 
     #[test]
@@ -54,7 +52,7 @@ proptest! {
         let n = 1000usize;
         let mut counts = vec![0usize; k];
         for key in fingerprints(seed, n) {
-            counts[place(key, &topology, false)] += 1;
+            counts[rank(key, &topology, 1)[0]] += 1;
         }
         let uniform = n / k;
         for (shard, &count) in counts.iter().enumerate() {
@@ -84,8 +82,8 @@ proptest! {
         let n = 1000usize;
         let mut owned_by_victim = 0usize;
         for key in fingerprints(seed, n) {
-            let before = &full[place(key, &full, false)];
-            let after = &survivors[place(key, &survivors, false)];
+            let before = &full[rank(key, &full, 1)[0]];
+            let after = &survivors[rank(key, &survivors, 1)[0]];
             if before.id == removed.id {
                 owned_by_victim += 1;
             } else {
@@ -102,21 +100,4 @@ proptest! {
         );
     }
 
-    #[test]
-    fn rendezvous_ignores_weight_rescaling(
-        key in any::<u64>(),
-        k in 1usize..6,
-        scale in 1u32..50,
-    ) {
-        // Multiplying every weight by one constant must not change any
-        // pick — the property that makes capacities *relative*.
-        let ids: Vec<String> = (0..k).map(|i| format!("n{i}")).collect();
-        let base: Vec<(&str, f64)> =
-            ids.iter().map(|id| (id.as_str(), 3.0)).collect();
-        let scaled: Vec<(&str, f64)> = ids
-            .iter()
-            .map(|id| (id.as_str(), 3.0 * f64::from(scale)))
-            .collect();
-        prop_assert_eq!(rendezvous(key, &base), rendezvous(key, &scaled));
-    }
 }

@@ -5,7 +5,7 @@
 //! specified in `crates/server/PROTOCOL.md`; this module is its only
 //! implementation. Method names go through the canonical
 //! [`Method::parse_name`] codec, matrix payloads through the same
-//! [`Coo`] constructors and Matrix Market reader as the rest of the
+//! [`Coo`](mg_sparse::Coo) constructors and Matrix Market reader as the rest of the
 //! workspace — so a malformed payload surfaces the library's typed errors
 //! verbatim in the `message` field.
 

@@ -5,7 +5,7 @@
 //! ## Execution model
 //!
 //! Sessions (one per stdio pipe or TCP connection) decode request lines
-//! and submit jobs to the shared [`Engine`]. A fixed set of long-lived
+//! and submit jobs to the shared engine. A fixed set of long-lived
 //! worker threads pops jobs off the queue one at a time, executes each,
 //! and resolves the job itself: it caches the result, takes the
 //! coalesced followers, and fills the owning sessions' response slots.
@@ -962,9 +962,6 @@ mod tests {
         }
         fn capabilities(&self) -> BackendCapabilities {
             real().capabilities()
-        }
-        fn estimated_cost(&self, a: &Coo) -> u64 {
-            real().estimated_cost(a)
         }
         fn bipartition_with_targets(
             &self,

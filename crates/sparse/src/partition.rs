@@ -200,7 +200,7 @@ pub fn row_lambdas(a: &Coo, partition: &NonzeroPartition) -> Vec<Idx> {
 /// `λ` per column; see [`row_lambdas`].
 ///
 /// Walks the entries through [`Coo::column_major_order`] instead of
-/// materialising a [`Csc`] — the permutation is the only part of the CSC
+/// materialising a [`Csc`](crate::Csc) — the permutation is the only part of the CSC
 /// build the stamp scan actually needs.
 pub fn col_lambdas(a: &Coo, partition: &NonzeroPartition) -> Vec<Idx> {
     debug_assert_eq!(a.nnz(), partition.parts().len());
