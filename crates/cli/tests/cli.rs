@@ -111,6 +111,34 @@ fn verify_recounts_volumes_without_perturbing_the_stream() {
     assert_eq!(plain.stdout, verified.stdout);
 }
 
+/// Both multilevel engines, all 10 methods, over the smoke collection:
+/// any change to a partition, a seed or a record field shows here.
+#[test]
+fn multilevel_sweeps_match_their_goldens() {
+    let goldens = [
+        ("mondriaan", include_str!("data/sweep_golden_mondriaan.jsonl")),
+        ("patoh", include_str!("data/sweep_golden_patoh.jsonl")),
+    ];
+    for (backend, golden) in goldens {
+        let out = mgpart(&[
+            "sweep",
+            "--scale",
+            "smoke",
+            "--backend",
+            backend,
+            "-m",
+            "rn,rn-ir,cn,cn-ir,lb,lb-ir,fg,fg-ir,mg,mg-ir",
+            "--threads",
+            "2",
+        ]);
+        assert!(out.status.success(), "stderr: {}", stderr(&out));
+        assert!(
+            stdout(&out) == golden,
+            "{backend} sweep differs from tests/data/sweep_golden_{backend}.jsonl"
+        );
+    }
+}
+
 #[test]
 fn request_against_a_dead_endpoint_exits_nonzero_with_a_typed_error() {
     // Bind-and-drop an ephemeral port: plausibly real, certainly refused.
