@@ -1,5 +1,5 @@
 //! The batched sweep engine: the experiment cross product scheduled over
-//! the work-stealing pool of [`mg_collection::batch`], with JSON-lines
+//! the worker pool of [`mg_collection::batch`], with JSON-lines
 //! results.
 //!
 //! Each (matrix × method × ε) cell is one job, executed on the sweep's
@@ -197,7 +197,7 @@ pub fn records_to_jsonl(records: &[BatchRecord]) -> String {
 }
 
 /// Runs the batched sweep: resolves the backend, expands the cross
-/// product into jobs, schedules them over the work-stealing pool, and
+/// product into jobs, schedules them over the worker pool, and
 /// returns one record per cell in canonical job order (matrix generation
 /// order, then method, then ε).
 ///

@@ -14,7 +14,7 @@
 //!
 //! The library half provides the pieces: Dolan–Moré performance profiles
 //! ([`profiles`]), normalised geometric means ([`geomean`]), the batched
-//! work-stealing sweep engine with JSON-lines output ([`batch`]), the
+//! parallel sweep engine with JSON-lines output ([`batch`]), the
 //! record-level sweep views built on it ([`runner`]) and common CLI/output
 //! plumbing ([`report`]).
 

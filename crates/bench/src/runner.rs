@@ -5,7 +5,7 @@
 //! time over several runs, exactly like §IV ("the average communication
 //! volume and partitioning time of 10 runs"). Both sweeps are thin views
 //! over the batched engine of [`crate::batch`]: cells are scheduled on
-//! the work-stealing pool and seeded from stable key hashes, so records
+//! the worker pool and seeded from stable key hashes, so records
 //! are identical for every thread count.
 
 use crate::batch::{run_batch_sweep, BatchSweepConfig, SweepError};
@@ -141,7 +141,7 @@ pub fn run_sweep(config: &SweepConfig) -> Result<Vec<RunRecord>, SweepError> {
 
 /// Runs the p-way sweep (recursive bisection), additionally measuring the
 /// BSP cost of each partitioning (Table II). Cells are scheduled on the
-/// same work-stealing pool as the p = 2 sweep; `p` is folded into the
+/// same worker pool as the p = 2 sweep; `p` is folded into the
 /// master seed so the p = 2 and p = 64 campaigns draw independent
 /// streams.
 pub fn run_multiway_sweep(config: &SweepConfig, p: Idx) -> Result<Vec<MultiwayRecord>, SweepError> {

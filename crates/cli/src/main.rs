@@ -319,11 +319,29 @@ fn backends() -> Result<(), String> {
     Ok(())
 }
 
+/// Parses one ε value: eqn (1) needs a finite, non-negative slack.
+fn parse_epsilon(raw: &str) -> Result<f64, String> {
+    let value = raw
+        .parse::<f64>()
+        .map_err(|err| format!("bad epsilon {raw:?}: {err}"))?;
+    if !value.is_finite() || value < 0.0 {
+        return Err(format!("epsilon {raw:?} must be finite and non-negative"));
+    }
+    Ok(value)
+}
+
+/// The single-valued `-e` flag (default 0.03), checked by [`parse_epsilon`].
+fn epsilon_flag(parsed: &Parsed) -> Result<f64, String> {
+    parsed
+        .flag_opt("-e")
+        .map_or(Ok(0.03), |raw| parse_epsilon(&raw))
+}
+
 fn partition(parsed: &Parsed) -> Result<(), String> {
     let path = parsed.positional(0, "matrix file")?;
     let a = io::read_matrix_market_file(path).map_err(|e| e.to_string())?;
     let p: Idx = parsed.flag_parse("-p", 2)?;
-    let epsilon: f64 = parsed.flag_parse("-e", 0.03)?;
+    let epsilon = epsilon_flag(parsed)?;
     let method = Method::parse_name(&parsed.flag("-m", "mg-ir"))?;
     let backend = backend_from_flags(parsed)?;
     let seed: u64 = parsed.flag_parse("--seed", 2014)?;
@@ -444,15 +462,7 @@ fn sweep(parsed: &Parsed) -> Result<(), String> {
         None => vec![0.03],
         Some(list) => list
             .split(',')
-            .map(|e| {
-                let value = e
-                    .parse::<f64>()
-                    .map_err(|err| format!("bad epsilon {e:?}: {err}"))?;
-                if !value.is_finite() || value < 0.0 {
-                    return Err(format!("epsilon {e:?} must be finite and non-negative"));
-                }
-                Ok(value)
-            })
+            .map(parse_epsilon)
             .collect::<Result<_, _>>()?,
     };
     if methods.is_empty() || epsilons.is_empty() {
@@ -974,7 +984,7 @@ fn request(parsed: &Parsed) -> Result<(), String> {
                 let backend = parse_backend(&name)?;
                 fields.push(("backend", Json::Str(backend.name().into())));
             }
-            fields.push(("epsilon", Json::Num(parsed.flag_parse("-e", 0.03)?)));
+            fields.push(("epsilon", Json::Num(epsilon_flag(parsed)?)));
             if let Some(seed) = parsed.flag_opt("--seed") {
                 let seed: u64 = seed.parse().map_err(|e| format!("bad seed: {e}"))?;
                 fields.push(("seed", Json::UInt(seed)));

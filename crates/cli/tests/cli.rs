@@ -116,7 +116,10 @@ fn verify_recounts_volumes_without_perturbing_the_stream() {
 #[test]
 fn multilevel_sweeps_match_their_goldens() {
     let goldens = [
-        ("mondriaan", include_str!("data/sweep_golden_mondriaan.jsonl")),
+        (
+            "mondriaan",
+            include_str!("data/sweep_golden_mondriaan.jsonl"),
+        ),
         ("patoh", include_str!("data/sweep_golden_patoh.jsonl")),
     ];
     for (backend, golden) in goldens {
@@ -137,6 +140,34 @@ fn multilevel_sweeps_match_their_goldens() {
             "{backend} sweep differs from tests/data/sweep_golden_{backend}.jsonl"
         );
     }
+}
+
+#[test]
+fn negative_and_nan_epsilons_are_rejected_by_partition_and_request() {
+    let dir = std::env::temp_dir().join(format!("mgpart-eps-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mtx = dir.join("two.mtx");
+    std::fs::write(
+        &mtx,
+        "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 2 1.0\n",
+    )
+    .unwrap();
+    let mtx = mtx.to_str().unwrap();
+    let runs: [&[&str]; 3] = [
+        &["partition", mtx, "-e", "-1"],
+        &["partition", mtx, "-e", "nan"],
+        &["request", "--print", "--collection", "grid_01", "-e", "nan"],
+    ];
+    for args in runs {
+        let out = mgpart(args);
+        assert!(!out.status.success(), "{args:?} must exit nonzero");
+        let err = stderr(&out);
+        assert!(
+            err.contains("must be finite and non-negative"),
+            "{args:?} stderr: {err}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

@@ -1,24 +1,18 @@
 //! The batched sweep substrate: job expansion and a deterministic
-//! work-stealing scheduler.
+//! parallel scheduler.
 //!
 //! An experiment sweep is a dense cross product of (matrix × method × ε)
 //! cells. [`expand_jobs`] lays those cells out in a canonical order and
 //! stamps each with a seed derived from a *stable hash of its key*
 //! ([`job_seed`]), never from its position in the sweep — so adding a
 //! method or reordering the ε list cannot perturb any other cell's RNG
-//! stream. [`run_batch`] then executes the jobs on a shard-per-worker
-//! pool with work stealing: each worker drains its own shard through an
-//! atomic cursor and, when exhausted, steals from the remaining shards.
+//! stream. [`run_batch`] then executes the jobs on a pool of workers that
+//! claim indices in order from one shared atomic cursor.
 //! Results are returned in job order regardless of which worker ran what,
 //! so the output is bit-for-bit identical for every thread count — the §V
 //! determinism contract extended from a single split to a whole sweep.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// A shard cursor on a cache line of its own, so workers draining
-/// neighbouring shards do not contend on one line.
-#[repr(align(128))]
-struct ShardCursor(AtomicUsize);
 
 /// One (matrix × method × ε) cell of a sweep, run on a named backend.
 #[derive(Debug, Clone, PartialEq)]
@@ -129,63 +123,34 @@ pub fn worker_count(requested: usize) -> usize {
     }
 }
 
-/// Evenly sized chunk ranges covering `0..len` (at least one, possibly
-/// empty, range).
-fn shard_ranges(len: usize, pieces: usize) -> Vec<std::ops::Range<usize>> {
-    let pieces = pieces.max(1);
-    let base = len / pieces;
-    let extra = len % pieces;
-    let mut out = Vec::with_capacity(pieces);
-    let mut start = 0;
-    for p in 0..pieces {
-        let size = base + usize::from(p < extra);
-        out.push(start..start + size);
-        start += size;
-    }
-    out
-}
-
 /// Runs `worker(job_index)` for every index in `0..num_jobs` on `threads`
 /// workers and returns the results **in job order**.
 ///
-/// Scheduling: the index space is cut into one contiguous shard per
-/// worker; worker `w` drains shard `w` through an atomic cursor
-/// (`fetch_add` claims each index exactly once), then walks the other
-/// shards in cyclic order stealing whatever is left. A worker stuck on
-/// one slow cell therefore cannot idle the rest of the pool, and no index
-/// can be lost or claimed twice. The caller's `worker` must be a pure
-/// function of the index for the output to be deterministic — seed it
-/// from the job key, not from thread identity.
+/// Scheduling: every worker claims the next index from one shared atomic
+/// cursor (`fetch_add` claims each index exactly once) until the indices
+/// run out, so a worker stuck on one slow cell cannot idle the rest of the
+/// pool. The caller's `worker` must be a pure function of the index for
+/// the output to be deterministic — seed it from the job key, not from
+/// thread identity.
 pub fn run_batch<T, F>(num_jobs: usize, threads: usize, worker: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
     let threads = threads.max(1).min(num_jobs.max(1));
-    let ranges = shard_ranges(num_jobs, threads);
-    let cursors: Vec<ShardCursor> = (0..threads)
-        .map(|_| ShardCursor(AtomicUsize::new(0)))
-        .collect();
+    let next = AtomicUsize::new(0);
 
-    let mut per_worker: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
+    let per_worker: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                let ranges = &ranges;
-                let cursors = &cursors;
-                let worker = &worker;
-                scope.spawn(move || {
+            .map(|_| {
+                scope.spawn(|| {
                     let mut out: Vec<(usize, T)> = Vec::new();
-                    for step in 0..threads {
-                        let shard = (w + step) % threads;
-                        let range = &ranges[shard];
-                        loop {
-                            let claimed = cursors[shard].0.fetch_add(1, Ordering::Relaxed);
-                            if claimed >= range.len() {
-                                break;
-                            }
-                            let index = range.start + claimed;
-                            out.push((index, worker(index)));
+                    loop {
+                        let index = next.fetch_add(1, Ordering::Relaxed);
+                        if index >= num_jobs {
+                            break;
                         }
+                        out.push((index, worker(index)));
                     }
                     out
                 })
@@ -197,7 +162,7 @@ where
             .collect()
     });
 
-    let mut tagged: Vec<(usize, T)> = per_worker.drain(..).flatten().collect();
+    let mut tagged: Vec<(usize, T)> = per_worker.into_iter().flatten().collect();
     debug_assert_eq!(tagged.len(), num_jobs);
     tagged.sort_by_key(|&(index, _)| index);
     debug_assert!(tagged.iter().enumerate().all(|(i, &(index, _))| i == index));
@@ -315,21 +280,5 @@ mod tests {
     fn empty_batch_and_oversubscribed_pool() {
         assert!(run_batch(0, 8, |i| i).is_empty());
         assert_eq!(run_batch(3, 64, |i| i), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn shard_ranges_tile_the_index_space() {
-        for len in [0usize, 1, 9, 64] {
-            for pieces in [1usize, 2, 7, 16] {
-                let ranges = shard_ranges(len, pieces);
-                assert_eq!(ranges.len(), pieces.max(1));
-                let mut next = 0;
-                for r in &ranges {
-                    assert_eq!(r.start, next);
-                    next = r.end;
-                }
-                assert_eq!(next, len);
-            }
-        }
     }
 }

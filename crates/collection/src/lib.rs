@@ -14,7 +14,7 @@
 //!
 //! The [`batch`] module turns a collection into a sweep substrate: it
 //! expands (matrix × method × ε) cells into a job list with stable
-//! per-key seeds and schedules them over a work-stealing worker pool with
+//! per-key seeds and schedules them over a worker pool with
 //! thread-count-independent results.
 
 pub mod batch;

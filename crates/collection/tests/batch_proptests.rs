@@ -64,7 +64,7 @@ proptest! {
     fn scheduling_survives_wildly_uneven_job_costs(
         threads in 1usize..16,
     ) {
-        // Job 0 is made much slower than the rest; stealing must still
+        // Job 0 is made much slower than the rest; the pool must still
         // produce the complete, ordered result set.
         let out = run_batch(40, threads, |i| {
             if i == 0 {

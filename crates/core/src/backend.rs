@@ -12,7 +12,8 @@
 //! Four backends are registered:
 //!
 //! * `mondriaan` / `patoh` — the existing multilevel presets
-//!   ([`PartitionerConfig::preset`]), which honor the full hypergraph
+//!   ([`PartitionerConfig::mondriaan_like`],
+//!   [`PartitionerConfig::patoh_like`]), which honor the full hypergraph
 //!   model of the method they are given;
 //! * `coarse-grain` — a direct 1D baseline that keeps whole rows (or
 //!   whole columns, whichever direction cuts less) atomic, in the spirit
@@ -29,7 +30,7 @@
 //! [`BackendCapabilities::honors_model`] is `false`.
 
 use crate::methods::{BipartitionResult, Method};
-use crate::refine::{iterative_refinement_with_budgets, RefineOptions};
+use crate::refine::iterative_refinement_with_budgets;
 use mg_partitioner::{BisectionTargets, PartitionerConfig};
 use mg_sparse::{Coo, Idx, NonzeroPartition};
 use rand::rngs::StdRng;
@@ -81,13 +82,6 @@ pub trait PartitionBackend: Send + Sync {
     /// What this backend can do.
     fn capabilities(&self) -> BackendCapabilities;
 
-    /// The multilevel engine preset backing this backend, if it is one —
-    /// the seam recursive bisection and ablation benches use to reach the
-    /// underlying [`PartitionerConfig`].
-    fn engine_config(&self) -> Option<PartitionerConfig> {
-        None
-    }
-
     /// Bipartitions `a` with explicit (possibly uneven) nonzero targets,
     /// the primitive recursive bisection builds on. `targets.target`
     /// should sum to `a.nnz()`; implementations must not panic on
@@ -121,9 +115,15 @@ impl std::fmt::Debug for dyn PartitionBackend + '_ {
 // --------------------------------------------------------------------------
 
 static MONDRIAAN: MultilevelBackend = MultilevelBackend {
-    preset: "mondriaan",
+    name: "mondriaan",
+    description: "multilevel FM, Mondriaan-like preset",
+    config: PartitionerConfig::mondriaan_like,
 };
-static PATOH: MultilevelBackend = MultilevelBackend { preset: "patoh" };
+static PATOH: MultilevelBackend = MultilevelBackend {
+    name: "patoh",
+    description: "multilevel FM, PaToH-like preset",
+    config: PartitionerConfig::patoh_like,
+};
 static COARSE_GRAIN: CoarseGrainBackend = CoarseGrainBackend;
 static GEOMETRIC: GeometricBackend = GeometricBackend;
 
@@ -175,21 +175,20 @@ pub fn parse_backend(raw: &str) -> Result<&'static dyn PartitionBackend, String>
 // --------------------------------------------------------------------------
 
 /// A backend wrapping the multilevel hypergraph bipartitioner with one of
-/// the named [`PartitionerConfig`] presets.
+/// the [`PartitionerConfig`] presets.
 struct MultilevelBackend {
-    preset: &'static str,
+    name: &'static str,
+    description: &'static str,
+    config: fn() -> PartitionerConfig,
 }
 
 impl PartitionBackend for MultilevelBackend {
     fn name(&self) -> &'static str {
-        self.preset
+        self.name
     }
 
     fn description(&self) -> &'static str {
-        match self.preset {
-            "mondriaan" => "multilevel FM, Mondriaan-like preset",
-            _ => "multilevel FM, PaToH-like preset",
-        }
+        self.description
     }
 
     fn capabilities(&self) -> BackendCapabilities {
@@ -201,10 +200,6 @@ impl PartitionBackend for MultilevelBackend {
         }
     }
 
-    fn engine_config(&self) -> Option<PartitionerConfig> {
-        PartitionerConfig::preset(self.preset)
-    }
-
     fn bipartition_with_targets(
         &self,
         a: &Coo,
@@ -212,7 +207,7 @@ impl PartitionBackend for MultilevelBackend {
         targets: &BisectionTargets,
         seed: u64,
     ) -> BipartitionResult {
-        let config = self.engine_config().expect("registered preset");
+        let config = (self.config)();
         let mut rng = StdRng::seed_from_u64(seed);
         method.bipartition_with_targets(a, targets, &config, &mut rng)
     }
@@ -249,12 +244,7 @@ fn maybe_refine(
     if !method.refines() {
         return result;
     }
-    let refined = iterative_refinement_with_budgets(
-        a,
-        &result.partition,
-        targets.budgets(),
-        &RefineOptions::default(),
-    );
+    let refined = iterative_refinement_with_budgets(a, &result.partition, targets.budgets());
     BipartitionResult {
         partition: refined.partition,
         volume: refined.volume,
@@ -541,44 +531,25 @@ mod tests {
     }
 
     #[test]
-    fn multilevel_backends_expose_their_presets() {
-        assert_eq!(
-            parse_backend("mondriaan")
-                .unwrap()
-                .engine_config()
-                .unwrap()
-                .coarsest_vertices,
-            PartitionerConfig::mondriaan_like().coarsest_vertices
-        );
-        assert!(parse_backend("patoh").unwrap().engine_config().is_some());
-        assert!(parse_backend("coarse-grain")
-            .unwrap()
-            .engine_config()
-            .is_none());
-        assert!(parse_backend("geometric")
-            .unwrap()
-            .engine_config()
-            .is_none());
-    }
-
-    #[test]
-    fn mondriaan_backend_matches_the_direct_method_call() {
+    fn multilevel_backends_match_the_direct_method_call() {
         let a = mg_sparse::gen::laplacian_2d(12, 12);
-        let via_backend = parse_backend("mondriaan").unwrap().bipartition(
-            &a,
-            Method::MediumGrain { refine: true },
-            0.03,
-            42,
-        );
-        let mut rng = StdRng::seed_from_u64(42);
-        let direct = Method::MediumGrain { refine: true }.bipartition(
-            &a,
-            0.03,
-            &PartitionerConfig::mondriaan_like(),
-            &mut rng,
-        );
-        assert_eq!(via_backend.volume, direct.volume);
-        assert_eq!(via_backend.partition.parts(), direct.partition.parts());
+        let method = Method::MediumGrain { refine: true };
+        for (name, config) in [
+            ("mondriaan", PartitionerConfig::mondriaan_like()),
+            ("patoh", PartitionerConfig::patoh_like()),
+        ] {
+            let via_backend = parse_backend(name)
+                .unwrap()
+                .bipartition(&a, method, 0.03, 42);
+            let mut rng = StdRng::seed_from_u64(42);
+            let direct = method.bipartition(&a, 0.03, &config, &mut rng);
+            assert_eq!(via_backend.volume, direct.volume, "{name}");
+            assert_eq!(
+                via_backend.partition.parts(),
+                direct.partition.parts(),
+                "{name}"
+            );
+        }
     }
 
     #[test]

@@ -41,13 +41,13 @@ pub use backend::{
     DEFAULT_BACKEND,
 };
 pub use bmatrix::MediumGrainModel;
-pub use medium_grain::{medium_grain_bipartition, medium_grain_bipartition_with_split};
+pub use medium_grain::medium_grain_bipartition;
 pub use methods::{BipartitionResult, Method};
 pub use recursive::{recursive_bisection, recursive_bisection_backend, MultiwayResult};
-pub use refine::{iterative_refinement, RefineOptions};
+pub use refine::iterative_refinement;
 pub use service::{
     matrix_fingerprint, ErrorCode, MatrixPayload, PartitionOutcome, PartitionSpec, RequestOp,
 };
-pub use split::{initial_split, split_with_strategy, GlobalPreference, Split, SplitStrategy};
+pub use split::{initial_split, GlobalPreference, Split};
 
 pub use mg_sparse::Idx;

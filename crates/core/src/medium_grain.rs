@@ -38,30 +38,13 @@ pub fn medium_grain_bipartition_with_targets<R: Rng>(
             NonzeroPartition::new(2, Vec::new()).expect("empty partition"),
         );
     }
+    // Algorithm 1 and the model build are two `medium_grain_build` scopes,
+    // so the phase's count reads two per bisection.
     let build_timer = mg_obs::phase("medium_grain_build");
     let split = initial_split(a, rng);
     drop(build_timer);
-    medium_grain_bipartition_with_split(a, &split, targets, config, rng)
-}
-
-/// Medium-grain bipartitioning from a caller-provided split — the ablation
-/// hook for alternative splitters (§V: "might be further improved by using
-/// a different initial split algorithm").
-pub fn medium_grain_bipartition_with_split<R: Rng>(
-    a: &Coo,
-    split: &crate::split::Split,
-    targets: &BisectionTargets,
-    config: &PartitionerConfig,
-    rng: &mut R,
-) -> BipartitionResult {
-    if a.nnz() == 0 {
-        return BipartitionResult::from_partition(
-            a,
-            NonzeroPartition::new(2, Vec::new()).expect("empty partition"),
-        );
-    }
     let build_timer = mg_obs::phase("medium_grain_build");
-    let model = MediumGrainModel::build(a, split);
+    let model = MediumGrainModel::build(a, &split);
     drop(build_timer);
     debug_assert_eq!(model.hypergraph.total_vertex_weight(), a.nnz() as u64);
     let outcome = bipartition_hypergraph(&model.hypergraph, targets, config, rng);

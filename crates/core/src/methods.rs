@@ -7,7 +7,7 @@
 
 use crate::baselines::{localbest_bipartition, model_bipartition};
 use crate::medium_grain::medium_grain_bipartition_with_targets;
-use crate::refine::{iterative_refinement_with_budgets, RefineOptions};
+use crate::refine::iterative_refinement_with_budgets;
 use mg_hypergraph::ModelKind;
 use mg_partitioner::{BisectionTargets, PartitionerConfig};
 use mg_sparse::{communication_volume, Coo, NonzeroPartition};
@@ -206,9 +206,8 @@ impl Method {
             }
         };
         if self.refines() {
-            let opts = RefineOptions::default();
             let budgets = targets.budgets();
-            let refined = iterative_refinement_with_budgets(a, &result.partition, budgets, &opts);
+            let refined = iterative_refinement_with_budgets(a, &result.partition, budgets);
             // Monotone whenever the input was feasible; from an infeasible
             // start (an atomic row/column group heavier than the budget)
             // the FM inside IR repairs balance first, possibly at a volume

@@ -22,29 +22,17 @@ use mg_hypergraph::VertexBipartition;
 use mg_partitioner::{fm_refine_with_scratch, FmLimits, FmScratch};
 use mg_sparse::{communication_volume, part_budget, Coo, NonzeroPartition};
 
-/// Effort limits for each "single KL run" of Algorithm 2.
-#[derive(Debug, Clone)]
-pub struct RefineOptions {
-    /// FM passes per run. The paper's "single run of Kernighan–Lin" is one
-    /// refinement to convergence; a small cap keeps runs cheap while
-    /// converging in practice.
-    pub fm_passes: u32,
-    /// Stall limit within a pass (see [`FmLimits`]).
-    pub stall_limit: u32,
-    /// Safety cap on Algorithm 2 iterations (the loop otherwise terminates
-    /// by the `V_k = V_{k−2}` rule).
-    pub max_iterations: u32,
-}
+/// FM passes per KL run. The paper's "single run of Kernighan–Lin" is one
+/// refinement to convergence; a small cap keeps runs cheap while
+/// converging in practice.
+const FM_PASSES: u32 = 4;
 
-impl Default for RefineOptions {
-    fn default() -> Self {
-        RefineOptions {
-            fm_passes: 4,
-            stall_limit: 2000,
-            max_iterations: 64,
-        }
-    }
-}
+/// Stall limit within a pass (see [`FmLimits`]).
+const STALL_LIMIT: u32 = 2000;
+
+/// Safety cap on Algorithm 2 iterations (the loop otherwise terminates by
+/// the `V_k = V_{k−2}` rule).
+const MAX_ITERATIONS: u32 = 64;
 
 /// Outcome of iterative refinement.
 #[derive(Debug, Clone)]
@@ -59,14 +47,9 @@ pub struct RefinedResult {
 
 /// Iterative refinement under the standard eqn (1) budget
 /// `⌊(1+ε)·N/2⌋` per side.
-pub fn iterative_refinement(
-    a: &Coo,
-    partition: &NonzeroPartition,
-    epsilon: f64,
-    options: &RefineOptions,
-) -> RefinedResult {
+pub fn iterative_refinement(a: &Coo, partition: &NonzeroPartition, epsilon: f64) -> RefinedResult {
     let b = part_budget(a.nnz(), 2, epsilon);
-    iterative_refinement_with_budgets(a, partition, [b, b], options)
+    iterative_refinement_with_budgets(a, partition, [b, b])
 }
 
 /// Iterative refinement with explicit per-side budgets (recursive bisection
@@ -75,7 +58,6 @@ pub fn iterative_refinement_with_budgets(
     a: &Coo,
     partition: &NonzeroPartition,
     budget: [u64; 2],
-    options: &RefineOptions,
 ) -> RefinedResult {
     assert_eq!(partition.num_parts(), 2, "Algorithm 2 refines bipartitions");
     partition
@@ -84,9 +66,8 @@ pub fn iterative_refinement_with_budgets(
 
     let limits = FmLimits {
         budget,
-        max_passes: options.fm_passes,
-        stall_limit: options.stall_limit,
-        scan_cap: 128,
+        max_passes: FM_PASSES,
+        stall_limit: STALL_LIMIT,
         boundary_only: false,
     };
 
@@ -97,7 +78,7 @@ pub fn iterative_refinement_with_budgets(
     // One FM scratch serves every KL run of the loop.
     let mut scratch = FmScratch::new();
 
-    while iterations < options.max_iterations {
+    while iterations < MAX_ITERATIONS {
         iterations += 1;
 
         // Re-encode the current bipartition as a split. Direction 0 puts
@@ -150,7 +131,7 @@ mod tests {
         let parts: Vec<Idx> = (0..a.nnz()).map(|k| (k % 2) as Idx).collect();
         let p = NonzeroPartition::new(2, parts).unwrap();
         let before = communication_volume(&a, &p);
-        let refined = iterative_refinement(&a, &p, 0.03, &RefineOptions::default());
+        let refined = iterative_refinement(&a, &p, 0.03);
         assert!(refined.volume <= before);
         assert_eq!(refined.volume, communication_volume(&a, &refined.partition));
         // A fully interleaved start is terrible; IR must bite hard.
@@ -167,7 +148,7 @@ mod tests {
         let a = mg_sparse::gen::laplacian_2d(12, 12);
         let parts: Vec<Idx> = (0..a.nnz()).map(|k| (k % 2) as Idx).collect();
         let p = NonzeroPartition::new(2, parts).unwrap();
-        let refined = iterative_refinement(&a, &p, 0.03, &RefineOptions::default());
+        let refined = iterative_refinement(&a, &p, 0.03);
         assert!(load_imbalance(&refined.partition) <= 0.03 + 1e-9);
     }
 
@@ -185,23 +166,10 @@ mod tests {
         let parts: Vec<Idx> = a.iter().map(|(i, _)| (i >= 4) as Idx).collect();
         let p = NonzeroPartition::new(2, parts).unwrap();
         assert_eq!(communication_volume(&a, &p), 0);
-        let refined = iterative_refinement(&a, &p, 0.03, &RefineOptions::default());
+        let refined = iterative_refinement(&a, &p, 0.03);
         assert_eq!(refined.volume, 0);
         // Terminates quickly: two non-improving runs.
         assert!(refined.iterations <= 3);
-    }
-
-    #[test]
-    fn iteration_cap_is_respected() {
-        let a = mg_sparse::gen::laplacian_2d(10, 10);
-        let parts: Vec<Idx> = (0..a.nnz()).map(|k| (k % 2) as Idx).collect();
-        let p = NonzeroPartition::new(2, parts).unwrap();
-        let opts = RefineOptions {
-            max_iterations: 1,
-            ..RefineOptions::default()
-        };
-        let refined = iterative_refinement(&a, &p, 0.03, &opts);
-        assert_eq!(refined.iterations, 1);
     }
 
     #[test]
@@ -212,7 +180,7 @@ mod tests {
         let cfg = PartitionerConfig::mondriaan_like();
         let mut rng = StdRng::seed_from_u64(21);
         let rn = Method::RowNet { refine: false }.bipartition(&a, 0.03, &cfg, &mut rng);
-        let refined = iterative_refinement(&a, &rn.partition, 0.03, &RefineOptions::default());
+        let refined = iterative_refinement(&a, &rn.partition, 0.03);
         assert!(refined.volume <= rn.volume);
     }
 }

@@ -93,34 +93,6 @@ impl Split {
     }
 }
 
-/// A strategy for the initial split — Algorithm 1 plus the degenerate and
-/// random baselines used by the ablation experiments (§V notes that the
-/// splitter "may not be the best possible choice"; the ablation quantifies
-/// how much the heuristic actually buys).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SplitStrategy {
-    /// Algorithm 1 with the post-pass (the paper's splitter).
-    Algorithm1,
-    /// Everything in `Ac` — degenerates to the row-net model.
-    AllColumns,
-    /// Everything in `Ar` — degenerates to the column-net model.
-    AllRows,
-    /// Uniformly random assignment per nonzero.
-    Random,
-}
-
-/// Produces a split with the requested strategy.
-pub fn split_with_strategy<R: Rng>(a: &Coo, strategy: SplitStrategy, rng: &mut R) -> Split {
-    match strategy {
-        SplitStrategy::Algorithm1 => initial_split(a, rng),
-        SplitStrategy::AllColumns => Split::all_columns(a.nnz()),
-        SplitStrategy::AllRows => Split::all_rows(a.nnz()),
-        SplitStrategy::Random => {
-            Split::from_assignment((0..a.nnz()).map(|_| rng.gen::<bool>()).collect())
-        }
-    }
-}
-
 /// Algorithm 1 with the tie preference chosen from the matrix shape
 /// (random for square matrices, drawn from `rng`), followed by the
 /// post-improvement pass.

@@ -5,8 +5,7 @@
 
 use mg_core::split::split_with_preference;
 use mg_core::{
-    initial_split, iterative_refinement, GlobalPreference, MediumGrainModel, Method, RefineOptions,
-    Split,
+    initial_split, iterative_refinement, GlobalPreference, MediumGrainModel, Method, Split,
 };
 use mg_hypergraph::VertexBipartition;
 use mg_partitioner::PartitionerConfig;
@@ -87,7 +86,7 @@ proptest! {
         let p = NonzeroPartition::new(2, parts).expect("bipartition");
         let before = communication_volume(&a, &p);
         // A generous epsilon keeps arbitrary alternating starts feasible.
-        let refined = iterative_refinement(&a, &p, 0.5, &RefineOptions::default());
+        let refined = iterative_refinement(&a, &p, 0.5);
         prop_assert!(refined.volume <= before);
         prop_assert_eq!(
             refined.volume,

@@ -11,15 +11,12 @@ pub enum CoarseningScheme {
     /// formed cluster, giving a faster size reduction with slightly less
     /// even cluster weights — the flavour of PaToH's HCC scheme.
     Agglomerative,
-    /// Uniform random pairing; only useful as an ablation baseline.
-    RandomMatching,
 }
 
 /// Tuning knobs of the multilevel bipartitioner.
 ///
 /// The two presets correspond to the two hypergraph partitioners the paper
-/// evaluates with; the individual fields are public so ablation benches can
-/// vary them one at a time.
+/// evaluates with; every field takes a different value in each.
 #[derive(Debug, Clone)]
 pub struct PartitionerConfig {
     /// Coarsening stops once the hypergraph has at most this many vertices.
@@ -27,8 +24,6 @@ pub struct PartitionerConfig {
     /// Coarsening also stops when a level shrinks the vertex count by less
     /// than this fraction (stall detection).
     pub min_reduction: f64,
-    /// Hard cap on the number of coarsening levels.
-    pub max_levels: u32,
     /// Scheme used to group vertices during coarsening.
     pub coarsening: CoarseningScheme,
     /// Nets larger than this are ignored when scoring connectivity (they
@@ -45,9 +40,6 @@ pub struct PartitionerConfig {
     /// moves (0 disables early abort). Bounds worst-case pass time on large
     /// skewed inputs at a negligible quality cost.
     pub fm_stall_limit: u32,
-    /// Extra restricted V-cycles after the first full multilevel run
-    /// (hMetis-style; both presets default to none).
-    pub vcycles: u32,
     /// Boundary-only FM (PaToH-style lazy gain buckets); see
     /// [`crate::fm::FmLimits::boundary_only`].
     pub boundary_fm: bool,
@@ -61,14 +53,12 @@ impl PartitionerConfig {
         PartitionerConfig {
             coarsest_vertices: 200,
             min_reduction: 0.05,
-            max_levels: 64,
             coarsening: CoarseningScheme::HeavyConnectivityMatching,
             max_scored_net_size: 256,
             max_cluster_weight_fraction: 0.2,
             initial_candidates: 8,
             fm_max_passes: 8,
             fm_stall_limit: 2000,
-            vcycles: 0,
             boundary_fm: false,
         }
     }
@@ -81,30 +71,13 @@ impl PartitionerConfig {
         PartitionerConfig {
             coarsest_vertices: 120,
             min_reduction: 0.03,
-            max_levels: 64,
             coarsening: CoarseningScheme::Agglomerative,
             max_scored_net_size: 512,
             max_cluster_weight_fraction: 0.15,
             initial_candidates: 12,
             fm_max_passes: 10,
             fm_stall_limit: 3000,
-            vcycles: 0,
             boundary_fm: true,
-        }
-    }
-}
-
-impl PartitionerConfig {
-    /// Resolves a preset by canonical name (`mondriaan` / `patoh`).
-    /// The engine-construction seam the backend registry builds on: a
-    /// backend that wraps the multilevel partitioner names its preset
-    /// here instead of hard-coding a constructor, and the registry in
-    /// `mg_core::backend` is the single authority for which names exist.
-    pub fn preset(name: &str) -> Option<PartitionerConfig> {
-        match name {
-            "mondriaan" => Some(PartitionerConfig::mondriaan_like()),
-            "patoh" => Some(PartitionerConfig::patoh_like()),
-            _ => None,
         }
     }
 }
@@ -132,17 +105,5 @@ mod tests {
     fn default_is_mondriaan_like() {
         let d = PartitionerConfig::default();
         assert_eq!(d.coarsest_vertices, 200);
-    }
-
-    #[test]
-    fn presets_resolve_by_canonical_name() {
-        for name in ["mondriaan", "patoh"] {
-            assert!(PartitionerConfig::preset(name).is_some(), "{name}");
-        }
-        assert!(PartitionerConfig::preset("hmetis").is_none());
-        assert_eq!(
-            PartitionerConfig::preset("patoh").unwrap().coarsening,
-            CoarseningScheme::Agglomerative
-        );
     }
 }

@@ -18,6 +18,9 @@ use crate::gainbucket::GainBuckets;
 use crate::Idx;
 use mg_hypergraph::{Hypergraph, VertexBipartition};
 
+/// Candidates inspected per side when the head of a bucket is infeasible.
+const SCAN_CAP: usize = 128;
+
 /// Budgets and effort limits for an FM run.
 #[derive(Debug, Clone)]
 pub struct FmLimits {
@@ -28,9 +31,6 @@ pub struct FmLimits {
     /// Abort a pass after this many consecutive moves without a new best
     /// prefix; 0 disables.
     pub stall_limit: u32,
-    /// Candidates inspected per side when the head of a bucket is
-    /// infeasible.
-    pub scan_cap: usize,
     /// Boundary mode (PaToH-style): seed the gain buckets only with
     /// vertices touching a cut net; interior vertices enter lazily when a
     /// neighbouring net becomes cut. Much faster on mostly-clean
@@ -46,7 +46,6 @@ impl FmLimits {
             budget,
             max_passes: 8,
             stall_limit: 2000,
-            scan_cap: 128,
             boundary_only: false,
         }
     }
@@ -226,7 +225,7 @@ fn fm_pass(
                             .saturating_sub(budget[from as usize]);
                     new_violation < cur_violation
                 },
-                limits.scan_cap,
+                SCAN_CAP,
             );
             if let Some(v) = candidate {
                 let g = buckets[from as usize].gain_of(v);

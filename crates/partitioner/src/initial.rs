@@ -33,7 +33,6 @@ pub fn initial_partition<R: Rng>(
         budget,
         max_passes: config.fm_max_passes,
         stall_limit: config.fm_stall_limit,
-        scan_cap: 128,
         boundary_only: config.boundary_fm,
     };
     let candidates = config.initial_candidates.max(1);

@@ -79,7 +79,6 @@ pub fn cluster_vertices<R: Rng>(
     match config.coarsening {
         CoarseningScheme::HeavyConnectivityMatching => heavy_matching(h, config, rng),
         CoarseningScheme::Agglomerative => agglomerative(h, config, rng),
-        CoarseningScheme::RandomMatching => random_matching(h, rng),
     }
 }
 
@@ -226,30 +225,6 @@ fn agglomerative<R: Rng>(h: &Hypergraph, config: &PartitionerConfig, rng: &mut R
     }
 }
 
-/// Uniform random pairing along the shuffled order; ablation baseline.
-fn random_matching<R: Rng>(h: &Hypergraph, rng: &mut R) -> Clustering {
-    let n = h.num_vertices() as usize;
-    let mut order: Vec<Idx> = (0..n as Idx).collect();
-    order.shuffle(rng);
-    let mut cluster = vec![Idx::MAX; n];
-    let mut next = 0 as Idx;
-    let mut i = 0usize;
-    while i + 1 < n {
-        cluster[order[i] as usize] = next;
-        cluster[order[i + 1] as usize] = next;
-        next += 1;
-        i += 2;
-    }
-    if i < n {
-        cluster[order[i] as usize] = next;
-        next += 1;
-    }
-    Clustering {
-        cluster,
-        num_clusters: next,
-    }
-}
-
 fn cluster_weight_cap(h: &Hypergraph, config: &PartitionerConfig) -> u64 {
     let total = h.total_vertex_weight();
     ((total as f64 * config.max_cluster_weight_fraction).ceil() as u64).max(1)
@@ -339,15 +314,6 @@ mod tests {
                 "scheme {scheme:?} built an overweight cluster: {weights:?}"
             );
         }
-    }
-
-    #[test]
-    fn random_matching_is_perfect_on_even_counts() {
-        let h = chain(8);
-        let mut rng = StdRng::seed_from_u64(5);
-        let c = random_matching(&h, &mut rng);
-        c.validate().unwrap();
-        assert_eq!(c.num_clusters, 4);
     }
 
     #[test]

@@ -1,14 +1,16 @@
-//! The multilevel driver: coarsen → initial partition → uncoarsen + refine,
-//! with optional restricted V-cycles.
+//! The multilevel driver: coarsen → initial partition → uncoarsen + refine.
 
 use crate::coarsen::{contract, project_sides};
 use crate::config::PartitionerConfig;
 use crate::fm::{fm_refine_with_scratch, FmLimits, FmScratch};
 use crate::initial::initial_partition;
-use crate::matching::{cluster_vertices, Clustering};
+use crate::matching::cluster_vertices;
 use crate::Idx;
 use mg_hypergraph::{Hypergraph, VertexBipartition};
 use rand::Rng;
+
+/// Hard cap on the number of coarsening levels.
+const MAX_LEVELS: usize = 64;
 
 /// Balance specification for one bisection: target weights per side plus
 /// the allowed slack ε.
@@ -63,7 +65,6 @@ pub fn bipartition_hypergraph<R: Rng>(
         budget,
         max_passes: config.fm_max_passes,
         stall_limit: config.fm_stall_limit,
-        scan_cap: 128,
         boundary_only: config.boundary_fm,
     };
 
@@ -73,9 +74,7 @@ pub fn bipartition_hypergraph<R: Rng>(
     let mut maps: Vec<Vec<Idx>> = Vec::new();
     loop {
         let current = graphs.last().unwrap_or(h);
-        if current.num_vertices() <= config.coarsest_vertices
-            || maps.len() as u32 >= config.max_levels
-        {
+        if current.num_vertices() <= config.coarsest_vertices || maps.len() >= MAX_LEVELS {
             break;
         }
         let clustering = cluster_vertices(current, config, rng);
@@ -98,8 +97,8 @@ pub fn bipartition_hypergraph<R: Rng>(
     drop(initial_timer);
 
     // --- Uncoarsening: project up and refine at every level. ---
-    // One scratch serves every level (and the V-cycles below): the gain
-    // buckets and move logs are reset, not reallocated, per pass.
+    // One scratch serves every level: the gain buckets and move logs are
+    // reset, not reallocated, per pass.
     let mut scratch = FmScratch::new();
     let refine_timer = mg_obs::phase("fm_refinement");
     for level in (0..maps.len()).rev() {
@@ -117,104 +116,11 @@ pub fn bipartition_hypergraph<R: Rng>(
     }
     drop(refine_timer);
 
-    // --- Optional restricted V-cycles. ---
-    for _ in 0..config.vcycles {
-        sides = vcycle(h, sides, targets, config, rng, &mut scratch);
-    }
-
     let bp = VertexBipartition::new(h, sides);
     BisectionOutcome {
         cut: bp.cut_weight(),
         part_weights: [bp.part_weight(0), bp.part_weight(1)],
         sides: bp.into_sides(),
-    }
-}
-
-/// One restricted V-cycle (hMetis-style): coarsen without ever merging
-/// vertices from different sides, so the current partition projects exactly,
-/// then refine on the way back up. Never worsens the cut.
-fn vcycle<R: Rng>(
-    h: &Hypergraph,
-    sides: Vec<u8>,
-    targets: &BisectionTargets,
-    config: &PartitionerConfig,
-    rng: &mut R,
-    scratch: &mut FmScratch,
-) -> Vec<u8> {
-    let budget = targets.budgets();
-    let limits = FmLimits {
-        budget,
-        max_passes: config.fm_max_passes,
-        stall_limit: config.fm_stall_limit,
-        scan_cap: 128,
-        boundary_only: config.boundary_fm,
-    };
-
-    let mut graphs: Vec<Hypergraph> = Vec::new();
-    let mut maps: Vec<Vec<Idx>> = Vec::new();
-    let mut level_sides: Vec<Vec<u8>> = vec![sides];
-    loop {
-        let current = graphs.last().unwrap_or(h);
-        let current_sides = level_sides.last().expect("pushed above");
-        if current.num_vertices() <= config.coarsest_vertices
-            || maps.len() as u32 >= config.max_levels
-        {
-            break;
-        }
-        let clustering = cluster_vertices(current, config, rng);
-        let restricted = restrict_clustering(&clustering, current_sides);
-        let reduction = 1.0 - restricted.num_clusters as f64 / current.num_vertices().max(1) as f64;
-        if reduction < config.min_reduction {
-            break;
-        }
-        let level = contract(current, &restricted);
-        // Every cluster is side-pure, so the coarse side is well defined.
-        let mut coarse_sides = vec![0u8; restricted.num_clusters as usize];
-        for (v, &c) in restricted.cluster.iter().enumerate() {
-            coarse_sides[c as usize] = current_sides[v];
-        }
-        maps.push(level.map);
-        graphs.push(level.coarse);
-        level_sides.push(coarse_sides);
-    }
-
-    // Refine bottom-up from the coarsest level.
-    let mut sides = level_sides.pop().expect("at least the input level");
-    for level in (0..maps.len()).rev() {
-        let graph: &Hypergraph = if level < graphs.len() {
-            &graphs[level]
-        } else {
-            h
-        };
-        let mut bp = VertexBipartition::new(graph, sides);
-        fm_refine_with_scratch(graph, &mut bp, &limits, scratch);
-        sides = project_sides(&maps[level], &bp.into_sides());
-    }
-    let mut bp = VertexBipartition::new(h, sides);
-    fm_refine_with_scratch(h, &mut bp, &limits, scratch);
-    bp.into_sides()
-}
-
-/// Splits every mixed-side cluster of `clustering` into its side-0 and
-/// side-1 sub-clusters, renumbering contiguously.
-fn restrict_clustering(clustering: &Clustering, sides: &[u8]) -> Clustering {
-    let k = clustering.num_clusters as usize;
-    // (old cluster, side) → new id, assigned on first encounter.
-    let mut remap = vec![[Idx::MAX; 2]; k];
-    let mut next = 0 as Idx;
-    let mut cluster = vec![0 as Idx; clustering.cluster.len()];
-    for (v, &c) in clustering.cluster.iter().enumerate() {
-        let side = sides[v] as usize;
-        let slot = &mut remap[c as usize][side];
-        if *slot == Idx::MAX {
-            *slot = next;
-            next += 1;
-        }
-        cluster[v] = *slot;
-    }
-    Clustering {
-        cluster,
-        num_clusters: next,
     }
 }
 
@@ -295,19 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn vcycle_never_worsens() {
-        let h = grid(16, 16);
-        let targets = BisectionTargets::even(h.total_vertex_weight(), 0.03);
-        let mut cfg = PartitionerConfig::mondriaan_like();
-        let mut rng = StdRng::seed_from_u64(15);
-        let base = bipartition_hypergraph(&h, &targets, &cfg, &mut rng);
-        cfg.vcycles = 2;
-        let mut rng = StdRng::seed_from_u64(15);
-        let cycled = bipartition_hypergraph(&h, &targets, &cfg, &mut rng);
-        assert!(cycled.cut <= base.cut, "{} vs {}", cycled.cut, base.cut);
-    }
-
-    #[test]
     fn uneven_targets_respected() {
         let h = grid(10, 10);
         let total = h.total_vertex_weight();
@@ -342,19 +235,5 @@ mod tests {
         let budget = targets.budgets();
         assert!(out.part_weights[0] <= budget[0]);
         assert!(out.part_weights[1] <= budget[1]);
-    }
-
-    #[test]
-    fn restrict_clustering_splits_mixed() {
-        let c = Clustering {
-            cluster: vec![0, 0, 1, 1],
-            num_clusters: 2,
-        };
-        let sides = vec![0, 1, 1, 1];
-        let r = restrict_clustering(&c, &sides);
-        r.validate().unwrap();
-        assert_eq!(r.num_clusters, 3);
-        assert_ne!(r.cluster[0], r.cluster[1]);
-        assert_eq!(r.cluster[2], r.cluster[3]);
     }
 }

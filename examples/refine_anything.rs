@@ -10,7 +10,7 @@
 //! a naive block split, a 1D row-net partition, and the medium-grain
 //! method's own output — and watch each converge.
 
-use mediumgrain::core::{iterative_refinement, RefineOptions};
+use mediumgrain::core::iterative_refinement;
 use mediumgrain::prelude::*;
 use mediumgrain::sparse::gen;
 use rand::rngs::StdRng;
@@ -20,35 +20,29 @@ fn main() {
     let a = gen::laplacian_2d_9pt(48, 48);
     println!("matrix: {}x{}, {} nonzeros\n", a.rows(), a.cols(), a.nnz());
     let config = PartitionerConfig::mondriaan_like();
-    let opts = RefineOptions::default();
 
     // 1. A naive split: first half of the nonzeros to part 0 (respects the
     //    balance constraint but ignores structure entirely... almost: the
     //    canonical row-major order makes it a crude row split).
     let naive = NonzeroPartition::new(2, (0..a.nnz()).map(|k| (k >= a.nnz() / 2) as u32).collect())
         .unwrap();
-    report(&a, "naive half split", &naive, &opts);
+    report(&a, "naive half split", &naive);
 
     // 2. A 1D method's output.
     let mut rng = StdRng::seed_from_u64(4);
     let rn = Method::RowNet { refine: false }.bipartition(&a, 0.03, &config, &mut rng);
-    report(&a, "row-net output", &rn.partition, &opts);
+    report(&a, "row-net output", &rn.partition);
 
     // 3. The medium-grain method's own output (IR is then the paper's
     //    MG+IR configuration).
     let mut rng = StdRng::seed_from_u64(4);
     let mg = Method::MediumGrain { refine: false }.bipartition(&a, 0.03, &config, &mut rng);
-    report(&a, "medium-grain output", &mg.partition, &opts);
+    report(&a, "medium-grain output", &mg.partition);
 }
 
-fn report(
-    a: &mediumgrain::sparse::Coo,
-    label: &str,
-    partition: &NonzeroPartition,
-    opts: &RefineOptions,
-) {
+fn report(a: &mediumgrain::sparse::Coo, label: &str, partition: &NonzeroPartition) {
     let before = communication_volume(a, partition);
-    let refined = iterative_refinement(a, partition, 0.03, opts);
+    let refined = iterative_refinement(a, partition, 0.03);
     println!(
         "{label:>20}: volume {before:>5} -> {:<5} ({} KL runs, imbalance {:.4})",
         refined.volume,

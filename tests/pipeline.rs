@@ -2,7 +2,7 @@
 //! through models, multilevel partitioning, refinement and metrics,
 //! exercised through the public facade exactly as a downstream user would.
 
-use mediumgrain::core::{iterative_refinement, RefineOptions};
+use mediumgrain::core::iterative_refinement;
 use mediumgrain::prelude::*;
 use mediumgrain::sparse::gen;
 use mg_test_support::fixtures::standard_workload as workload;
@@ -120,8 +120,7 @@ fn refinement_reduces_or_keeps_volume_for_all_methods() {
         ] {
             let mut rng = StdRng::seed_from_u64(9);
             let base = refine.bipartition(&a, EPSILON, &config, &mut rng);
-            let refined =
-                iterative_refinement(&a, &base.partition, EPSILON, &RefineOptions::default());
+            let refined = iterative_refinement(&a, &base.partition, EPSILON);
             assert!(
                 refined.volume <= base.volume,
                 "{name}/{refine}: IR worsened {} -> {}",
