@@ -1,12 +1,42 @@
 //! Smoke-scale integration test of the whole experiment harness: every
-//! figure/table function runs, produces well-formed output, and shows the
-//! qualitative orderings the paper reports.
+//! figure/table function runs, produces well-formed output, shows the
+//! qualitative orderings the paper reports, and reproduces the pinned
+//! values of `tests/data/paper_smoke_golden.txt` exactly.
 
 use mg_bench::experiments::{
     fig3_gd97b, fig4_profiles, fig5_time_profile, multiway_volume_profile, patoh_multiway_sweep,
     render_fig3, render_table2, standard_sweep, table1_geomeans, table2_rows,
 };
 use mg_collection::{CollectionScale, CollectionSpec};
+
+/// The deterministic harness outputs at smoke scale (collection seed 11,
+/// one run): the Fig 4 profiles, Table I's volume table and Table II.
+/// Wall-clock columns are never pinned. The file is a sequence of
+/// sections, each headed by a `== name` line.
+const GOLDEN: &str = include_str!("data/paper_smoke_golden.txt");
+
+/// Compares `actual` with the golden section `name`. On a mismatch the
+/// actual text is written to the temp dir for inspection.
+fn assert_golden(name: &str, actual: &str) {
+    let header = format!("== {name}\n");
+    let expected = GOLDEN.find(&header).map(|i| {
+        let start = i + header.len();
+        let end = GOLDEN[start..]
+            .find("\n== ")
+            .map_or(GOLDEN.len(), |j| start + j + 1);
+        &GOLDEN[start..end]
+    });
+    if expected != Some(actual) {
+        let path = std::env::temp_dir().join(format!("paper_smoke_golden.{name}"));
+        std::fs::write(&path, actual).ok();
+        panic!(
+            "{name} moved from the golden; actual output written to {}\n\
+             expected:\n{}\nactual:\n{actual}",
+            path.display(),
+            expected.unwrap_or("(no such section)")
+        );
+    }
+}
 
 fn smoke() -> CollectionSpec {
     CollectionSpec {
@@ -65,6 +95,11 @@ fn full_experiment_pipeline_at_smoke_scale() {
     );
     // IR never hurts on average (it is monotone per matrix).
     assert!(volume.cell("All", "LB+IR").unwrap() <= 1.0 + 1e-9);
+
+    for (name, profile) in &profiles {
+        assert_golden(&format!("fig4_{name}.csv"), &profile.to_csv());
+    }
+    assert_golden("table1_volume.csv", &volume.to_csv());
 }
 
 #[test]
@@ -84,4 +119,5 @@ fn multiway_pipeline_at_smoke_scale() {
     assert!((cost[lb] - 1.0).abs() < 1e-9);
     let txt = render_table2(&p2, &p4);
     assert!(txt.contains("Vol p2"));
+    assert_golden("table2.txt", &txt);
 }
