@@ -15,7 +15,7 @@
 
 use crate::runner::class_label;
 use mg_collection::batch::{expand_jobs, run_jobs, run_seed, worker_count};
-use mg_collection::{generate, CollectionEntry, CollectionSpec};
+use mg_collection::{generate, BatchJob, CollectionEntry, CollectionSpec};
 use mg_core::{parse_backend, Method, PartitionBackend};
 use mg_sparse::{col_lambdas, load_imbalance, row_lambdas, Coo, MatrixClass, NonzeroPartition};
 use std::time::Instant;
@@ -151,6 +151,12 @@ fn escape_json(s: &str) -> String {
 }
 
 impl BatchRecord {
+    /// The record's (matrix, method, class) cell, for
+    /// [`crate::runner::pivot`].
+    pub fn cell(&self) -> (&str, &str, MatrixClass) {
+        (&self.matrix, &self.method, self.class)
+    }
+
     /// The deterministic JSON-lines serialisation: every field that is a
     /// pure function of (collection seed, cell key) — and nothing
     /// wall-clock-dependent. Two sweeps agree on these bytes iff they
@@ -196,15 +202,23 @@ pub fn records_to_jsonl(records: &[BatchRecord]) -> String {
     out
 }
 
-/// Runs the batched sweep: resolves the backend, expands the cross
-/// product into jobs, schedules them over the worker pool, and
-/// returns one record per cell in canonical job order (matrix generation
-/// order, then method, then ε).
-///
-/// Fails (without running anything) when the backend name is unknown or
-/// the job list expands to nothing — an empty sweep is a configuration
-/// error, never a silent success.
-pub fn run_batch_sweep(config: &BatchSweepConfig) -> Result<Vec<BatchRecord>, SweepError> {
+/// A sweep resolved for execution: its backend, the (filtered)
+/// collection and the expanded cross product.
+pub(crate) struct SweepPlan {
+    pub backend: &'static dyn PartitionBackend,
+    pub entries: Vec<CollectionEntry>,
+    pub jobs: Vec<BatchJob>,
+}
+
+/// The setup every sweep shares: resolves the backend, generates and
+/// filters the collection, and expands the (matrix × method × ε) jobs
+/// with cell seeds derived from `master_seed`. Fails, without running
+/// anything, on an unknown backend or an empty cross product — an empty
+/// sweep is a configuration error, never a silent success.
+pub(crate) fn plan_sweep(
+    config: &BatchSweepConfig,
+    master_seed: u64,
+) -> Result<SweepPlan, SweepError> {
     let backend = parse_backend(&config.backend).map_err(SweepError::UnknownBackend)?;
     // The whole collection must be generated before filtering: the suite
     // threads one RNG stream through all matrices, so skipping earlier
@@ -224,7 +238,7 @@ pub fn run_batch_sweep(config: &BatchSweepConfig) -> Result<Vec<BatchRecord>, Sw
         &names,
         &labels,
         &config.epsilons,
-        config.seed,
+        master_seed,
     );
     if jobs.is_empty() {
         return Err(SweepError::EmptySweep {
@@ -233,10 +247,26 @@ pub fn run_batch_sweep(config: &BatchSweepConfig) -> Result<Vec<BatchRecord>, Sw
             epsilons: config.epsilons.len(),
         });
     }
-    Ok(run_jobs(&jobs, worker_count(config.threads), |job| {
-        let entry = &entries[job.matrix_index];
+    Ok(SweepPlan {
+        backend,
+        entries,
+        jobs,
+    })
+}
+
+/// Runs the batched p = 2 sweep: resolves the backend, expands the cross
+/// product into jobs, schedules them over the worker pool, and returns
+/// one record per cell in canonical job order (matrix generation order,
+/// then method, then ε).
+///
+/// Fails (without running anything) when the backend name is unknown or
+/// the job list expands to nothing.
+pub fn run_batch_sweep(config: &BatchSweepConfig) -> Result<Vec<BatchRecord>, SweepError> {
+    let plan = plan_sweep(config, config.seed)?;
+    Ok(run_jobs(&plan.jobs, worker_count(config.threads), |job| {
+        let entry = &plan.entries[job.matrix_index];
         let method = config.methods[job.method_index];
-        measure_cell(entry, method, backend, job, config)
+        measure_cell(entry, method, plan.backend, job, config)
     }))
 }
 
@@ -244,7 +274,7 @@ fn measure_cell(
     entry: &CollectionEntry,
     method: Method,
     backend: &dyn PartitionBackend,
-    job: &mg_collection::BatchJob,
+    job: &BatchJob,
     config: &BatchSweepConfig,
 ) -> BatchRecord {
     let runs = config.runs.max(1);

@@ -9,11 +9,8 @@
 use mg_bench::experiments::{fig3_gd97b, render_fig3};
 use mg_bench::write_artifact;
 use mg_collection::gd97b_twin;
-use mg_core::Method;
-use mg_partitioner::PartitionerConfig;
+use mg_core::{parse_backend, Method};
 use mg_sparse::{spy, spy_partitioned, CommunicationReport};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn main() {
     let runs = 100;
@@ -23,11 +20,11 @@ fn main() {
     // The visual half of Fig 3: the original pattern and the best
     // medium-grain 2D partitioning found.
     let a = gd97b_twin();
-    let config = PartitionerConfig::mondriaan_like();
+    let backend = parse_backend("mondriaan").expect("registered backend");
     let best = (0..runs)
         .map(|run| {
-            let mut rng = StdRng::seed_from_u64(0xf163 ^ run as u64);
-            Method::MediumGrain { refine: true }.bipartition(&a, 0.03, &config, &mut rng)
+            let method = Method::MediumGrain { refine: true };
+            backend.bipartition(&a, method, 0.03, 0xf163 ^ run as u64)
         })
         .min_by_key(|r| r.volume)
         .expect("at least one run");

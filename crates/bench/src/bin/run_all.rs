@@ -1,15 +1,16 @@
 //! Runs every experiment of the paper in sequence, reusing sweeps where
 //! figures share data, and writes all artifacts (CSV + text) under
-//! `results/`. This is the one command behind EXPERIMENTS.md.
+//! `results/` (or `$MG_RESULTS_DIR`).
 //!
-//! Flags: `--scale smoke|default|large --runs N --threads N --seed N`.
+//! Flags: `--scale smoke|default|large --runs N --threads N --seed N`. A
+//! bad flag is one `fatal` log line on stderr and exit code 1.
 
 use mg_bench::experiments::{
     class_summary, fig3_gd97b, fig4_profiles, fig5_time_profile, multiway_volume_profile,
-    patoh_multiway_sweep, patoh_sweep, render_fig3, render_table2, table1_geomeans,
+    paper_sweep, patoh_multiway_sweep, render_fig3, render_table2, table1_geomeans,
 };
 use mg_bench::{
-    batch_to_run_records, multiway_to_csv, records_to_csv, records_to_jsonl, run_batch_sweep,
+    multiway_to_csv, records_to_csv, records_to_jsonl, run_batch_sweep, sort_by_cell,
     write_artifact, BatchSweepConfig, CliOptions,
 };
 use std::time::Instant;
@@ -25,7 +26,13 @@ fn progress(step: &str, detail: &str) {
 
 fn main() {
     mg_obs::log::init_from_env();
-    let opts = CliOptions::parse();
+    let opts = match CliOptions::parse(std::env::args().skip(1)) {
+        Ok(opts) => opts,
+        Err(message) => {
+            mg_obs::log::error("fatal", &[("message", message.as_str().into())]);
+            std::process::exit(1);
+        }
+    };
     let t0 = Instant::now();
     let mut summary = String::from("# Experiment summary (run_all)\n\n");
     summary.push_str(&format!(
@@ -46,14 +53,13 @@ fn main() {
     // through the batch engine so the JSONL stream and the figures come
     // from the same records. ---
     progress("2/5", "Mondriaan-like batched sweep (figs 4, 5, table I)");
-    let batch_config = {
-        let mut c = BatchSweepConfig::paper(opts.collection(), "mondriaan", opts.runs);
-        c.threads = opts.threads;
-        c
+    let batch_config = BatchSweepConfig {
+        threads: opts.threads,
+        ..BatchSweepConfig::paper(opts.collection(), "mondriaan", opts.runs)
     };
-    let batch_records = run_batch_sweep(&batch_config).expect("the paper sweep config is valid");
-    write_artifact("sweep_p2.jsonl", &records_to_jsonl(&batch_records));
-    let records = batch_to_run_records(batch_records);
+    let mut records = run_batch_sweep(&batch_config).expect("the paper sweep config is valid");
+    write_artifact("sweep_p2.jsonl", &records_to_jsonl(&records));
+    sort_by_cell(&mut records);
     write_artifact("fig4_records.csv", &records_to_csv(&records));
     summary.push_str(&format!(
         "collection: {} matrices ({})\n\n",
@@ -82,7 +88,7 @@ fn main() {
 
     // --- Fig 6a: PaToH-like p = 2. ---
     progress("3/5", "PaToH-like sweep (fig 6a)");
-    let patoh_records = patoh_sweep(opts.collection(), opts.runs, opts.threads);
+    let patoh_records = paper_sweep(opts.collection(), "patoh", opts.runs, opts.threads);
     write_artifact("fig6_records_p2.csv", &records_to_csv(&patoh_records));
     let fig6a = &fig4_profiles(&patoh_records)[0].1;
     write_artifact("fig6a_p2.csv", &fig6a.to_csv());

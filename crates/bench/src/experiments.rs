@@ -1,25 +1,20 @@
-//! Library implementations of each paper experiment; the `src/bin/*`
-//! binaries are thin wrappers so integration tests can run everything at
-//! smoke scale.
+//! Library implementations of each paper experiment; `run_all` and
+//! `fig3_demo` are thin wrappers, so integration tests can run
+//! everything at smoke scale.
 
+use crate::batch::{run_batch_sweep, BatchRecord, BatchSweepConfig};
 use crate::geomean::{normalized_geomean_table, GeomeanTable};
 use crate::profiles::{performance_profile, time_taus, volume_taus, PerformanceProfile};
-use crate::runner::{
-    class_label, pivot_records, run_multiway_sweep, run_sweep, MultiwayRecord, RunRecord,
-    SweepConfig,
-};
-use mg_collection::gd97b_twin;
-use mg_core::Method;
-use mg_partitioner::PartitionerConfig;
+use crate::runner::{class_label, pivot, run_multiway_sweep, sort_by_cell, MultiwayRecord};
+use mg_collection::{gd97b_twin, CollectionSpec};
+use mg_core::{parse_backend, Method};
 use mg_sparse::MatrixClass;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Fig 3: repeated bipartitioning of the gd97_b twin. Returns, per method,
 /// (label, best volume, mean volume, hits-of-best count) over `runs` runs.
 pub fn fig3_gd97b(runs: u32) -> Vec<(String, u64, f64, u32)> {
     let a = gd97b_twin();
-    let config = PartitionerConfig::mondriaan_like();
+    let backend = parse_backend("mondriaan").expect("registered backend");
     let methods = [
         Method::RowNet { refine: false },
         Method::ColumnNet { refine: false },
@@ -33,8 +28,8 @@ pub fn fig3_gd97b(runs: u32) -> Vec<(String, u64, f64, u32)> {
         let mut sum = 0u64;
         let mut volumes = Vec::with_capacity(runs as usize);
         for run in 0..runs {
-            let mut rng = StdRng::seed_from_u64(0x61d97b ^ ((mi as u64) << 32) ^ run as u64);
-            let result = method.bipartition(&a, 0.03, &config, &mut rng);
+            let seed = 0x61d97b ^ ((mi as u64) << 32) ^ run as u64;
+            let result = backend.bipartition(&a, *method, 0.03, seed);
             best = best.min(result.volume);
             sum += result.volume;
             volumes.push(result.volume);
@@ -76,16 +71,15 @@ pub fn fig4_subsets() -> [(&'static str, Option<MatrixClass>); 4] {
 
 /// Fig 4 (and Fig 6a with a PaToH-like sweep): volume profiles for the
 /// whole set and each class.
-pub fn fig4_profiles(records: &[RunRecord]) -> Vec<(String, PerformanceProfile)> {
+pub fn fig4_profiles(records: &[BatchRecord]) -> Vec<(String, PerformanceProfile)> {
     fig4_subsets()
         .into_iter()
         .map(|(name, class)| {
-            let filtered: Vec<RunRecord> = records
+            let filtered: Vec<&BatchRecord> = records
                 .iter()
                 .filter(|r| class.is_none_or(|c| r.class == c))
-                .cloned()
                 .collect();
-            let (methods, values, _) = pivot_records(&filtered, |r| r.volume_avg);
+            let (methods, values, _) = pivot(&filtered, |r| r.cell(), |r| r.volume_avg);
             (
                 name.to_string(),
                 performance_profile(&methods, &values, &volume_taus()),
@@ -95,22 +89,22 @@ pub fn fig4_profiles(records: &[RunRecord]) -> Vec<(String, PerformanceProfile)>
 }
 
 /// Fig 5: partitioning-time profile over all matrices.
-pub fn fig5_time_profile(records: &[RunRecord]) -> PerformanceProfile {
-    let (methods, values, _) = pivot_records(records, |r| r.time_avg_s.max(1e-9));
+pub fn fig5_time_profile(records: &[BatchRecord]) -> PerformanceProfile {
+    let (methods, values, _) = pivot(records, BatchRecord::cell, |r| r.time_avg_s.max(1e-9));
     performance_profile(&methods, &values, &time_taus())
 }
 
 /// Table I: normalised geomeans of volume and time, rows Rec/Sym/Sqr/All,
 /// baseline LB.
-pub fn table1_geomeans(records: &[RunRecord]) -> (GeomeanTable, GeomeanTable) {
+pub fn table1_geomeans(records: &[BatchRecord]) -> (GeomeanTable, GeomeanTable) {
     let rows = ["Rec", "Sym", "Sqr"].map(String::from).to_vec();
-    let (methods, volumes, groups) = pivot_records(records, |r| r.volume_avg);
+    let (methods, volumes, groups) = pivot(records, BatchRecord::cell, |r| r.volume_avg);
     let baseline = methods
         .iter()
         .position(|m| m == "LB")
         .expect("LB must be part of the sweep");
     let volume_table = normalized_geomean_table(&methods, &volumes, &groups, &rows, baseline);
-    let (_, times, _) = pivot_records(records, |r| r.time_avg_s.max(1e-9));
+    let (_, times, _) = pivot(records, BatchRecord::cell, |r| r.time_avg_s.max(1e-9));
     let time_table = normalized_geomean_table(&methods, &times, &groups, &rows, baseline);
     (volume_table, time_table)
 }
@@ -118,46 +112,27 @@ pub fn table1_geomeans(records: &[RunRecord]) -> (GeomeanTable, GeomeanTable) {
 /// Table II: normalised geomeans of volume and BSP cost for a p-way sweep,
 /// single `All` row per metric, baseline LB.
 pub fn table2_rows(records: &[MultiwayRecord]) -> (Vec<String>, Vec<f64>, Vec<f64>) {
-    // Pivot manually (MultiwayRecord is not a RunRecord).
-    let mut methods: Vec<String> = Vec::new();
-    let mut matrices: Vec<&str> = Vec::new();
-    for r in records {
-        if !methods.contains(&r.method) {
-            methods.push(r.method.clone());
-        }
-        if !matrices.contains(&r.matrix.as_str()) {
-            matrices.push(&r.matrix);
-        }
-    }
-    methods.sort_by_key(|m| crate::runner::method_order_key(m));
-    let mut volume = vec![vec![f64::INFINITY; matrices.len()]; methods.len()];
-    let mut cost = vec![vec![f64::INFINITY; matrices.len()]; methods.len()];
-    for r in records {
-        let m = methods.iter().position(|x| *x == r.method).expect("known");
-        let c = matrices.iter().position(|x| *x == r.matrix).expect("known");
-        volume[m][c] = r.volume_avg;
-        cost[m][c] = r.bsp_cost_avg;
-    }
+    let (methods, volume, _) = pivot(records, MultiwayRecord::cell, |r| r.volume_avg);
+    let (_, cost, _) = pivot(records, MultiwayRecord::cell, |r| r.bsp_cost_avg);
     let baseline = methods
         .iter()
         .position(|m| m == "LB")
         .expect("LB must be part of the sweep");
-    let geo = |values: &Vec<Vec<f64>>| -> Vec<f64> {
-        methods
+    let geo = |values: &[Vec<f64>]| -> Vec<f64> {
+        values
             .iter()
-            .enumerate()
-            .map(|(m, _)| {
-                let ratios: Vec<f64> = (0..matrices.len())
-                    .filter(|&c| values[baseline][c] > 0.0)
-                    .map(|c| values[m][c] / values[baseline][c])
+            .map(|row| {
+                let ratios: Vec<f64> = row
+                    .iter()
+                    .zip(&values[baseline])
+                    .filter(|&(_, &base)| base > 0.0)
+                    .map(|(&v, &base)| v / base)
                     .collect();
                 crate::geomean::geometric_mean(&ratios)
             })
             .collect()
     };
-    let vol_row = geo(&volume);
-    let cost_row = geo(&cost);
-    (methods, vol_row, cost_row)
+    (methods, geo(&volume), geo(&cost))
 }
 
 /// Renders Table II from p = 2 and p = 64 sweeps.
@@ -185,67 +160,46 @@ pub fn render_table2(p2: &[MultiwayRecord], p64: &[MultiwayRecord]) -> String {
     out
 }
 
-/// Convenience: the standard Mondriaan-backend sweep for Figs 4, 5 and
-/// Table I.
-pub fn standard_sweep(
-    collection: mg_collection::CollectionSpec,
+/// The paper's p = 2 campaign on `backend` (Figs 4, 5 and 6a, Table I),
+/// sorted by (matrix, method).
+pub fn paper_sweep(
+    collection: CollectionSpec,
+    backend: &str,
     runs: u32,
     threads: usize,
-) -> Vec<RunRecord> {
-    let mut cfg = SweepConfig::paper(collection, "mondriaan", runs);
-    cfg.threads = threads;
-    run_sweep(&cfg).expect("the paper sweep configuration is valid")
+) -> Vec<BatchRecord> {
+    let config = BatchSweepConfig {
+        threads,
+        ..BatchSweepConfig::paper(collection, backend, runs)
+    };
+    let mut records = run_batch_sweep(&config).expect("the paper sweep configuration is valid");
+    sort_by_cell(&mut records);
+    records
 }
 
-/// Convenience: the PaToH-backend sweep for Fig 6 / Table II.
-pub fn patoh_sweep(
-    collection: mg_collection::CollectionSpec,
-    runs: u32,
-    threads: usize,
-) -> Vec<RunRecord> {
-    let mut cfg = SweepConfig::paper(collection, "patoh", runs);
-    cfg.threads = threads;
-    run_sweep(&cfg).expect("the paper sweep configuration is valid")
-}
-
-/// Convenience: the PaToH-backend p-way sweep for Fig 6b / Table II.
+/// The PaToH-backend p-way campaign for Fig 6b / Table II.
 pub fn patoh_multiway_sweep(
-    collection: mg_collection::CollectionSpec,
+    collection: CollectionSpec,
     runs: u32,
     threads: usize,
     p: u32,
 ) -> Vec<MultiwayRecord> {
-    let mut cfg = SweepConfig::paper(collection, "patoh", runs);
-    cfg.threads = threads;
-    run_multiway_sweep(&cfg, p).expect("the paper sweep configuration is valid")
+    let config = BatchSweepConfig {
+        threads,
+        ..BatchSweepConfig::paper(collection, "patoh", runs)
+    };
+    run_multiway_sweep(&config, p).expect("the paper sweep configuration is valid")
 }
 
-/// Groups multiway records by class label and produces a volume profile —
-/// used for Fig 6b.
+/// Volume profile of a p-way sweep over all matrices — Fig 6b.
 pub fn multiway_volume_profile(records: &[MultiwayRecord]) -> PerformanceProfile {
-    let mut methods: Vec<String> = Vec::new();
-    let mut matrices: Vec<&str> = Vec::new();
-    for r in records {
-        if !methods.contains(&r.method) {
-            methods.push(r.method.clone());
-        }
-        if !matrices.contains(&r.matrix.as_str()) {
-            matrices.push(&r.matrix);
-        }
-    }
-    methods.sort_by_key(|m| crate::runner::method_order_key(m));
-    let mut values = vec![vec![f64::INFINITY; matrices.len()]; methods.len()];
-    for r in records {
-        let m = methods.iter().position(|x| *x == r.method).expect("known");
-        let c = matrices.iter().position(|x| *x == r.matrix).expect("known");
-        values[m][c] = r.volume_avg;
-    }
+    let (methods, values, _) = pivot(records, MultiwayRecord::cell, |r| r.volume_avg);
     performance_profile(&methods, &values, &volume_taus())
 }
 
 /// A quick textual summary of which classes a record set covers; handy in
 /// binary output headers.
-pub fn class_summary(records: &[RunRecord]) -> String {
+pub fn class_summary(records: &[BatchRecord]) -> String {
     let mut counts = std::collections::BTreeMap::new();
     let mut seen = std::collections::HashSet::new();
     for r in records {

@@ -4,7 +4,7 @@
 use mg_collection::{CollectionScale, CollectionSpec};
 use std::path::PathBuf;
 
-/// Command-line options shared by all experiment binaries.
+/// Command-line options of `run_all`.
 ///
 /// Recognised flags (all optional):
 /// `--scale smoke|default|large`, `--runs N`, `--threads N`, `--seed N`.
@@ -32,37 +32,38 @@ impl Default for CliOptions {
 }
 
 impl CliOptions {
-    /// Parses `std::env::args`, panicking with a usage message on bad input.
-    pub fn parse() -> Self {
+    /// Parses the arguments after the program name; the error names the
+    /// offending flag or value.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut opts = CliOptions::default();
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            let value = |i: &mut usize| -> String {
-                *i += 1;
-                args.get(*i)
-                    .unwrap_or_else(|| panic!("missing value after {}", args[*i - 1]))
-                    .clone()
-            };
-            match args[i].as_str() {
+        let mut args = args.into_iter();
+        while let Some(flag) = args.next() {
+            if !matches!(flag.as_str(), "--scale" | "--runs" | "--threads" | "--seed") {
+                return Err(format!(
+                    "unknown flag {flag:?}; expected --scale/--runs/--threads/--seed"
+                ));
+            }
+            let value = args
+                .next()
+                .ok_or_else(|| format!("missing value after {flag}"))?;
+            let not_an_integer = |_| format!("{flag} takes an integer, got {value:?}");
+            match flag.as_str() {
                 "--scale" => {
-                    opts.scale = match value(&mut i).as_str() {
+                    opts.scale = match value.as_str() {
                         "smoke" => CollectionScale::Smoke,
                         "default" => CollectionScale::Default,
                         "large" => CollectionScale::Large,
-                        other => panic!("unknown scale {other:?} (smoke|default|large)"),
+                        other => {
+                            return Err(format!("unknown scale {other:?} (smoke|default|large)"))
+                        }
                     }
                 }
-                "--runs" => opts.runs = value(&mut i).parse().expect("--runs takes an integer"),
-                "--threads" => {
-                    opts.threads = value(&mut i).parse().expect("--threads takes an integer")
-                }
-                "--seed" => opts.seed = value(&mut i).parse().expect("--seed takes an integer"),
-                other => panic!("unknown flag {other:?}; expected --scale/--runs/--threads/--seed"),
+                "--runs" => opts.runs = value.parse().map_err(not_an_integer)?,
+                "--threads" => opts.threads = value.parse().map_err(not_an_integer)?,
+                _ => opts.seed = value.parse().map_err(not_an_integer)?,
             }
-            i += 1;
         }
-        opts
+        Ok(opts)
     }
 
     /// The collection spec these options select.

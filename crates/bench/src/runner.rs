@@ -1,73 +1,21 @@
-//! The parallel experiment runner.
+//! The p-way sweep and the record plumbing the figures share.
 //!
-//! Runs every method of the paper's comparison over a (synthetic)
-//! collection, averaging communication volume and wall-clock partitioning
-//! time over several runs, exactly like §IV ("the average communication
-//! volume and partitioning time of 10 runs"). Both sweeps are thin views
-//! over the batched engine of [`crate::batch`]: cells are scheduled on
-//! the worker pool and seeded from stable key hashes, so records
-//! are identical for every thread count.
+//! Every experiment of §IV averages communication volume and wall-clock
+//! partitioning time over several runs ("the average communication
+//! volume and partitioning time of 10 runs"). The p = 2 campaigns are
+//! [`crate::batch::run_batch_sweep`] records; the p-way campaign behind
+//! Fig 6b and Table II is [`run_multiway_sweep`], which shares the batch
+//! engine's setup ([`crate::batch::BatchSweepConfig`], backend
+//! resolution, collection filter, job expansion) and worker pool, so its
+//! records are identical for every thread count too. [`pivot`] reshapes
+//! either record type into the method × matrix matrices the profile and
+//! geomean code consume.
 
-use crate::batch::{run_batch_sweep, BatchSweepConfig, SweepError};
-use mg_collection::batch::{expand_jobs, run_jobs, run_seed};
-use mg_collection::worker_count;
-use mg_collection::{generate, CollectionSpec};
-use mg_core::{parse_backend, recursive_bisection_backend, Method};
+use crate::batch::{plan_sweep, BatchRecord, BatchSweepConfig, SweepError};
+use mg_collection::batch::{run_jobs, run_seed, worker_count};
+use mg_core::recursive_bisection;
 use mg_sparse::{bsp_cost, Idx, MatrixClass};
 use std::time::Instant;
-
-/// Configuration of a sweep.
-#[derive(Debug, Clone)]
-pub struct SweepConfig {
-    /// Which collection to run on.
-    pub collection: CollectionSpec,
-    /// Load-imbalance parameter ε (the paper uses 0.03).
-    pub epsilon: f64,
-    /// Runs per (matrix, method); results are averaged.
-    pub runs: u32,
-    /// Master seed for the partitioning RNG streams.
-    pub seed: u64,
-    /// Canonical backend name (the [`mg_core::backend`] registry).
-    pub backend: String,
-    /// Methods to compare.
-    pub methods: Vec<Method>,
-    /// Worker threads; 0 = one per available core.
-    pub threads: usize,
-}
-
-impl SweepConfig {
-    /// The paper's standard sweep: six methods, ε = 0.03, given backend.
-    pub fn paper(collection: CollectionSpec, backend: &str, runs: u32) -> Self {
-        SweepConfig {
-            collection,
-            epsilon: 0.03,
-            runs,
-            seed: 0xB15EC7,
-            backend: backend.to_string(),
-            methods: Method::paper_set().to_vec(),
-            threads: 0,
-        }
-    }
-}
-
-/// One (matrix, method) measurement for p = 2.
-#[derive(Debug, Clone)]
-pub struct RunRecord {
-    /// Matrix name.
-    pub matrix: String,
-    /// Matrix class (paper's three-way split).
-    pub class: MatrixClass,
-    /// Matrix nonzero count.
-    pub nnz: usize,
-    /// Method label (`LB`, `MG+IR`, …).
-    pub method: String,
-    /// Mean communication volume over the runs.
-    pub volume_avg: f64,
-    /// Mean wall-clock partitioning time in seconds.
-    pub time_avg_s: f64,
-    /// Number of runs averaged.
-    pub runs: u32,
-}
 
 /// One (matrix, method) measurement for p-way recursive bisection.
 #[derive(Debug, Clone)]
@@ -88,96 +36,48 @@ pub struct MultiwayRecord {
     pub time_avg_s: f64,
 }
 
-/// Projects batch records onto the [`RunRecord`] view the profile and
-/// geomean layers consume (drops the ε/seed/imbalance fields), sorted by
-/// matrix name then method label.
-///
-/// The projection is only meaningful for a single-ε sweep — `RunRecord`
-/// has no ε field, so records from different ε values would collapse
-/// into duplicate (matrix, method) cells and silently corrupt the
-/// profiles downstream. Multi-ε input therefore panics; split the
-/// records by ε first.
-pub fn batch_to_run_records(records: Vec<crate::batch::BatchRecord>) -> Vec<RunRecord> {
-    if let Some(first) = records.first() {
-        assert!(
-            records.iter().all(|r| r.epsilon == first.epsilon),
-            "batch_to_run_records projects a single-epsilon sweep; \
-             partition multi-epsilon records by epsilon first"
-        );
+impl MultiwayRecord {
+    /// The record's (matrix, method, class) cell, for [`pivot`].
+    pub fn cell(&self) -> (&str, &str, MatrixClass) {
+        (&self.matrix, &self.method, self.class)
     }
-    let mut out: Vec<RunRecord> = records
-        .into_iter()
-        .map(|r| RunRecord {
-            matrix: r.matrix,
-            class: r.class,
-            nnz: r.nnz,
-            method: r.method,
-            volume_avg: r.volume_avg,
-            time_avg_s: r.time_avg_s,
-            runs: r.runs,
-        })
-        .collect();
-    out.sort_by(|a, b| (a.matrix.as_str(), a.method.as_str()).cmp(&(&b.matrix, &b.method)));
-    out
 }
 
-/// Runs the p = 2 sweep, returning one record per (matrix, method), sorted
-/// by matrix name then method label. A thin view over
-/// [`crate::batch::run_batch_sweep`] with a single-ε axis.
-pub fn run_sweep(config: &SweepConfig) -> Result<Vec<RunRecord>, SweepError> {
-    let batch = BatchSweepConfig {
-        collection: config.collection.clone(),
-        matrices: None,
-        methods: config.methods.clone(),
-        epsilons: vec![config.epsilon],
-        runs: config.runs,
-        seed: config.seed,
-        backend: config.backend.clone(),
-        threads: config.threads,
-        verify: false,
-    };
-    Ok(batch_to_run_records(run_batch_sweep(&batch)?))
+/// Sorts p = 2 records by matrix name then method label: the row order
+/// of the record CSVs and the case order of every pivot (and so the
+/// summation order of the geomeans).
+pub fn sort_by_cell(records: &mut [BatchRecord]) {
+    records.sort_by(|a, b| (a.matrix.as_str(), a.method.as_str()).cmp(&(&b.matrix, &b.method)));
 }
 
 /// Runs the p-way sweep (recursive bisection), additionally measuring the
-/// BSP cost of each partitioning (Table II). Cells are scheduled on the
-/// same worker pool as the p = 2 sweep; `p` is folded into the
-/// master seed so the p = 2 and p = 64 campaigns draw independent
-/// streams.
-pub fn run_multiway_sweep(config: &SweepConfig, p: Idx) -> Result<Vec<MultiwayRecord>, SweepError> {
-    let backend = parse_backend(&config.backend).map_err(SweepError::UnknownBackend)?;
-    let entries = generate(&config.collection);
-    let names: Vec<String> = entries.iter().map(|e| e.name.clone()).collect();
-    let labels: Vec<String> = config
-        .methods
-        .iter()
-        .map(|m| m.label().to_string())
-        .collect();
+/// BSP cost of each partitioning (Table II), and returns one record per
+/// cell sorted by matrix name then method label. Setup and scheduling
+/// are the p = 2 sweep's; `p` is folded into the master seed so the
+/// p = 2 and p = 64 campaigns draw independent streams. `verify` applies to the
+/// p = 2 sweep only.
+pub fn run_multiway_sweep(
+    config: &BatchSweepConfig,
+    p: Idx,
+) -> Result<Vec<MultiwayRecord>, SweepError> {
     let master = config.seed ^ (u64::from(p) << 32) ^ 0x4D57_4159; // "MWAY"
-    let jobs = expand_jobs(backend.name(), &names, &labels, &[config.epsilon], master);
-    if jobs.is_empty() {
-        return Err(SweepError::EmptySweep {
-            matrices: names.len(),
-            methods: labels.len(),
-            epsilons: 1,
-        });
-    }
+    let plan = plan_sweep(config, master)?;
     let runs = config.runs.max(1);
 
-    let mut out: Vec<MultiwayRecord> = run_jobs(&jobs, worker_count(config.threads), |job| {
-        let entry = &entries[job.matrix_index];
+    let mut out: Vec<MultiwayRecord> = run_jobs(&plan.jobs, worker_count(config.threads), |job| {
+        let entry = &plan.entries[job.matrix_index];
         let method = config.methods[job.method_index];
         let mut volume_sum = 0.0;
         let mut cost_sum = 0.0;
         let mut time_sum = 0.0;
         for run in 0..runs {
             let start = Instant::now();
-            let result = recursive_bisection_backend(
+            let result = recursive_bisection(
                 &entry.matrix,
                 p,
                 job.epsilon,
                 method,
-                backend,
+                plan.backend,
                 run_seed(job, run),
             );
             time_sum += start.elapsed().as_secs_f64();
@@ -212,32 +112,51 @@ pub fn method_order_key(label: &str) -> (usize, String) {
 }
 
 /// Reshapes records into the method × case value matrices the profile and
-/// geomean code consume. Returns (method labels in the paper's column
-/// order, per-method values, per-case group labels), with cases ordered by
-/// first appearance.
-pub fn pivot_records<'a>(
-    records: &'a [RunRecord],
-    value: impl Fn(&RunRecord) -> f64,
+/// geomean code consume. `cell` names a record's (matrix, method, class).
+/// Returns (method labels in the paper's column order, per-method values,
+/// per-case group labels), with cases ordered by first appearance.
+///
+/// Each (matrix, method) cell must appear once. Records of a multi-ε
+/// sweep would collide and silently corrupt the profiles, so a repeated
+/// cell panics; split such records by ε first.
+pub fn pivot<R>(
+    records: &[R],
+    cell: impl Fn(&R) -> (&str, &str, MatrixClass),
+    value: impl Fn(&R) -> f64,
 ) -> (Vec<String>, Vec<Vec<f64>>, Vec<String>) {
     let mut methods: Vec<String> = Vec::new();
-    let mut matrices: Vec<&'a str> = Vec::new();
+    let mut matrices: Vec<&str> = Vec::new();
     for r in records {
-        if !methods.contains(&r.method) {
-            methods.push(r.method.clone());
+        let (matrix, method, _) = cell(r);
+        if !methods.iter().any(|m| m == method) {
+            methods.push(method.to_string());
         }
-        if !matrices.contains(&r.matrix.as_str()) {
-            matrices.push(&r.matrix);
+        if !matrices.contains(&matrix) {
+            matrices.push(matrix);
         }
     }
     methods.sort_by_key(|m| method_order_key(m));
-    let mut values = vec![vec![f64::INFINITY; matrices.len()]; methods.len()];
+    let mut values = vec![vec![None; matrices.len()]; methods.len()];
     let mut groups = vec![String::new(); matrices.len()];
     for r in records {
-        let m = methods.iter().position(|x| *x == r.method).expect("known");
-        let c = matrices.iter().position(|x| *x == r.matrix).expect("known");
-        values[m][c] = value(r);
-        groups[c] = class_label(r.class).to_string();
+        let (matrix, method, class) = cell(r);
+        let m = methods.iter().position(|x| x == method).expect("known");
+        let c = matrices.iter().position(|&x| x == matrix).expect("known");
+        assert!(
+            values[m][c].replace(value(r)).is_none(),
+            "pivot: cell ({matrix}, {method}) appears twice; pivot a \
+             single-epsilon sweep (split multi-epsilon records by epsilon first)"
+        );
+        groups[c] = class_label(class).to_string();
     }
+    let values = values
+        .into_iter()
+        .map(|row| {
+            row.into_iter()
+                .map(|v| v.unwrap_or(f64::INFINITY))
+                .collect()
+        })
+        .collect();
     (methods, values, groups)
 }
 
@@ -251,7 +170,7 @@ pub fn class_label(class: MatrixClass) -> &'static str {
 }
 
 /// CSV serialisation of p = 2 records.
-pub fn records_to_csv(records: &[RunRecord]) -> String {
+pub fn records_to_csv(records: &[BatchRecord]) -> String {
     let mut out = String::from("matrix,class,nnz,method,volume_avg,time_avg_s,runs\n");
     for r in records {
         out.push_str(&format!(
@@ -289,10 +208,12 @@ pub fn multiway_to_csv(records: &[MultiwayRecord]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mg_collection::CollectionScale;
+    use crate::batch::run_batch_sweep;
+    use mg_collection::{CollectionScale, CollectionSpec};
+    use mg_core::Method;
 
-    fn tiny_config() -> SweepConfig {
-        let mut cfg = SweepConfig::paper(
+    fn tiny_config() -> BatchSweepConfig {
+        let mut cfg = BatchSweepConfig::paper(
             CollectionSpec {
                 seed: 7,
                 scale: CollectionScale::Smoke,
@@ -308,47 +229,13 @@ mod tests {
     }
 
     #[test]
-    fn sweep_covers_every_matrix_and_method() {
-        let cfg = tiny_config();
-        let records = run_sweep(&cfg).unwrap();
-        let entries = generate(&cfg.collection);
-        assert_eq!(records.len(), entries.len() * cfg.methods.len());
-        for r in &records {
-            assert!(r.time_avg_s >= 0.0);
-            assert!(r.volume_avg >= 0.0);
-        }
-    }
-
-    #[test]
-    fn sweep_is_deterministic_across_thread_counts() {
+    #[should_panic(expected = "appears twice")]
+    fn multi_epsilon_records_are_rejected_by_the_pivot() {
         let mut cfg = tiny_config();
-        cfg.threads = 1;
-        let one = run_sweep(&cfg).unwrap();
-        cfg.threads = 4;
-        let four = run_sweep(&cfg).unwrap();
-        assert_eq!(one.len(), four.len());
-        for (a, b) in one.iter().zip(&four) {
-            assert_eq!(a.matrix, b.matrix);
-            assert_eq!(a.method, b.method);
-            assert_eq!(a.volume_avg, b.volume_avg, "{} {}", a.matrix, a.method);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "single-epsilon")]
-    fn multi_epsilon_records_are_rejected_by_the_projection() {
-        let mut cfg = crate::batch::BatchSweepConfig::paper(
-            CollectionSpec {
-                seed: 7,
-                scale: CollectionScale::Smoke,
-            },
-            "mondriaan",
-            1,
-        );
         cfg.methods = vec![Method::LocalBest { refine: false }];
         cfg.epsilons = vec![0.03, 0.1];
-        let records = crate::batch::run_batch_sweep(&cfg).unwrap();
-        let _ = batch_to_run_records(records);
+        let records = run_batch_sweep(&cfg).unwrap();
+        let _ = pivot(&records, BatchRecord::cell, |r| r.volume_avg);
     }
 
     #[test]
@@ -379,9 +266,8 @@ mod tests {
 
     #[test]
     fn pivot_produces_consistent_matrix() {
-        let cfg = tiny_config();
-        let records = run_sweep(&cfg).unwrap();
-        let (methods, values, groups) = pivot_records(&records, |r| r.volume_avg);
+        let records = run_batch_sweep(&tiny_config()).unwrap();
+        let (methods, values, groups) = pivot(&records, BatchRecord::cell, |r| r.volume_avg);
         assert_eq!(methods.len(), 2);
         assert_eq!(values[0].len(), groups.len());
         assert!(values.iter().all(|row| row.iter().all(|v| v.is_finite())));
@@ -389,8 +275,7 @@ mod tests {
 
     #[test]
     fn csv_has_header_and_rows() {
-        let cfg = tiny_config();
-        let records = run_sweep(&cfg).unwrap();
+        let records = run_batch_sweep(&tiny_config()).unwrap();
         let csv = records_to_csv(&records);
         assert_eq!(csv.lines().count(), records.len() + 1);
         assert!(csv.starts_with("matrix,class,nnz,method"));

@@ -4,8 +4,8 @@
 //! values of `tests/data/paper_smoke_golden.txt` exactly.
 
 use mg_bench::experiments::{
-    fig3_gd97b, fig4_profiles, fig5_time_profile, multiway_volume_profile, patoh_multiway_sweep,
-    render_fig3, render_table2, standard_sweep, table1_geomeans, table2_rows,
+    fig3_gd97b, fig4_profiles, fig5_time_profile, multiway_volume_profile, paper_sweep,
+    patoh_multiway_sweep, render_fig3, render_table2, table1_geomeans, table2_rows,
 };
 use mg_collection::{CollectionScale, CollectionSpec};
 
@@ -61,7 +61,7 @@ fn fig3_produces_all_methods() {
 
 #[test]
 fn full_experiment_pipeline_at_smoke_scale() {
-    let records = standard_sweep(smoke(), 1, 0);
+    let records = paper_sweep(smoke(), "mondriaan", 1, 0);
     assert!(!records.is_empty());
     // 6 methods per matrix.
     assert_eq!(records.len() % 6, 0);

@@ -17,8 +17,8 @@ use mg_bench::{run_batch_sweep, BatchSweepConfig};
 use mg_collection::{CollectionScale, CollectionSpec};
 use mg_core::service::ErrorCode;
 use mg_core::{
-    all_backends, parse_backend, recursive_bisection_backend, Granularity, Method,
-    PartitionBackend, DEFAULT_BACKEND,
+    all_backends, parse_backend, recursive_bisection, Granularity, Method, PartitionBackend,
+    DEFAULT_BACKEND,
 };
 use mg_router::{Router, RouterConfig, RouterTcpServer, Topology};
 use mg_server::json::obj;
@@ -353,7 +353,7 @@ fn partition(parsed: &Parsed) -> Result<(), String> {
     let partition = if p == 2 {
         backend.bipartition(&a, method, epsilon, seed).partition
     } else {
-        recursive_bisection_backend(&a, p, epsilon, method, backend, seed).partition
+        recursive_bisection(&a, p, epsilon, method, backend, seed).partition
     };
     let elapsed = start.elapsed().as_secs_f64();
 

@@ -31,6 +31,7 @@
 
 use crate::methods::{BipartitionResult, Method};
 use crate::refine::iterative_refinement_with_budgets;
+use crate::service::mix64;
 use mg_partitioner::{BisectionTargets, PartitionerConfig};
 use mg_sparse::{Coo, Idx, NonzeroPartition};
 use rand::rngs::StdRng;
@@ -217,14 +218,6 @@ impl PartitionBackend for MultilevelBackend {
 // Shared helpers for the direct (non-multilevel) backends
 // --------------------------------------------------------------------------
 
-/// SplitMix64 finaliser (tie-break hashing and derived-seed mixing; also
-/// used by [`crate::recursive`] for per-node backend seeds).
-pub(crate) fn splitmix(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 fn empty_result(a: &Coo) -> BipartitionResult {
     BipartitionResult::from_partition(
         a,
@@ -270,7 +263,7 @@ struct CoarseGrainBackend;
 /// among equal-weight atoms).
 fn assign_atoms(weights: &[u64], targets: &BisectionTargets, seed: u64) -> Vec<u8> {
     let mut order: Vec<usize> = (0..weights.len()).filter(|&i| weights[i] > 0).collect();
-    order.sort_by_key(|&i| (std::cmp::Reverse(weights[i]), splitmix(seed ^ i as u64)));
+    order.sort_by_key(|&i| (std::cmp::Reverse(weights[i]), mix64(seed ^ i as u64)));
 
     // Normalised-load greedy: put the next atom where it leaves the
     // relative loads most even. Targets of zero (degenerate uneven splits)
@@ -349,7 +342,7 @@ impl PartitionBackend for CoarseGrainBackend {
         let row_weights: Vec<u64> = a.row_counts().iter().map(|&c| c as u64).collect();
         let col_weights: Vec<u64> = a.col_counts().iter().map(|&c| c as u64).collect();
         let by_rows = assign_atoms(&row_weights, targets, seed);
-        let by_cols = assign_atoms(&col_weights, targets, splitmix(seed ^ 0xC01));
+        let by_cols = assign_atoms(&col_weights, targets, mix64(seed ^ 0xC01));
 
         let project = |sides: &[u8], use_rows: bool| -> BipartitionResult {
             let parts: Vec<Idx> = a

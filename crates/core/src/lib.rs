@@ -43,7 +43,7 @@ pub use backend::{
 pub use bmatrix::MediumGrainModel;
 pub use medium_grain::medium_grain_bipartition;
 pub use methods::{BipartitionResult, Method};
-pub use recursive::{recursive_bisection, recursive_bisection_backend, MultiwayResult};
+pub use recursive::{recursive_bisection, MultiwayResult};
 pub use refine::iterative_refinement;
 pub use service::{
     matrix_fingerprint, ErrorCode, MatrixPayload, PartitionOutcome, PartitionSpec, RequestOp,

@@ -13,9 +13,9 @@
 
 use crate::backend::PartitionBackend;
 use crate::methods::{BipartitionResult, Method};
-use mg_partitioner::{BisectionTargets, PartitionerConfig};
+use crate::service::mix64;
+use mg_partitioner::BisectionTargets;
 use mg_sparse::{communication_volume, Coo, Idx, NonzeroPartition};
-use rand::Rng;
 
 /// Outcome of a p-way recursive bisection.
 #[derive(Debug, Clone)]
@@ -27,35 +27,16 @@ pub struct MultiwayResult {
 }
 
 /// Partitions `a` into `p` parts with method `method` under the global
-/// eqn (1) constraint with parameter `epsilon`.
-pub fn recursive_bisection<R: Rng>(
-    a: &Coo,
-    p: Idx,
-    epsilon: f64,
-    method: Method,
-    config: &PartitionerConfig,
-    rng: &mut R,
-) -> MultiwayResult {
-    run_recursion(
-        a,
-        p,
-        epsilon,
-        &mut |sub, targets, _first_part, _num_parts| {
-            method.bipartition_with_targets(sub, targets, config, rng)
-        },
-    )
-}
-
-/// Partitions `a` into `p` parts through a [`PartitionBackend`], the
-/// seam every backend of the registry supports (the direct backends take
-/// uneven targets natively; the multilevel ones route through
+/// eqn (1) constraint with parameter `epsilon`, through any
+/// [`PartitionBackend`] (the direct backends take uneven targets
+/// natively; the multilevel ones route through
 /// [`Method::bipartition_with_targets`]).
 ///
 /// Backends are seeded per bisection node — a stable mix of `seed` with
 /// the node's `(first_part, num_parts)` identity — so the p-way result is
 /// a pure function of `(a, p, ε, method, backend, seed)`, independent of
 /// recursion order.
-pub fn recursive_bisection_backend(
+pub fn recursive_bisection(
     a: &Coo,
     p: Idx,
     epsilon: f64,
@@ -63,121 +44,103 @@ pub fn recursive_bisection_backend(
     backend: &dyn PartitionBackend,
     seed: u64,
 ) -> MultiwayResult {
-    run_recursion(a, p, epsilon, &mut |sub, targets, first_part, num_parts| {
-        backend.bipartition_with_targets(
-            sub,
-            method,
-            targets,
-            node_seed(seed, first_part, num_parts),
-        )
-    })
-}
-
-/// Derives one bisection node's seed from the master seed and the node
-/// identity.
-fn node_seed(seed: u64, first_part: Idx, num_parts: Idx) -> u64 {
-    crate::backend::splitmix(seed ^ (u64::from(first_part) << 32) ^ u64::from(num_parts))
-}
-
-/// The shared recursion driver: `bipartition(sub, targets, first_part,
-/// num_parts)` supplies one bisection of a sub-matrix, everything else —
-/// per-level ε budget, uneven child part counts, sub-matrix extraction,
-/// side splitting — is common to the RNG-threaded and the node-seeded
-/// backend entry points.
-fn run_recursion(
-    a: &Coo,
-    p: Idx,
-    epsilon: f64,
-    bipartition: &mut dyn FnMut(&Coo, &BisectionTargets, Idx, Idx) -> BipartitionResult,
-) -> MultiwayResult {
     assert!(p >= 1, "need at least one part");
     let levels = (p as f64).log2().ceil().max(1.0);
     let epsilon_level = (1.0 + epsilon).powf(1.0 / levels) - 1.0;
 
     let mut parts = vec![0 as Idx; a.nnz()];
     let all_ids: Vec<Idx> = (0..a.nnz() as Idx).collect();
-    bisect_rec(a, &all_ids, 0, p, epsilon_level, bipartition, &mut parts);
+    let recursion = Recursion {
+        a,
+        method,
+        backend,
+        seed,
+        epsilon_level,
+    };
+    recursion.bisect(&all_ids, 0, p, &mut parts);
     let partition = NonzeroPartition::new(p, parts).expect("parts stay in range");
     let volume = communication_volume(a, &partition);
     MultiwayResult { partition, volume }
 }
 
-/// Recursively assigns part ids `first_part .. first_part + num_parts` to
-/// the nonzeros `ids` (canonical ids into `a`).
-fn bisect_rec(
-    a: &Coo,
-    ids: &[Idx],
-    first_part: Idx,
-    num_parts: Idx,
+/// Derives one bisection node's seed from the master seed and the node
+/// identity.
+fn node_seed(seed: u64, first_part: Idx, num_parts: Idx) -> u64 {
+    mix64(seed ^ (u64::from(first_part) << 32) ^ u64::from(num_parts))
+}
+
+/// What every bisection node of one recursion shares.
+struct Recursion<'a> {
+    a: &'a Coo,
+    method: Method,
+    backend: &'a dyn PartitionBackend,
+    seed: u64,
     epsilon_level: f64,
-    bipartition: &mut dyn FnMut(&Coo, &BisectionTargets, Idx, Idx) -> BipartitionResult,
-    parts: &mut [Idx],
-) {
-    if num_parts == 1 || ids.is_empty() {
-        for &k in ids {
-            parts[k as usize] = first_part;
+}
+
+impl Recursion<'_> {
+    /// Recursively assigns part ids `first_part .. first_part + num_parts`
+    /// to the nonzeros `ids` (canonical ids into `a`).
+    fn bisect(&self, ids: &[Idx], first_part: Idx, num_parts: Idx, parts: &mut [Idx]) {
+        if num_parts == 1 || ids.is_empty() {
+            for &k in ids {
+                parts[k as usize] = first_part;
+            }
+            return;
         }
-        return;
-    }
-    // Uneven child part counts for non-powers of two.
-    let p0 = num_parts.div_ceil(2);
-    let p1 = num_parts - p0;
+        // Uneven child part counts for non-powers of two.
+        let p0 = num_parts.div_ceil(2);
+        let p1 = num_parts - p0;
 
-    // Sub-matrix: the selected nonzeros with their global coordinates.
-    // `ids` is kept sorted, so entry r of `sub` is nonzero ids[r] of `a`.
-    debug_assert!(ids.windows(2).all(|w| w[0] < w[1]));
-    let entries: Vec<(Idx, Idx)> = ids.iter().map(|&k| a.entry(k as usize)).collect();
-    let sub = Coo::from_sorted_unchecked(a.rows(), a.cols(), entries);
+        // Sub-matrix: the selected nonzeros with their global coordinates.
+        // `ids` is kept sorted, so entry r of `sub` is nonzero ids[r] of `a`.
+        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]));
+        let a = self.a;
+        let entries: Vec<(Idx, Idx)> = ids.iter().map(|&k| a.entry(k as usize)).collect();
+        let sub = Coo::from_sorted_unchecked(a.rows(), a.cols(), entries);
 
-    let nnz = sub.nnz() as u64;
-    let target0 = (nnz * p0 as u64).div_ceil(num_parts as u64);
-    let targets = BisectionTargets {
-        target: [target0, nnz - target0],
-        epsilon: epsilon_level,
-    };
-    let BipartitionResult { partition, .. } = bipartition(&sub, &targets, first_part, num_parts);
+        let nnz = sub.nnz() as u64;
+        let target0 = (nnz * p0 as u64).div_ceil(num_parts as u64);
+        let targets = BisectionTargets {
+            target: [target0, nnz - target0],
+            epsilon: self.epsilon_level,
+        };
+        let BipartitionResult { partition, .. } = self.backend.bipartition_with_targets(
+            &sub,
+            self.method,
+            &targets,
+            node_seed(self.seed, first_part, num_parts),
+        );
 
-    let mut side0: Vec<Idx> = Vec::with_capacity(target0 as usize);
-    let mut side1: Vec<Idx> = Vec::new();
-    for (r, &k) in ids.iter().enumerate() {
-        if partition.part_of(r) == 0 {
-            side0.push(k);
-        } else {
-            side1.push(k);
+        let mut side0: Vec<Idx> = Vec::with_capacity(target0 as usize);
+        let mut side1: Vec<Idx> = Vec::new();
+        for (r, &k) in ids.iter().enumerate() {
+            if partition.part_of(r) == 0 {
+                side0.push(k);
+            } else {
+                side1.push(k);
+            }
         }
+        self.bisect(&side0, first_part, p0, parts);
+        self.bisect(&side1, first_part + p0, p1, parts);
     }
-    bisect_rec(a, &side0, first_part, p0, epsilon_level, bipartition, parts);
-    bisect_rec(
-        a,
-        &side1,
-        first_part + p0,
-        p1,
-        epsilon_level,
-        bipartition,
-        parts,
-    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{all_backends, parse_backend};
     use mg_sparse::load_imbalance;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+
+    fn mondriaan() -> &'static dyn PartitionBackend {
+        parse_backend("mondriaan").unwrap()
+    }
 
     #[test]
     fn four_way_split_respects_global_balance() {
         let a = mg_sparse::gen::laplacian_2d(20, 20);
-        let cfg = PartitionerConfig::mondriaan_like();
-        let mut rng = StdRng::seed_from_u64(1);
-        let r = recursive_bisection(
-            &a,
-            4,
-            0.03,
-            Method::MediumGrain { refine: true },
-            &cfg,
-            &mut rng,
-        );
+        let m = Method::MediumGrain { refine: true };
+        let r = recursive_bisection(&a, 4, 0.03, m, mondriaan(), 1);
         assert_eq!(r.partition.num_parts(), 4);
         let sizes = r.partition.part_sizes();
         assert!(sizes.iter().all(|&s| s > 0), "empty part: {sizes:?}");
@@ -194,16 +157,8 @@ mod tests {
     #[test]
     fn p_equals_one_is_trivial() {
         let a = mg_sparse::gen::laplacian_2d(8, 8);
-        let cfg = PartitionerConfig::mondriaan_like();
-        let mut rng = StdRng::seed_from_u64(2);
-        let r = recursive_bisection(
-            &a,
-            1,
-            0.03,
-            Method::MediumGrain { refine: false },
-            &cfg,
-            &mut rng,
-        );
+        let m = Method::MediumGrain { refine: false };
+        let r = recursive_bisection(&a, 1, 0.03, m, mondriaan(), 2);
         assert_eq!(r.volume, 0);
         assert!(r.partition.parts().iter().all(|&q| q == 0));
     }
@@ -211,39 +166,21 @@ mod tests {
     #[test]
     fn p_equals_two_matches_plain_bipartition_quality() {
         let a = mg_sparse::gen::laplacian_2d(16, 16);
-        let cfg = PartitionerConfig::mondriaan_like();
-        let rec = recursive_bisection(
-            &a,
-            2,
-            0.03,
-            Method::MediumGrain { refine: false },
-            &cfg,
-            &mut StdRng::seed_from_u64(3),
-        );
-        let flat = Method::MediumGrain { refine: false }.bipartition(
-            &a,
-            0.03,
-            &cfg,
-            &mut StdRng::seed_from_u64(3),
-        );
+        let m = Method::MediumGrain { refine: false };
+        let rec = recursive_bisection(&a, 2, 0.03, m, mondriaan(), 3);
+        let flat = mondriaan().bipartition(&a, m, 0.03, node_seed(3, 0, 2));
         // Same computation path, modulo the per-level epsilon (identical
-        // for p = 2: one level); volumes must match exactly.
+        // for p = 2: one level) and the root node's derived seed; the
+        // partitions must match exactly.
+        assert_eq!(rec.partition.parts(), flat.partition.parts());
         assert_eq!(rec.volume, flat.volume);
     }
 
     #[test]
     fn odd_part_counts_are_supported() {
         let a = mg_sparse::gen::laplacian_2d(18, 18);
-        let cfg = PartitionerConfig::mondriaan_like();
-        let mut rng = StdRng::seed_from_u64(4);
-        let r = recursive_bisection(
-            &a,
-            3,
-            0.1,
-            Method::LocalBest { refine: false },
-            &cfg,
-            &mut rng,
-        );
+        let m = Method::LocalBest { refine: false };
+        let r = recursive_bisection(&a, 3, 0.1, m, mondriaan(), 4);
         assert_eq!(r.partition.num_parts(), 3);
         let sizes = r.partition.part_sizes();
         assert!(sizes.iter().all(|&s| s > 0));
@@ -255,16 +192,10 @@ mod tests {
     #[test]
     fn every_backend_supports_recursive_bisection() {
         let a = mg_sparse::gen::laplacian_2d(16, 16);
-        for backend in crate::backend::all_backends() {
+        for backend in all_backends() {
             for p in [3 as Idx, 4] {
-                let r = recursive_bisection_backend(
-                    &a,
-                    p,
-                    0.1,
-                    Method::MediumGrain { refine: false },
-                    backend,
-                    9,
-                );
+                let m = Method::MediumGrain { refine: false };
+                let r = recursive_bisection(&a, p, 0.1, m, backend, 9);
                 assert_eq!(r.partition.num_parts(), p, "{}", backend.name());
                 r.partition.check_against(&a).unwrap();
                 let sizes = r.partition.part_sizes();
@@ -281,10 +212,10 @@ mod tests {
     #[test]
     fn backend_recursion_is_deterministic_in_its_seed() {
         let a = mg_sparse::gen::laplacian_2d(12, 12);
-        let backend = crate::backend::parse_backend("patoh").unwrap();
+        let backend = parse_backend("patoh").unwrap();
         let m = Method::MediumGrain { refine: true };
-        let x = recursive_bisection_backend(&a, 4, 0.03, m, backend, 77);
-        let y = recursive_bisection_backend(&a, 4, 0.03, m, backend, 77);
+        let x = recursive_bisection(&a, 4, 0.03, m, backend, 77);
+        let y = recursive_bisection(&a, 4, 0.03, m, backend, 77);
         assert_eq!(x.partition.parts(), y.partition.parts());
         assert_eq!(x.volume, y.volume);
     }
@@ -292,25 +223,9 @@ mod tests {
     #[test]
     fn volume_grows_with_part_count() {
         let a = mg_sparse::gen::laplacian_2d(24, 24);
-        let cfg = PartitionerConfig::mondriaan_like();
-        let v2 = recursive_bisection(
-            &a,
-            2,
-            0.03,
-            Method::MediumGrain { refine: true },
-            &cfg,
-            &mut StdRng::seed_from_u64(5),
-        )
-        .volume;
-        let v8 = recursive_bisection(
-            &a,
-            8,
-            0.03,
-            Method::MediumGrain { refine: true },
-            &cfg,
-            &mut StdRng::seed_from_u64(5),
-        )
-        .volume;
+        let m = Method::MediumGrain { refine: true };
+        let v2 = recursive_bisection(&a, 2, 0.03, m, mondriaan(), 5).volume;
+        let v8 = recursive_bisection(&a, 8, 0.03, m, mondriaan(), 5).volume;
         assert!(v8 > v2, "v8 {v8} should exceed v2 {v2}");
     }
 }

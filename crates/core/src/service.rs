@@ -176,9 +176,10 @@ const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
 /// The shared 64-bit bit mixer (the SplitMix64 finaliser) behind every
-/// service-level hash: fingerprints, placement keys and the router's
-/// rendezvous scores all funnel through it, so a single well-mixed
-/// function backs every key-derived decision.
+/// hash in the engine: fingerprints, placement keys, the router's
+/// rendezvous scores, the direct backends' tie-breaks and the per-node
+/// seeds of recursive bisection all funnel through it, so a single
+/// well-mixed function backs every key-derived decision.
 pub fn mix64(h: u64) -> u64 {
     let mut x = h;
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

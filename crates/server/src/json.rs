@@ -137,11 +137,6 @@ impl Json {
         }
     }
 
-    /// `true` for `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Json::Null)
-    }
-
     /// Serialises without any whitespace, preserving object key order.
     pub fn write(&self, out: &mut String) {
         match self {

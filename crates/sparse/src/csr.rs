@@ -161,12 +161,6 @@ impl Csc {
         let hi = self.col_ptr[j as usize + 1] as usize;
         &self.nonzero_id[lo..hi]
     }
-
-    /// Number of nonzeros in column `j`.
-    #[inline]
-    pub fn col_len(&self, j: Idx) -> Idx {
-        self.col_ptr[j as usize + 1] - self.col_ptr[j as usize]
-    }
 }
 
 #[cfg(test)]

@@ -116,12 +116,6 @@ impl NonzeroPartition {
         self.parts[k]
     }
 
-    /// Mutable access for refinement algorithms.
-    #[inline]
-    pub fn parts_mut(&mut self) -> &mut [Idx] {
-        &mut self.parts
-    }
-
     /// Nonzeros per part.
     pub fn part_sizes(&self) -> Vec<u64> {
         let mut sizes = vec![0u64; self.num_parts as usize];

@@ -8,8 +8,6 @@
 
 use mediumgrain::prelude::*;
 use mediumgrain::sparse::gen;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn main() {
     // A 3D Laplacian — the classic strong-scaling workload.
@@ -20,17 +18,10 @@ fn main() {
         "p", "volume", "BSP cost", "max part", "imbalance"
     );
 
-    let config = PartitionerConfig::mondriaan_like();
+    let backend = parse_backend("mondriaan").expect("registered backend");
+    let method = Method::MediumGrain { refine: true };
     for p in [2u32, 4, 8, 16, 32, 64] {
-        let mut rng = StdRng::seed_from_u64(1234);
-        let result = recursive_bisection(
-            &a,
-            p,
-            0.03,
-            Method::MediumGrain { refine: true },
-            &config,
-            &mut rng,
-        );
+        let result = recursive_bisection(&a, p, 0.03, method, backend, 1234);
         let cost = bsp_cost(&a, &result.partition);
         let max = result.partition.part_sizes().into_iter().max().unwrap();
         println!(

@@ -44,25 +44,18 @@ pub use mg_sparse as sparse;
 ///
 /// ```
 /// use mediumgrain::prelude::*;
-/// use rand::{rngs::StdRng, SeedableRng};
 ///
 /// let a = mediumgrain::sparse::gen::laplacian_2d(16, 16);
-/// let mut rng = StdRng::seed_from_u64(7);
-/// let r = recursive_bisection(
-///     &a,
-///     4,
-///     0.03,
-///     Method::MediumGrain { refine: true },
-///     &PartitionerConfig::mondriaan_like(),
-///     &mut rng,
-/// );
+/// let backend = parse_backend("mondriaan").unwrap();
+/// let method = Method::MediumGrain { refine: true };
+/// let r = recursive_bisection(&a, 4, 0.03, method, backend, 7);
 /// assert_eq!(r.partition.num_parts(), 4);
 /// assert_eq!(r.volume, communication_volume(&a, &r.partition));
 /// ```
 pub mod prelude {
     pub use mg_core::{
-        all_backends, iterative_refinement, parse_backend, recursive_bisection,
-        recursive_bisection_backend, BipartitionResult, Method, MultiwayResult, PartitionBackend,
+        all_backends, iterative_refinement, parse_backend, recursive_bisection, BipartitionResult,
+        Method, MultiwayResult, PartitionBackend,
     };
     pub use mg_hypergraph::{Hypergraph, VertexBipartition};
     pub use mg_partitioner::PartitionerConfig;

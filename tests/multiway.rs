@@ -6,19 +6,15 @@ use mediumgrain::sparse::gen;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+fn backend(name: &str) -> &'static dyn PartitionBackend {
+    parse_backend(name).unwrap()
+}
+
 #[test]
 fn sixteen_way_partition_is_valid_and_balanced() {
     let a = gen::laplacian_2d(32, 32);
-    let config = PartitionerConfig::mondriaan_like();
-    let mut rng = StdRng::seed_from_u64(3);
-    let r = recursive_bisection(
-        &a,
-        16,
-        0.03,
-        Method::MediumGrain { refine: true },
-        &config,
-        &mut rng,
-    );
+    let m = Method::MediumGrain { refine: true };
+    let r = recursive_bisection(&a, 16, 0.03, m, backend("mondriaan"), 3);
     assert_eq!(r.partition.num_parts(), 16);
     let sizes = r.partition.part_sizes();
     assert_eq!(sizes.iter().sum::<u64>() as usize, a.nnz());
@@ -38,15 +34,8 @@ fn multiway_volume_equals_simulated_words() {
     use mediumgrain::sparse::spmv::simulate_spmv;
     let mut rng = StdRng::seed_from_u64(4);
     let a = gen::chung_lu_symmetric(300, 3600, 0.9, &mut rng);
-    let config = PartitionerConfig::patoh_like();
-    let r = recursive_bisection(
-        &a,
-        8,
-        0.03,
-        Method::MediumGrain { refine: true },
-        &config,
-        &mut rng,
-    );
+    let m = Method::MediumGrain { refine: true };
+    let r = recursive_bisection(&a, 8, 0.03, m, backend("patoh"), 4);
     let report = simulate_spmv(&a, &r.partition, None);
     assert_eq!(report.total_words(), r.volume);
 }
@@ -56,29 +45,13 @@ fn bsp_cost_scales_down_with_more_parts_on_balanced_comm() {
     // The h-relation is a max over processors: with more parts, each part
     // sends/receives a smaller share even as total volume grows.
     let a = gen::laplacian_3d(12, 12, 12);
-    let config = PartitionerConfig::mondriaan_like();
+    let m = Method::MediumGrain { refine: true };
     let mut cost2 = 0;
     let mut cost16 = 0;
     for seed in 0..3 {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let r2 = recursive_bisection(
-            &a,
-            2,
-            0.03,
-            Method::MediumGrain { refine: true },
-            &config,
-            &mut rng,
-        );
+        let r2 = recursive_bisection(&a, 2, 0.03, m, backend("mondriaan"), seed);
         cost2 += bsp_cost(&a, &r2.partition).total();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let r16 = recursive_bisection(
-            &a,
-            16,
-            0.03,
-            Method::MediumGrain { refine: true },
-            &config,
-            &mut rng,
-        );
+        let r16 = recursive_bisection(&a, 16, 0.03, m, backend("mondriaan"), seed);
         cost16 += bsp_cost(&a, &r16.partition).total();
     }
     // Not guaranteed in theory, but very robust on a 3D Laplacian: the
@@ -92,14 +65,12 @@ fn bsp_cost_scales_down_with_more_parts_on_balanced_comm() {
 #[test]
 fn every_method_supports_multiway() {
     let a = gen::laplacian_2d(20, 20);
-    let config = PartitionerConfig::mondriaan_like();
     for method in [
         Method::LocalBest { refine: false },
         Method::FineGrain { refine: false },
         Method::MediumGrain { refine: false },
     ] {
-        let mut rng = StdRng::seed_from_u64(8);
-        let r = recursive_bisection(&a, 5, 0.1, method, &config, &mut rng);
+        let r = recursive_bisection(&a, 5, 0.1, method, backend("mondriaan"), 8);
         assert_eq!(r.partition.num_parts(), 5);
         let sizes = r.partition.part_sizes();
         assert_eq!(sizes.iter().sum::<u64>() as usize, a.nnz());
