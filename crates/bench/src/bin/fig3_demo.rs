@@ -5,14 +5,26 @@
 //! 31 for column-net, 12 for fine-grain and 11 (the proven optimum) for
 //! the medium-grain method, which hit it in 19 of 100 runs. Our twin has
 //! the same shape; expect the same *ordering* (MG < FG << 1D models).
+//!
+//! An unusable results directory is one `fatal` log line on stderr and
+//! exit code 1, reported before the runs start.
 
 use mg_bench::experiments::{fig3_gd97b, render_fig3};
-use mg_bench::write_artifact;
+use mg_bench::{results_dir, write_artifact};
 use mg_collection::gd97b_twin;
 use mg_core::{parse_backend, Method};
 use mg_sparse::{spy, spy_partitioned, CommunicationReport};
 
 fn main() {
+    mg_obs::log::init_from_env();
+    if let Err(e) = run() {
+        mg_obs::log::error("fatal", &[("message", e.to_string().as_str().into())]);
+        std::process::exit(1);
+    }
+}
+
+fn run() -> std::io::Result<()> {
+    results_dir()?;
     let runs = 100;
     let rows = fig3_gd97b(runs);
     let mut report = render_fig3(&rows, runs);
@@ -42,6 +54,7 @@ fn main() {
     ));
 
     println!("{report}");
-    let path = write_artifact("fig3_gd97b.txt", &report);
+    let path = write_artifact("fig3_gd97b.txt", &report)?;
     println!("written: {}", path.display());
+    Ok(())
 }

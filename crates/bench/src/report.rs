@@ -2,6 +2,7 @@
 //! parsing, and file writing.
 
 use mg_collection::{CollectionScale, CollectionSpec};
+use std::io;
 use std::path::PathBuf;
 
 /// Command-line options of `run_all`.
@@ -75,20 +76,25 @@ impl CliOptions {
     }
 }
 
-/// Directory for experiment artifacts: `$MG_RESULTS_DIR` or `./results`.
-pub fn results_dir() -> PathBuf {
+/// Directory for experiment artifacts: `$MG_RESULTS_DIR` or `./results`,
+/// created if missing. The error names the directory.
+pub fn results_dir() -> io::Result<PathBuf> {
     let dir = std::env::var_os("MG_RESULTS_DIR")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("results"));
-    std::fs::create_dir_all(&dir).expect("cannot create results directory");
-    dir
+    std::fs::create_dir_all(&dir).map_err(|e| {
+        io::Error::new(e.kind(), format!("creating results directory {dir:?}: {e}"))
+    })?;
+    Ok(dir)
 }
 
-/// Writes an artifact into the results directory, returning its path.
-pub fn write_artifact(name: &str, content: &str) -> PathBuf {
-    let path = results_dir().join(name);
-    std::fs::write(&path, content).unwrap_or_else(|e| panic!("writing {path:?}: {e}"));
-    path
+/// Writes an artifact into the results directory, returning its path. The
+/// error names the file.
+pub fn write_artifact(name: &str, content: &str) -> io::Result<PathBuf> {
+    let path = results_dir()?.join(name);
+    std::fs::write(&path, content)
+        .map_err(|e| io::Error::new(e.kind(), format!("writing {path:?}: {e}")))?;
+    Ok(path)
 }
 
 #[cfg(test)]
@@ -108,7 +114,7 @@ mod tests {
             "MG_RESULTS_DIR",
             std::env::temp_dir().join("mg-test-results"),
         );
-        let p = write_artifact("probe.txt", "hello");
+        let p = write_artifact("probe.txt", "hello").unwrap();
         assert!(p.exists());
         assert_eq!(std::fs::read_to_string(&p).unwrap(), "hello");
         std::fs::remove_file(p).ok();

@@ -12,6 +12,7 @@
 //! so the output is bit-for-bit identical for every thread count — the §V
 //! determinism contract extended from a single split to a whole sweep.
 
+use mg_sparse::mix64;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// One (matrix × method × ε) cell of a sweep, run on a named backend.
@@ -42,13 +43,6 @@ pub struct BatchJob {
     pub seed: u64,
 }
 
-/// SplitMix64 finaliser; mixes all input bits into all output bits.
-fn splitmix(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// The stable seed of a sweep cell: FNV-1a over the (backend, matrix,
 /// method, ε) key folded with the master seed. Depends only on the key,
 /// never on where the cell sits in the job list.
@@ -71,12 +65,12 @@ pub fn job_seed(master: u64, backend: &str, matrix: &str, method: &str, epsilon:
     for b in epsilon.to_bits().to_le_bytes() {
         h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
     }
-    splitmix(h ^ master)
+    mix64(h ^ master)
 }
 
 /// Derives the seed of one repetition (`run`) within a job's stream.
 pub fn run_seed(job: &BatchJob, run: u32) -> u64 {
-    splitmix(job.seed ^ (u64::from(run) << 1 | 1))
+    mix64(job.seed ^ (u64::from(run) << 1 | 1))
 }
 
 /// Expands the (matrix × method × ε) cross product into the canonical job

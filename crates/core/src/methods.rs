@@ -192,6 +192,9 @@ impl Method {
         config: &PartitionerConfig,
         rng: &mut R,
     ) -> BipartitionResult {
+        // The whole method — model build, multilevel run, IR — counts
+        // this thread as busy for the idle-core gate.
+        let _busy = mg_partitioner::helper::enter();
         let mut result = match *self {
             Method::RowNet { .. } => model_bipartition(a, ModelKind::RowNet, targets, config, rng),
             Method::ColumnNet { .. } => {

@@ -15,10 +15,19 @@
 //!
 //! This is a *cheap* post-processing step — one level, no coarsening — and
 //! is applicable to the output of any bipartitioning method.
+//!
+//! A run that does not improve returns its start unchanged, and the next
+//! run is the other direction from that same start. On a large matrix
+//! with an idle core (see [`mg_partitioner::helper`]) a helper thread
+//! therefore makes the other direction's run alongside a run whenever it
+//! is free; its result replaces the next run only when the run left the
+//! partition unchanged, so the sequence of runs — and the result — is the
+//! one of the plain loop.
 
 use crate::bmatrix::MediumGrainModel;
 use crate::split::Split;
 use mg_hypergraph::VertexBipartition;
+use mg_partitioner::helper::{self, Helper, Spare};
 use mg_partitioner::{fm_refine_with_scratch, FmLimits, FmScratch};
 use mg_sparse::{communication_volume, part_budget, Coo, NonzeroPartition};
 
@@ -33,6 +42,11 @@ const STALL_LIMIT: u32 = 2000;
 /// Safety cap on Algorithm 2 iterations (the loop otherwise terminates by
 /// the `V_k = V_{k−2}` rule).
 const MAX_ITERATIONS: u32 = 64;
+
+/// Matrices with at least this many nonzeros run the other direction on a
+/// helper thread when a core is idle; below it a KL run costs less than
+/// spawning the thread.
+const PARALLEL_NNZ: usize = 50_000;
 
 /// Outcome of iterative refinement.
 #[derive(Debug, Clone)]
@@ -59,10 +73,22 @@ pub fn iterative_refinement_with_budgets(
     partition: &NonzeroPartition,
     budget: [u64; 2],
 ) -> RefinedResult {
+    refine_with_helper(a, partition, budget, Helper::Gated)
+}
+
+/// [`iterative_refinement_with_budgets`] with an explicit helper policy,
+/// so tests can pin the speculative runs to the plain loop.
+fn refine_with_helper(
+    a: &Coo,
+    partition: &NonzeroPartition,
+    budget: [u64; 2],
+    helper: Helper,
+) -> RefinedResult {
     assert_eq!(partition.num_parts(), 2, "Algorithm 2 refines bipartitions");
     partition
         .check_against(a)
         .expect("partition does not match matrix");
+    let _busy = helper::enter();
 
     let limits = FmLimits {
         budget,
@@ -70,51 +96,101 @@ pub fn iterative_refinement_with_budgets(
         stall_limit: STALL_LIMIT,
         boundary_only: false,
     };
+    let large = a.nnz() >= PARALLEL_NNZ;
 
     let mut current = partition.clone();
     let mut volumes = vec![communication_volume(a, &current)];
     let mut direction = 0u8;
     let mut iterations = 0u32;
-    // One FM scratch serves every KL run of the loop.
+    // One FM scratch serves every KL run of the loop on this thread.
     let mut scratch = FmScratch::new();
 
-    while iterations < MAX_ITERATIONS {
-        iterations += 1;
+    std::thread::scope(|scope| {
+        let mut helper_scratch = FmScratch::new();
+        let limits_ref = &limits;
+        let mut spare = Spare::new(scope, helper, large, move |(start, direction)| {
+            kl_run(a, &start, direction, limits_ref, &mut helper_scratch, false)
+        });
+        // The other direction's run from `current`, made by the helper
+        // alongside the run that left `current` unchanged.
+        let mut other_direction: Option<NonzeroPartition> = None;
 
-        // Re-encode the current bipartition as a split. Direction 0 puts
-        // A0 in Ar (row groups); direction 1 puts A0 in Ac.
-        let in_row: Vec<bool> = (0..a.nnz())
-            .map(|k| (current.part_of(k) == 0) == (direction == 0))
-            .collect();
-        let split = Split::from_assignment(in_row);
-        let model = MediumGrainModel::build(a, &split);
+        while iterations < MAX_ITERATIONS {
+            iterations += 1;
 
-        // Seed the hypergraph with the current assignment (groups are pure
-        // by construction) and run a single KL/FM refinement.
-        let sides = model.sides_from_partition(a, &current);
-        let mut bp = VertexBipartition::new(&model.hypergraph, sides);
-        fm_refine_with_scratch(&model.hypergraph, &mut bp, &limits, &mut scratch);
-        let refined = model.to_nonzero_partition(a, &bp.into_sides());
-        let volume = communication_volume(a, &refined);
+            let refined = match other_direction.take() {
+                Some(refined) => refined,
+                None => {
+                    // The helper's run is used only if this run leaves
+                    // `current` unchanged and the loop goes on — which
+                    // needs the previous run to have lowered the volume.
+                    let k = volumes.len();
+                    let may_continue = k < 2 || volumes[k - 1] < volumes[k - 2];
+                    let offered = may_continue && spare.offer(|| (current.clone(), 1 - direction));
+                    let refined = kl_run(a, &current, direction, &limits, &mut scratch, true);
+                    // Unchanged means no improvement: the direction
+                    // switches and the next run starts from this same
+                    // partition — exactly the helper's run. Compare
+                    // partitions, not volumes: a run may change the
+                    // partition at equal volume.
+                    if offered && refined == current {
+                        other_direction = Some(spare.take());
+                    }
+                    refined
+                }
+            };
+            let volume = communication_volume(a, &refined);
 
-        // FM's best-prefix rule guarantees (violation, cut) never worsens,
-        // so accepting unconditionally keeps the procedure monotone.
-        current = refined;
-        let k = volumes.len();
-        volumes.push(volume);
-        if volume >= volumes[k - 1] {
-            direction = 1 - direction;
+            // FM's best-prefix rule guarantees (violation, cut) never
+            // worsens, so accepting unconditionally keeps the procedure
+            // monotone.
+            current = refined;
+            let k = volumes.len();
+            volumes.push(volume);
+            if volume >= volumes[k - 1] {
+                direction = 1 - direction;
+            }
+            if k >= 2 && volume >= volumes[k - 2] {
+                break; // both directions exhausted (Algorithm 2, line 21)
+            }
         }
-        if k >= 2 && volume >= volumes[k - 2] {
-            break; // both directions exhausted (Algorithm 2, line 21)
-        }
-    }
+    });
 
     RefinedResult {
         volume: *volumes.last().expect("at least the initial volume"),
         partition: current,
         iterations,
     }
+}
+
+/// One KL run of Algorithm 2: re-encodes `start` as a split in
+/// `direction` (0 puts A0 in Ar, the row groups; 1 puts A0 in Ac), builds
+/// the hypergraph of `B` seeded with `start` (groups are pure by
+/// construction) and runs a single FM refinement on it. With `timed`, the
+/// build counts as `medium_grain_build` and the FM as `fm_refinement`, so
+/// IR shows in the Fig. 5 phase profile; a helper's run records nothing.
+fn kl_run(
+    a: &Coo,
+    start: &NonzeroPartition,
+    direction: u8,
+    limits: &FmLimits,
+    scratch: &mut FmScratch,
+    timed: bool,
+) -> NonzeroPartition {
+    let build_timer = timed.then(|| mg_obs::phase("medium_grain_build"));
+    let in_row: Vec<bool> = (0..a.nnz())
+        .map(|k| (start.part_of(k) == 0) == (direction == 0))
+        .collect();
+    let split = Split::from_assignment(in_row);
+    let model = MediumGrainModel::build(a, &split);
+    let sides = model.sides_from_partition(a, start);
+    let mut bp = VertexBipartition::new(&model.hypergraph, sides);
+    drop(build_timer);
+
+    let refine_timer = timed.then(|| mg_obs::phase("fm_refinement"));
+    fm_refine_with_scratch(&model.hypergraph, &mut bp, limits, scratch);
+    drop(refine_timer);
+    model.to_nonzero_partition(a, &bp.into_sides())
 }
 
 #[cfg(test)]
@@ -170,6 +246,29 @@ mod tests {
         assert_eq!(refined.volume, 0);
         // Terminates quickly: two non-improving runs.
         assert!(refined.iterations <= 3);
+    }
+
+    /// Above the IR threshold, running the other direction on a helper
+    /// (forced on) gives the plain loop's (forced off) partition, volume
+    /// and iteration count.
+    #[test]
+    fn speculative_runs_match_the_plain_loop() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let a = mg_sparse::gen::erdos_renyi_square(8_000, PARALLEL_NNZ, &mut rng);
+        assert!(a.nnz() >= PARALLEL_NNZ);
+        let half = a.rows() / 2;
+        let parts: Vec<Idx> = a
+            .iter()
+            .map(|(i, j)| ((i < half) != (j < half)) as Idx)
+            .collect();
+        let p = NonzeroPartition::new(2, parts).unwrap();
+        let budget = mg_sparse::part_budget(a.nnz(), 2, 0.03);
+        let on = refine_with_helper(&a, &p, [budget, budget], Helper::Always);
+        let off = refine_with_helper(&a, &p, [budget, budget], Helper::Never);
+        assert_eq!(on.partition, off.partition);
+        assert_eq!(on.volume, off.volume);
+        assert_eq!(on.iterations, off.iterations);
+        assert!(off.iterations >= 2);
     }
 
     #[test]

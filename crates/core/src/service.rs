@@ -175,17 +175,9 @@ impl std::fmt::Display for ErrorCode {
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
-/// The shared 64-bit bit mixer (the SplitMix64 finaliser) behind every
-/// hash in the engine: fingerprints, placement keys, the router's
-/// rendezvous scores, the direct backends' tie-breaks and the per-node
-/// seeds of recursive bisection all funnel through it, so a single
-/// well-mixed function backs every key-derived decision.
-pub fn mix64(h: u64) -> u64 {
-    let mut x = h;
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
+/// The shared SplitMix64 finaliser, defined in `mg-sparse` so crates below
+/// the engine (the sweep's seed derivation) use the same function.
+pub use mg_sparse::mix64;
 
 /// A stable 64-bit content fingerprint of a matrix: FNV-1a over the
 /// dimensions and the canonical entry list, finalised with [`mix64`].

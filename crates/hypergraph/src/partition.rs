@@ -12,8 +12,10 @@ use crate::{Hypergraph, Idx};
 #[derive(Debug, Clone)]
 pub struct VertexBipartition {
     side: Vec<u8>,
-    /// Per net: number of pins currently in part 0.
-    pins_in_zero: Vec<Idx>,
+    /// Per net: `[pins currently in part 0, net size]`, packed into one
+    /// 8-byte slot so a count lookup or a move touches one entry instead
+    /// of a count plus two CSR offsets.
+    nets: Vec<[Idx; 2]>,
     part_weight: [u64; 2],
     cut_weight: u64,
 }
@@ -27,18 +29,19 @@ impl VertexBipartition {
         for v in 0..h.num_vertices() {
             part_weight[side[v as usize] as usize] += h.vertex_weight(v);
         }
-        let mut pins_in_zero = vec![0 as Idx; h.num_nets() as usize];
+        let mut nets = Vec::with_capacity(h.num_nets() as usize);
         let mut cut_weight = 0u64;
-        for (n, w, pins) in h.nets() {
+        for (_, w, pins) in h.nets() {
             let zeros = pins.iter().filter(|&&v| side[v as usize] == 0).count() as Idx;
-            pins_in_zero[n as usize] = zeros;
-            if zeros != 0 && zeros != pins.len() as Idx {
+            let size = pins.len() as Idx;
+            nets.push([zeros, size]);
+            if zeros != 0 && zeros != size {
                 cut_weight += w;
             }
         }
         VertexBipartition {
             side,
-            pins_in_zero,
+            nets,
             part_weight,
             cut_weight,
         }
@@ -79,27 +82,22 @@ impl VertexBipartition {
         self.part_weight[part as usize]
     }
 
-    /// Number of pins of net `n` in part 0.
-    #[inline]
-    pub fn pins_in_zero(&self, n: Idx) -> Idx {
-        self.pins_in_zero[n as usize]
-    }
-
     /// Number of pins of net `n` in `part`.
     #[inline]
-    pub fn pins_in(&self, h: &Hypergraph, n: Idx, part: u8) -> Idx {
+    pub fn pins_in(&self, n: Idx, part: u8) -> Idx {
+        let [zeros, size] = self.nets[n as usize];
         if part == 0 {
-            self.pins_in_zero[n as usize]
+            zeros
         } else {
-            h.net_size(n) - self.pins_in_zero[n as usize]
+            size - zeros
         }
     }
 
     /// `true` if net `n` has pins in both parts.
     #[inline]
-    pub fn is_cut(&self, h: &Hypergraph, n: Idx) -> bool {
-        let z = self.pins_in_zero[n as usize];
-        z != 0 && z != h.net_size(n)
+    pub fn is_cut(&self, n: Idx) -> bool {
+        let [zeros, size] = self.nets[n as usize];
+        zeros != 0 && zeros != size
     }
 
     /// The FM gain of moving `v` to the other side: the decrease in cut
@@ -108,12 +106,12 @@ impl VertexBipartition {
         let from = self.side[v as usize];
         let mut gain = 0i64;
         for &n in h.vertex_nets(v) {
-            let size = h.net_size(n);
+            let size = self.nets[n as usize][1];
             if size < 2 {
                 continue; // a single-pin net can never be cut or uncut
             }
             let w = h.net_weight(n) as i64;
-            let in_from = self.pins_in(h, n, from);
+            let in_from = self.pins_in(n, from);
             if in_from == 1 {
                 gain += w; // v is the last pin on its side: move uncuts n
             } else if in_from == size {
@@ -126,24 +124,40 @@ impl VertexBipartition {
     /// Flips vertex `v` to the other side, maintaining all incremental
     /// state. Returns the realised gain (cut decrease).
     pub fn move_vertex(&mut self, h: &Hypergraph, v: Idx) -> i64 {
+        self.move_vertex_with(h, v, |_, _, _, _| {})
+    }
+
+    /// [`move_vertex`](Self::move_vertex) that also reports every net of
+    /// `v`, in `h.vertex_nets(v)` order, to `visit` as
+    /// `(net, pins on v's side before the move, net size, sides)`. The
+    /// sides are the pre-move assignment (`v` flips after the walk), so a
+    /// visitor can derive both the before and the after state of each net
+    /// from the one sweep — the FM gain update's single pass over `v`'s
+    /// nets.
+    #[inline]
+    pub fn move_vertex_with(
+        &mut self,
+        h: &Hypergraph,
+        v: Idx,
+        mut visit: impl FnMut(Idx, Idx, Idx, &[u8]),
+    ) -> i64 {
         let from = self.side[v as usize];
         let to = 1 - from;
         let before = self.cut_weight;
+        // Moving off side 0 lowers the zero count, onto it raises it.
+        let step: Idx = if from == 0 { Idx::MAX } else { 1 };
         for &n in h.vertex_nets(v) {
-            let w = h.net_weight(n);
-            let size = h.net_size(n);
-            let z = &mut self.pins_in_zero[n as usize];
-            let in_from = if from == 0 { *z } else { size - *z };
-            if in_from == size && size > 1 {
-                self.cut_weight += w; // first pin leaves a pure net
-            } else if in_from == 1 && size > 1 {
-                self.cut_weight -= w; // last pin on v's side leaves
+            let [zeros, size] = self.nets[n as usize];
+            let in_from = if from == 0 { zeros } else { size - zeros };
+            if size > 1 {
+                if in_from == size {
+                    self.cut_weight += h.net_weight(n); // first pin leaves a pure net
+                } else if in_from == 1 {
+                    self.cut_weight -= h.net_weight(n); // last pin on v's side leaves
+                }
             }
-            if from == 0 {
-                *z -= 1;
-            } else {
-                *z += 1;
-            }
+            visit(n, in_from, size, &self.side);
+            self.nets[n as usize][0] = zeros.wrapping_add(step);
         }
         let w = h.vertex_weight(v);
         self.part_weight[from as usize] -= w;
@@ -168,8 +182,22 @@ impl VertexBipartition {
                 self.part_weight, fresh.part_weight
             ));
         }
-        if fresh.pins_in_zero != self.pins_in_zero {
-            return Err("pins_in_zero drifted".into());
+        if fresh.nets.len() != self.nets.len() {
+            return Err("net count drifted".into());
+        }
+        for (n, (fresh, kept)) in fresh.nets.iter().zip(&self.nets).enumerate() {
+            if fresh[1] != kept[1] {
+                return Err(format!(
+                    "net {n}: size drifted: {} vs {}",
+                    kept[1], fresh[1]
+                ));
+            }
+            if fresh[0] != kept[0] {
+                return Err(format!(
+                    "net {n}: pins in part 0 drifted: {} vs {}",
+                    kept[0], fresh[0]
+                ));
+            }
         }
         Ok(())
     }
@@ -196,8 +224,8 @@ mod tests {
         assert_eq!(bp.cut_weight(), 1); // only net {1,2} is cut
         assert_eq!(bp.part_weight(0), 2);
         assert_eq!(bp.part_weight(1), 2);
-        assert!(bp.is_cut(&h, 1));
-        assert!(!bp.is_cut(&h, 0));
+        assert!(bp.is_cut(1));
+        assert!(!bp.is_cut(0));
     }
 
     #[test]

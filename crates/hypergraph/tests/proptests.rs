@@ -65,6 +65,41 @@ proptest! {
         prop_assert!(bp.validate(&h).is_ok());
     }
 
+    /// The one-sweep move reports every net of the moved vertex, in
+    /// incidence order, with the pre-move count on its side, the net size
+    /// and the pre-move sides — what `pins_in` and `sides` said just before
+    /// — and leaves the same state as a plain move.
+    #[test]
+    fn move_visitor_reports_pre_move_counts(h in arb_hypergraph(), moves in proptest::collection::vec(0usize..12, 0..24)) {
+        let nv = h.num_vertices() as usize;
+        let sides: Vec<u8> = (0..nv).map(|v| (v % 2) as u8).collect();
+        let mut bp = VertexBipartition::new(&h, sides.clone());
+        let mut plain = VertexBipartition::new(&h, sides);
+        for &mv in &moves {
+            let v = (mv % nv) as Idx;
+            let from = bp.side(v);
+            let expected: Vec<(Idx, Idx, Idx)> = h
+                .vertex_nets(v)
+                .iter()
+                .map(|&n| (n, bp.pins_in(n, from), bp.pins_in(n, 0) + bp.pins_in(n, 1)))
+                .collect();
+            let before = bp.sides().to_vec();
+            let mut reported = Vec::new();
+            let realised = bp.move_vertex_with(&h, v, |n, in_from, size, sides| {
+                assert_eq!(sides, &before[..]);
+                reported.push((n, in_from, size));
+            });
+            prop_assert_eq!(&reported, &expected);
+            for &(n, _, size) in &reported {
+                prop_assert_eq!(size, h.net_size(n));
+            }
+            prop_assert_eq!(realised, plain.move_vertex(&h, v));
+            prop_assert!(bp.validate(&h).is_ok());
+        }
+        prop_assert_eq!(bp.sides(), plain.sides());
+        prop_assert_eq!(bp.cut_weight(), plain.cut_weight());
+    }
+
     /// Total weights are conserved between the two parts.
     #[test]
     fn part_weights_sum_to_total(h in arb_hypergraph(), seed in 0u64..1000) {

@@ -206,8 +206,12 @@ pub const DEFAULT_CAPACITY: usize = 4096;
 /// dropped when a new one would exceed it.
 const PENDING_TRACES: usize = 256;
 
-/// At most this many spans per speculative trace.
-const PENDING_SPANS: usize = 64;
+/// At most this many spans per speculative trace. The root `request`
+/// span is recorded last, so a trace that reaches the cap loses its
+/// root: the cap leaves room for a 2-way MG+IR request, whose Algorithm 2
+/// records two phase spans per KL run (at most 64 runs) next to about 15
+/// others.
+const PENDING_SPANS: usize = 256;
 
 struct Inner {
     ring: VecDeque<SpanRecord>,
@@ -536,6 +540,23 @@ mod tests {
         let (_, spans) = c.snapshot();
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].trace_id, kept.trace_id);
+    }
+
+    /// A long Algorithm 2 run (two phase spans per KL run, 64 runs at
+    /// most) fits a speculative trace whole, root span included.
+    #[test]
+    fn speculative_trace_keeps_a_full_refinement_tree() {
+        let c = TraceCollector::new(1024);
+        let ctx = c.begin_speculative();
+        for i in 0..2 * 64 + 15 {
+            c.record(rec(ctx.trace_id, 100 + i, Some(ctx.span_id), i));
+        }
+        c.record(rec(ctx.trace_id, ctx.span_id, None, 0));
+        c.commit(ctx.trace_id);
+        let (_, spans) = c.snapshot();
+        assert_eq!(spans.len(), 2 * 64 + 16);
+        assert!(spans.iter().any(|s| s.span_id == ctx.span_id));
+        assert_eq!(c.dropped(), 0);
     }
 
     #[test]

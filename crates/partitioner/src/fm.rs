@@ -79,6 +79,10 @@ pub struct FmScratch {
     pending: Vec<Idx>,
     seed_gain: Vec<i64>,
     seed_boundary: Vec<bool>,
+    /// Gain updates of the current move's "after" rules, held back until
+    /// every "before" rule has been applied (see
+    /// [`move_and_update_gains`]).
+    after: Vec<(Idx, i64)>,
 }
 
 impl FmScratch {
@@ -159,23 +163,26 @@ fn fm_pass(
     scratch.seed_boundary.clear();
     scratch.seed_boundary.resize(n, false);
     for net in 0..h.num_nets() {
-        let size = h.net_size(net);
-        if size < 2 {
+        let z0 = bp.pins_in(net, 0);
+        let z1 = bp.pins_in(net, 1);
+        if z0 + z1 < 2 {
             continue; // a single-pin net can never be cut or uncut
         }
         let w = h.net_weight(net) as i64;
-        let z0 = bp.pins_in(h, net, 0);
-        let z1 = size - z0;
         // A side-s pin gains +w when it is the lone s pin (moving it
         // uncuts the net) and −w when the net is pure on s (moving it
         // cuts the net); z0 == 1 and z1 == 0 exclude each other at
-        // size ≥ 2, so the sum is the classic FM seed gain.
-        let delta0 = if z0 == 1 { w } else { 0 } + if z1 == 0 { -w } else { 0 };
-        let delta1 = if z1 == 1 { w } else { 0 } + if z0 == 0 { -w } else { 0 };
+        // size ≥ 2, so the sum is the classic FM seed gain. Indexing the
+        // pair by side keeps the pin loop free of an unpredictable
+        // branch on the pin's side.
+        let delta = [
+            if z0 == 1 { w } else { 0 } + if z1 == 0 { -w } else { 0 },
+            if z1 == 1 { w } else { 0 } + if z0 == 0 { -w } else { 0 },
+        ];
         let cut = z0 > 0 && z1 > 0;
         for &u in h.net_pins(net) {
             let ui = u as usize;
-            scratch.seed_gain[ui] += if bp.side(u) == 0 { delta0 } else { delta1 };
+            scratch.seed_gain[ui] += delta[bp.side(u) as usize];
             scratch.seed_boundary[ui] |= cut;
         }
     }
@@ -192,6 +199,7 @@ fn fm_pass(
     let locked = &mut scratch.locked;
     let moves = &mut scratch.moves;
     let pending = &mut scratch.pending;
+    let after = &mut scratch.after;
 
     let start_violation = violation(bp, &limits.budget);
     // Minimised key: (violation, -cumulative_gain). The empty prefix is the
@@ -244,9 +252,7 @@ fn fm_pass(
 
         buckets[from as usize].remove(v);
         locked[v as usize] = true;
-        update_neighbor_gains_before(h, bp, v, locked, buckets, pending);
-        let realised = bp.move_vertex(h, v);
-        update_neighbor_gains_after(h, bp, v, from, locked, buckets, pending);
+        let realised = move_and_update_gains(h, bp, v, locked, buckets, pending, after);
         // Lazily admit vertices that just became boundary (only possible in
         // boundary mode); their gain is computed fresh from the post-move
         // state, so no delta bookkeeping is needed.
@@ -299,39 +305,52 @@ fn adjust_or_queue(
     }
 }
 
-/// FM gain-update rules applied *before* moving `v` (critical-net cases on
-/// the destination side).
+/// Moves `v` and applies the FM gain-update rules to its free neighbours
+/// in one sweep over `v`'s nets. Returns the realised gain.
+///
+/// The rules come in two groups: the *before* rules (critical nets on the
+/// destination side, judged on the pre-move counts) and the *after* rules
+/// (critical nets on the source side, judged on the post-move counts).
+/// The classic formulation walks `v`'s nets once per group, with the move
+/// itself in between; here the move reports each net's pre-move count,
+/// which determines both states. Before-rule updates are applied as the
+/// sweep goes and after-rule updates are queued in `after` and applied
+/// once it ends, so the bucket operations happen in exactly the two-walk
+/// order — LIFO positions inside the gain buckets, and with them every
+/// later tie-break, are unchanged.
 #[inline]
-fn update_neighbor_gains_before(
+fn move_and_update_gains(
     h: &Hypergraph,
-    bp: &VertexBipartition,
+    bp: &mut VertexBipartition,
     v: Idx,
     locked: &[bool],
     buckets: &mut [GainBuckets; 2],
     pending: &mut Vec<Idx>,
-) {
+    after: &mut Vec<(Idx, i64)>,
+) -> i64 {
     let from = bp.side(v);
     let to = 1 - from;
-    for &net in h.vertex_nets(v) {
-        let size = h.net_size(net);
+    after.clear();
+    let realised = bp.move_vertex_with(h, v, |net, in_from, size, sides| {
         if size < 2 {
-            continue;
+            return;
         }
         let w = h.net_weight(net) as i64;
-        let to_count = bp.pins_in(h, net, to);
-        if to_count == 0 {
-            // Net was pure on `from`; it becomes cut: every other free pin
-            // gains w (its move would now uncut or keep status).
+        let in_to = size - in_from;
+        // Before: the net was pure on `from` and becomes cut, so every
+        // other free pin gains w (its move would now uncut or keep
+        // status) ...
+        if in_to == 0 {
             for &u in h.net_pins(net) {
                 if u != v && !locked[u as usize] {
-                    adjust_or_queue(buckets, pending, bp.side(u), u, w);
+                    adjust_or_queue(buckets, pending, sides[u as usize], u, w);
                 }
             }
-        } else if to_count == 1 {
-            // The lone destination-side pin was the uncutting move; after v
-            // arrives it no longer is.
+        } else if in_to == 1 {
+            // ... or the lone destination-side pin was the uncutting move,
+            // and after v arrives it no longer is.
             for &u in h.net_pins(net) {
-                if u != v && bp.side(u) == to {
+                if sides[u as usize] == to {
                     if !locked[u as usize] {
                         adjust_or_queue(buckets, pending, to, u, -w);
                     }
@@ -339,48 +358,30 @@ fn update_neighbor_gains_before(
                 }
             }
         }
-    }
-}
-
-/// FM gain-update rules applied *after* moving `v` (critical-net cases on
-/// the source side).
-#[inline]
-fn update_neighbor_gains_after(
-    h: &Hypergraph,
-    bp: &VertexBipartition,
-    v: Idx,
-    from: u8,
-    locked: &[bool],
-    buckets: &mut [GainBuckets; 2],
-    pending: &mut Vec<Idx>,
-) {
-    for &net in h.vertex_nets(v) {
-        let size = h.net_size(net);
-        if size < 2 {
-            continue;
-        }
-        let w = h.net_weight(net) as i64;
-        let from_count = bp.pins_in(h, net, from);
-        if from_count == 0 {
-            // Net became pure on the destination: moving any pin would cut
-            // it again.
+        // After: v was the last source-side pin, so the net is pure on the
+        // destination and moving any pin would cut it again ...
+        if in_from == 1 {
             for &u in h.net_pins(net) {
                 if u != v && !locked[u as usize] {
-                    adjust_or_queue(buckets, pending, bp.side(u), u, -w);
+                    after.push((u, -w));
                 }
             }
-        } else if from_count == 1 {
-            // A single source-side pin remains: its move now uncuts.
+        } else if in_from == 2 {
+            // ... or a single source-side pin remains: its move now uncuts.
             for &u in h.net_pins(net) {
-                if u != v && bp.side(u) == from {
+                if u != v && sides[u as usize] == from {
                     if !locked[u as usize] {
-                        adjust_or_queue(buckets, pending, from, u, w);
+                        after.push((u, w));
                     }
                     break;
                 }
             }
         }
+    });
+    for &(u, delta) in after.iter() {
+        adjust_or_queue(buckets, pending, bp.side(u), u, delta);
     }
+    realised
 }
 
 #[cfg(test)]

@@ -203,11 +203,39 @@ impl GainBuckets {
         self.len -= 1;
     }
 
-    /// Adds `delta` to the gain of a stored vertex, relinking it.
+    /// Adds `delta` to the gain of a stored vertex, relinking it at the
+    /// head of its new bucket — exactly `remove` then `insert`, which the
+    /// dense store does in one unlink-and-relink without the membership
+    /// and length bookkeeping that cancels out.
     pub fn adjust(&mut self, v: Idx, delta: i64) {
-        let g = self.gain[v as usize] + delta;
-        self.remove(v);
-        self.insert(v, g);
+        debug_assert!(self.in_bucket[v as usize], "vertex {v} not stored");
+        let vi = v as usize;
+        let old = self.gain[vi];
+        let g = self.clamp(old + delta);
+        let Store::Dense { heads, max_index } = &mut self.store else {
+            self.remove(v);
+            self.insert(v, g);
+            return;
+        };
+        let (p, n) = (self.prev[vi], self.next[vi]);
+        if p != NIL {
+            self.next[p as usize] = n;
+        } else {
+            heads[(old + self.range) as usize] = n;
+        }
+        if n != NIL {
+            self.prev[n as usize] = p;
+        }
+        let idx = (g + self.range) as usize;
+        let head = heads[idx];
+        heads[idx] = v as i64;
+        *max_index = (*max_index).max(idx as i64);
+        if head != NIL {
+            self.prev[head as usize] = v as i64;
+        }
+        self.next[vi] = head;
+        self.prev[vi] = NIL;
+        self.gain[vi] = g;
     }
 
     /// Scans vertices in non-increasing gain order, returning the first one

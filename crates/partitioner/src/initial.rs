@@ -2,20 +2,29 @@
 //!
 //! Generates several candidate bipartitions — alternating randomized
 //! balanced assignments and greedy net-growing (BFS) regions — polishes each
-//! with FM, and keeps the best by `(violation, cut)`.
+//! with FM, and keeps the best by `(violation, cut)`. On a large coarsest
+//! hypergraph the polish is shared with a helper thread when a core is
+//! idle (see [`crate::helper`]).
 
 use crate::config::PartitionerConfig;
 use crate::fm::{fm_refine_with_scratch, FmLimits, FmScratch};
+use crate::helper::{self, Helper, Spare};
 use crate::multilevel::BisectionTargets;
 use crate::Idx;
 use mg_hypergraph::{Hypergraph, VertexBipartition};
 use rand::seq::SliceRandom;
 use rand::Rng;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Coarsest sizes up to this bound are solved *exactly* by Gray-code
 /// enumeration instead of heuristically — 2¹² states, each one vertex flip
 /// from the previous, so the full scan costs `O(2¹² · avg degree)`.
 const EXHAUSTIVE_LIMIT: u32 = 12;
+
+/// Coarsest hypergraphs with at least this many pins share the candidate
+/// polish with a helper thread (when a core is idle): below it a polish
+/// costs less than spawning the thread.
+const PARALLEL_POLISH_PINS: usize = 20_000;
 
 /// Produces the best initial bipartition of (usually coarse) `h` for the
 /// given targets.
@@ -24,6 +33,18 @@ pub fn initial_partition<R: Rng>(
     targets: &BisectionTargets,
     config: &PartitionerConfig,
     rng: &mut R,
+) -> VertexBipartition {
+    initial_partition_with(h, targets, config, rng, Helper::Gated)
+}
+
+/// [`initial_partition`] with an explicit helper policy, so tests can pin
+/// the shared polish to the sequential one.
+pub(crate) fn initial_partition_with<R: Rng>(
+    h: &Hypergraph,
+    targets: &BisectionTargets,
+    config: &PartitionerConfig,
+    rng: &mut R,
+    helper: Helper,
 ) -> VertexBipartition {
     let budget = targets.budgets();
     if h.num_vertices() <= EXHAUSTIVE_LIMIT && h.num_vertices() > 0 {
@@ -35,27 +56,56 @@ pub fn initial_partition<R: Rng>(
         stall_limit: config.fm_stall_limit,
         boundary_only: config.boundary_fm,
     };
-    let candidates = config.initial_candidates.max(1);
-    let mut best: Option<VertexBipartition> = None;
-    // One scratch polishes every candidate.
-    let mut scratch = FmScratch::new();
-    for c in 0..candidates {
-        let sides = if c % 2 == 0 {
-            random_balanced(h, targets, rng)
-        } else {
-            greedy_grow(h, targets, rng)
-        };
-        let mut bp = VertexBipartition::new(h, sides);
-        fm_refine_with_scratch(h, &mut bp, &limits, &mut scratch);
-        let key = candidate_key(&bp, &budget);
-        if best
-            .as_ref()
-            .is_none_or(|b| key < candidate_key(b, &budget))
-        {
-            best = Some(bp);
+    // Draw every start first, in candidate order. The FM polish draws
+    // nothing, so this is the RNG stream of polishing as each is drawn.
+    let starts: Vec<Vec<u8>> = (0..config.initial_candidates.max(1))
+        .map(|c| {
+            if c % 2 == 0 {
+                random_balanced(h, targets, rng)
+            } else {
+                greedy_grow(h, targets, rng)
+            }
+        })
+        .collect();
+    // The caller (and the helper, if one runs) take the next unpolished
+    // start until none is left, each keeping its best by
+    // `((violation, cut), index)`. The overall minimum of that key is the
+    // first candidate in index order with the least `(violation, cut)`,
+    // whichever thread polished what. The helper stops taking starts once
+    // its core is wanted by another worker.
+    let next = AtomicUsize::new(0);
+    let polish = |yields: bool| {
+        let mut scratch = FmScratch::new();
+        let mut best: Option<(Rank, VertexBipartition)> = None;
+        loop {
+            if yields && helper::crowded(helper) {
+                return best;
+            }
+            let c = next.fetch_add(1, Ordering::Relaxed);
+            let Some(sides) = starts.get(c) else {
+                return best;
+            };
+            let mut bp = VertexBipartition::new(h, sides.clone());
+            fm_refine_with_scratch(h, &mut bp, &limits, &mut scratch);
+            let key = (candidate_key(&bp, &budget), c);
+            if best.as_ref().is_none_or(|(best_key, _)| key < *best_key) {
+                best = Some((key, bp));
+            }
         }
-    }
-    best.expect("at least one candidate")
+    };
+    let large = h.num_pins() >= PARALLEL_POLISH_PINS;
+    let (mine, theirs) = std::thread::scope(|scope| {
+        let mut spare = Spare::new(scope, helper, large, |()| polish(true));
+        let offered = spare.offer(|| ());
+        let mine = polish(false);
+        (mine, if offered { spare.take() } else { None })
+    });
+    [mine, theirs]
+        .into_iter()
+        .flatten()
+        .min_by_key(|(key, _)| *key)
+        .expect("at least one candidate")
+        .1
 }
 
 /// Exact optimum over all 2ⁿ bipartitions, minimising
@@ -84,6 +134,10 @@ fn exhaustive_best(h: &Hypergraph, budget: &[u64; 2]) -> VertexBipartition {
     }
     VertexBipartition::new(h, best_sides)
 }
+
+/// `((violation, cut), candidate index)`: the least rank is the first
+/// candidate in index order with the least `(violation, cut)`.
+type Rank = ((u64, u64), usize);
 
 fn candidate_key(bp: &VertexBipartition, budget: &[u64; 2]) -> (u64, u64) {
     let violation =
@@ -118,6 +172,14 @@ fn random_balanced<R: Rng>(h: &Hypergraph, targets: &BisectionTargets, rng: &mut
 /// Greedy net-growing: BFS over hypergraph adjacency from a random seed,
 /// absorbing vertices into part 0 until its target weight is reached;
 /// everything else goes to part 1. Disconnected components get fresh seeds.
+///
+/// Each vertex enters the queue at most once and each net is expanded at
+/// most once: a vertex already queued would be absorbed at its first queue
+/// position anyway, and a net already expanded has every pin queued or
+/// absorbed. Both skips leave the absorption order of the plain BFS
+/// unchanged while bounding the work by the pin count — without them a
+/// net of `s` pins costs `s²` queue pushes, which dominated power-law
+/// inputs.
 fn greedy_grow<R: Rng>(h: &Hypergraph, targets: &BisectionTargets, rng: &mut R) -> Vec<u8> {
     let n = h.num_vertices() as usize;
     if n == 0 {
@@ -125,6 +187,8 @@ fn greedy_grow<R: Rng>(h: &Hypergraph, targets: &BisectionTargets, rng: &mut R) 
     }
     let mut sides = vec![1u8; n];
     let mut visited = vec![false; n];
+    let mut queued = vec![false; n];
+    let mut expanded = vec![false; h.num_nets() as usize];
     let mut queue: std::collections::VecDeque<Idx> = std::collections::VecDeque::new();
     let mut weight0 = 0u64;
     let target0 = targets.target[0];
@@ -159,8 +223,12 @@ fn greedy_grow<R: Rng>(h: &Hypergraph, targets: &BisectionTargets, rng: &mut R) 
         sides[v as usize] = 0;
         weight0 += h.vertex_weight(v);
         for &net in h.vertex_nets(v) {
+            if std::mem::replace(&mut expanded[net as usize], true) {
+                continue;
+            }
             for &u in h.net_pins(net) {
-                if !visited[u as usize] {
+                if !visited[u as usize] && !queued[u as usize] {
+                    queued[u as usize] = true;
                     queue.push_back(u);
                 }
             }
@@ -287,6 +355,102 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let bp = initial_partition(&h, &t, &cfg, &mut rng);
         assert_eq!(bp.cut_weight(), 2);
+    }
+
+    /// Above the shared-polish threshold, polishing with the helper forced
+    /// on and forced off keeps the same candidate and leaves the RNG at
+    /// the same point, under both FM seeding disciplines.
+    #[test]
+    fn shared_polish_matches_sequential_polish() {
+        let mut rng = StdRng::seed_from_u64(6);
+        let n = 400;
+        let mut b = HypergraphBuilder::new(vec![1; n]);
+        for _ in 0..5_000 {
+            let pins: Vec<Idx> = (0..5).map(|_| rng.gen_range(0..n as Idx)).collect();
+            b.add_net(1, pins);
+        }
+        let h = b.build();
+        assert!(h.num_pins() >= PARALLEL_POLISH_PINS);
+        let t = targets_even(&h, 0.03);
+        for cfg in [
+            PartitionerConfig::mondriaan_like(),
+            PartitionerConfig::patoh_like(),
+        ] {
+            let run = |helper| {
+                let mut rng = StdRng::seed_from_u64(7);
+                let bp = initial_partition_with(&h, &t, &cfg, &mut rng, helper);
+                bp.validate(&h).unwrap();
+                (bp.into_sides(), rng.gen::<u64>())
+            };
+            assert_eq!(run(Helper::Always), run(Helper::Never));
+        }
+    }
+
+    /// The plain BFS `greedy_grow` replaced: every absorbed vertex pushes
+    /// every unabsorbed pin of every one of its nets.
+    fn greedy_grow_reference<R: Rng>(
+        h: &Hypergraph,
+        targets: &BisectionTargets,
+        rng: &mut R,
+    ) -> Vec<u8> {
+        let n = h.num_vertices() as usize;
+        let mut sides = vec![1u8; n];
+        let mut visited = vec![false; n];
+        let mut queue = std::collections::VecDeque::new();
+        let mut weight0 = 0u64;
+        let mut remaining: Vec<Idx> = (0..n as Idx).collect();
+        remaining.shuffle(rng);
+        let mut seeds = remaining.into_iter();
+        while weight0 < targets.target[0] {
+            let v = match queue.pop_front() {
+                Some(v) => v,
+                None => match seeds.by_ref().find(|&c| !visited[c as usize]) {
+                    Some(v) => v,
+                    None => break,
+                },
+            };
+            if visited[v as usize] {
+                continue;
+            }
+            visited[v as usize] = true;
+            sides[v as usize] = 0;
+            weight0 += h.vertex_weight(v);
+            for &net in h.vertex_nets(v) {
+                for &u in h.net_pins(net) {
+                    if !visited[u as usize] {
+                        queue.push_back(u);
+                    }
+                }
+            }
+        }
+        sides
+    }
+
+    /// Skipping queued vertices and expanded nets keeps the absorption
+    /// order: same sides and same RNG position as the plain BFS, on
+    /// hypergraphs with large overlapping nets and several components.
+    #[test]
+    fn greedy_grow_matches_plain_bfs() {
+        let mut rng = StdRng::seed_from_u64(9);
+        for trial in 0..20u64 {
+            let n = 30 + (trial as usize * 7) % 50;
+            let mut b = HypergraphBuilder::new((0..n).map(|v| 1 + (v % 3) as u64).collect());
+            for _ in 0..n / 2 {
+                let size = rng.gen_range(2..12);
+                let pins: Vec<Idx> = (0..size).map(|_| rng.gen_range(0..n as Idx / 2)).collect();
+                b.add_net(1, pins);
+            }
+            let h = b.build();
+            let t = targets_even(&h, 0.0);
+            let mut fast_rng = StdRng::seed_from_u64(trial);
+            let mut plain_rng = StdRng::seed_from_u64(trial);
+            assert_eq!(
+                greedy_grow(&h, &t, &mut fast_rng),
+                greedy_grow_reference(&h, &t, &mut plain_rng),
+                "trial {trial}"
+            );
+            assert_eq!(fast_rng.gen::<u64>(), plain_rng.gen::<u64>());
+        }
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //! * **refinement** by Fiduccia–Mattheyses passes with gain buckets and
 //!   best-prefix rollback ([`fm`], [`gainbucket`]),
 //! * a **driver** that stacks the levels and projects partitions back up
-//!   ([`multilevel`]).
+//!   ([`multilevel`]),
+//! * an **idle-core gate** that lets a large bipartition run independent
+//!   work on one helper thread when a core would otherwise idle
+//!   ([`helper`]).
 //!
 //! Two presets mirror the paper's engines: [`PartitionerConfig::mondriaan_like`]
 //! and [`PartitionerConfig::patoh_like`] (see DESIGN.md §5 for the
@@ -25,6 +28,7 @@ pub mod coarsen;
 pub mod config;
 pub mod fm;
 pub mod gainbucket;
+pub mod helper;
 pub mod initial;
 pub mod matching;
 pub mod multilevel;

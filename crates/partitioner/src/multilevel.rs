@@ -60,6 +60,7 @@ pub fn bipartition_hypergraph<R: Rng>(
     config: &PartitionerConfig,
     rng: &mut R,
 ) -> BisectionOutcome {
+    let _busy = crate::helper::enter();
     let budget = targets.budgets();
     let limits = FmLimits {
         budget,

@@ -52,6 +52,19 @@ pub use stats::{MatrixClass, PatternStats};
 /// (5·10⁶ nonzeros) are far below the 2³²−1 limit, which constructors assert.
 pub type Idx = u32;
 
+/// The shared 64-bit bit mixer (the SplitMix64 finaliser) behind every
+/// hash in the workspace: matrix fingerprints, placement keys, the
+/// router's rendezvous scores, the direct backends' tie-breaks, the
+/// per-node seeds of recursive bisection and the sweep's cell and run
+/// seeds all funnel through it, so one well-mixed function backs every
+/// key-derived decision.
+pub fn mix64(h: u64) -> u64 {
+    let mut x = h;
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
 /// Errors arising while constructing or reading matrices.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SparseError {
