@@ -30,7 +30,6 @@
 //! [`BackendCapabilities::honors_model`] is `false`.
 
 use crate::methods::{BipartitionResult, Method};
-use crate::refine::iterative_refinement_with_budgets;
 use crate::service::mix64;
 use mg_partitioner::{BisectionTargets, PartitionerConfig};
 use mg_sparse::{Coo, Idx, NonzeroPartition};
@@ -218,33 +217,6 @@ impl PartitionBackend for MultilevelBackend {
 // Shared helpers for the direct (non-multilevel) backends
 // --------------------------------------------------------------------------
 
-fn empty_result(a: &Coo) -> BipartitionResult {
-    BipartitionResult::from_partition(
-        a,
-        NonzeroPartition::new(2, Vec::new()).expect("empty partition"),
-    )
-}
-
-/// Applies Algorithm 2 when the method asks for it — the half of
-/// [`Method`] every backend honors, since iterative refinement applies to
-/// the output of *any* bipartitioning.
-fn maybe_refine(
-    a: &Coo,
-    result: BipartitionResult,
-    method: Method,
-    targets: &BisectionTargets,
-) -> BipartitionResult {
-    if !method.refines() {
-        return result;
-    }
-    let refined = iterative_refinement_with_budgets(a, &result.partition, targets.budgets());
-    BipartitionResult {
-        partition: refined.partition,
-        volume: refined.volume,
-        ir_iterations: refined.iterations,
-    }
-}
-
 // --------------------------------------------------------------------------
 // coarse-grain: direct 1D row/column baseline
 // --------------------------------------------------------------------------
@@ -337,7 +309,7 @@ impl PartitionBackend for CoarseGrainBackend {
         seed: u64,
     ) -> BipartitionResult {
         if a.nnz() == 0 {
-            return empty_result(a);
+            return BipartitionResult::empty(a);
         }
         let row_weights: Vec<u64> = a.row_counts().iter().map(|&c| c as u64).collect();
         let col_weights: Vec<u64> = a.col_counts().iter().map(|&c| c as u64).collect();
@@ -371,7 +343,7 @@ impl PartitionBackend for CoarseGrainBackend {
         } else {
             cols
         };
-        maybe_refine(a, best, method, targets)
+        method.maybe_refine(a, best, targets)
     }
 }
 
@@ -414,7 +386,7 @@ impl PartitionBackend for GeometricBackend {
     ) -> BipartitionResult {
         let nnz = a.nnz();
         if nnz == 0 {
-            return empty_result(a);
+            return BipartitionResult::empty(a);
         }
         // Axis with the larger spread of occupied coordinates.
         let (mut min_i, mut max_i, mut min_j, mut max_j) = (Idx::MAX, 0, Idx::MAX, 0);
@@ -475,7 +447,7 @@ impl PartitionBackend for GeometricBackend {
             a,
             NonzeroPartition::new(2, parts).expect("sides are 0/1"),
         );
-        maybe_refine(a, result, method, targets)
+        method.maybe_refine(a, result, targets)
     }
 }
 

@@ -5,7 +5,7 @@
 use crate::methods::BipartitionResult;
 use mg_hypergraph::{column_net_model, fine_grain_model, row_net_model, ModelKind};
 use mg_partitioner::{bipartition_hypergraph, BisectionTargets, PartitionerConfig};
-use mg_sparse::{Coo, NonzeroPartition};
+use mg_sparse::Coo;
 use rand::Rng;
 
 /// Bipartitions `a` through one of the classical hypergraph models.
@@ -17,10 +17,7 @@ pub fn model_bipartition<R: Rng>(
     rng: &mut R,
 ) -> BipartitionResult {
     if a.nnz() == 0 {
-        return BipartitionResult::from_partition(
-            a,
-            NonzeroPartition::new(2, Vec::new()).expect("empty partition"),
-        );
+        return BipartitionResult::empty(a);
     }
     let model = match kind {
         ModelKind::RowNet => row_net_model(a),

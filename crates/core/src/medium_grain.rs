@@ -5,7 +5,7 @@ use crate::bmatrix::MediumGrainModel;
 use crate::methods::BipartitionResult;
 use crate::split::initial_split;
 use mg_partitioner::{bipartition_hypergraph, BisectionTargets, PartitionerConfig};
-use mg_sparse::{Coo, NonzeroPartition};
+use mg_sparse::Coo;
 use rand::Rng;
 
 /// Medium-grain bipartitioning with an even nonzero split and slack
@@ -33,10 +33,7 @@ pub fn medium_grain_bipartition_with_targets<R: Rng>(
     rng: &mut R,
 ) -> BipartitionResult {
     if a.nnz() == 0 {
-        return BipartitionResult::from_partition(
-            a,
-            NonzeroPartition::new(2, Vec::new()).expect("empty partition"),
-        );
+        return BipartitionResult::empty(a);
     }
     // Algorithm 1 and the model build are two `medium_grain_build` scopes,
     // so the phase's count reads two per bisection.

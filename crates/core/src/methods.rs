@@ -35,6 +35,12 @@ impl BipartitionResult {
             ir_iterations: 0,
         }
     }
+
+    /// The result for a matrix without nonzeros.
+    pub(crate) fn empty(a: &Coo) -> Self {
+        let partition = NonzeroPartition::new(2, Vec::new()).expect("empty partition");
+        Self::from_partition(a, partition)
+    }
 }
 
 /// A sparse matrix bipartitioning method of the paper's evaluation.
@@ -195,7 +201,7 @@ impl Method {
         // The whole method — model build, multilevel run, IR — counts
         // this thread as busy for the idle-core gate.
         let _busy = mg_partitioner::helper::enter();
-        let mut result = match *self {
+        let result = match *self {
             Method::RowNet { .. } => model_bipartition(a, ModelKind::RowNet, targets, config, rng),
             Method::ColumnNet { .. } => {
                 model_bipartition(a, ModelKind::ColumnNet, targets, config, rng)
@@ -208,29 +214,41 @@ impl Method {
                 medium_grain_bipartition_with_targets(a, targets, config, rng)
             }
         };
-        if self.refines() {
-            let budgets = targets.budgets();
-            let refined = iterative_refinement_with_budgets(a, &result.partition, budgets);
-            // Monotone whenever the input was feasible; from an infeasible
-            // start (an atomic row/column group heavier than the budget)
-            // the FM inside IR repairs balance first, possibly at a volume
-            // cost — the desired behaviour.
-            debug_assert!(
-                refined.volume <= result.volume
-                    || result
-                        .partition
-                        .part_sizes()
-                        .iter()
-                        .zip(budgets.iter())
-                        .any(|(&s, &b)| s > b)
-            );
-            result = BipartitionResult {
-                partition: refined.partition,
-                volume: refined.volume,
-                ir_iterations: refined.iterations,
-            };
+        self.maybe_refine(a, result, targets)
+    }
+
+    /// Applies Algorithm 2 to `result` when the method asks for it — the
+    /// half of a method every backend honors, since iterative refinement
+    /// applies to the output of *any* bipartitioning.
+    pub(crate) fn maybe_refine(
+        self,
+        a: &Coo,
+        result: BipartitionResult,
+        targets: &BisectionTargets,
+    ) -> BipartitionResult {
+        if !self.refines() {
+            return result;
         }
-        result
+        let budgets = targets.budgets();
+        let refined = iterative_refinement_with_budgets(a, &result.partition, budgets);
+        // Monotone whenever the input was feasible; from an infeasible
+        // start (an atomic row/column group heavier than the budget) the
+        // FM inside IR repairs balance first, possibly at a volume cost —
+        // the desired behaviour.
+        debug_assert!(
+            refined.volume <= result.volume
+                || result
+                    .partition
+                    .part_sizes()
+                    .iter()
+                    .zip(budgets.iter())
+                    .any(|(&s, &b)| s > b)
+        );
+        BipartitionResult {
+            partition: refined.partition,
+            volume: refined.volume,
+            ir_iterations: refined.iterations,
+        }
     }
 }
 

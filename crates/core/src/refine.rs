@@ -18,18 +18,20 @@
 //!
 //! A run that does not improve returns its start unchanged, and the next
 //! run is the other direction from that same start. On a large matrix
-//! with an idle core (see [`mg_partitioner::helper`]) a helper thread
-//! therefore makes the other direction's run alongside a run whenever it
-//! is free; its result replaces the next run only when the run left the
-//! partition unchanged, so the sequence of runs — and the result — is the
-//! one of the plain loop.
+//! with an idle core, a run therefore spawns the other direction's run
+//! from the same start on a helper thread (see
+//! [`mg_partitioner::helper::spawn`]), unless an earlier one is still
+//! running. The helper's result replaces the next run only when the run
+//! left the partition unchanged; otherwise it is dropped. So the sequence
+//! of runs — and the result — is the one of the plain loop.
 
 use crate::bmatrix::MediumGrainModel;
 use crate::split::Split;
 use mg_hypergraph::VertexBipartition;
-use mg_partitioner::helper::{self, Helper, Spare};
+use mg_partitioner::helper::{self, Helper};
 use mg_partitioner::{fm_refine_with_scratch, FmLimits, FmScratch};
 use mg_sparse::{communication_volume, part_budget, Coo, NonzeroPartition};
+use std::thread::ScopedJoinHandle;
 
 /// FM passes per KL run. The paper's "single run of Kernighan–Lin" is one
 /// refinement to convergence; a small cap keeps runs cheap while
@@ -106,11 +108,12 @@ fn refine_with_helper(
     let mut scratch = FmScratch::new();
 
     std::thread::scope(|scope| {
-        let mut helper_scratch = FmScratch::new();
-        let limits_ref = &limits;
-        let mut spare = Spare::new(scope, helper, large, move |(start, direction)| {
-            kl_run(a, &start, direction, limits_ref, &mut helper_scratch, false)
-        });
+        let limits = &limits;
+        // The helper's FM scratch goes with each of its runs and comes
+        // back with the result.
+        let mut spare_scratch = FmScratch::new();
+        // The helper's run still outstanding, if any, and its scratch.
+        let mut pending: Option<ScopedJoinHandle<(NonzeroPartition, FmScratch)>> = None;
         // The other direction's run from `current`, made by the helper
         // alongside the run that left `current` unchanged.
         let mut other_direction: Option<NonzeroPartition> = None;
@@ -121,20 +124,36 @@ fn refine_with_helper(
             let refined = match other_direction.take() {
                 Some(refined) => refined,
                 None => {
+                    // A finished run nobody took is dropped; one still
+                    // running leaves this run without a helper.
+                    if let Some(unused) = pending.take_if(|run| run.is_finished()) {
+                        spare_scratch = unused.join().expect("helper thread panicked").1;
+                    }
                     // The helper's run is used only if this run leaves
                     // `current` unchanged and the loop goes on — which
                     // needs the previous run to have lowered the volume.
                     let k = volumes.len();
                     let may_continue = k < 2 || volumes[k - 1] < volumes[k - 2];
-                    let offered = may_continue && spare.offer(|| (current.clone(), 1 - direction));
-                    let refined = kl_run(a, &current, direction, &limits, &mut scratch, true);
+                    let mut spawned = false;
+                    if may_continue && pending.is_none() {
+                        let (start, other) = (current.clone(), 1 - direction);
+                        let mut s = std::mem::take(&mut spare_scratch);
+                        pending = helper::spawn(scope, helper, large, move || {
+                            (kl_run(a, &start, other, limits, &mut s, false), s)
+                        });
+                        spawned = pending.is_some();
+                    }
+                    let refined = kl_run(a, &current, direction, limits, &mut scratch, true);
                     // Unchanged means no improvement: the direction
                     // switches and the next run starts from this same
-                    // partition — exactly the helper's run. Compare
+                    // partition — exactly the run spawned above (never
+                    // one left over from an earlier `current`). Compare
                     // partitions, not volumes: a run may change the
                     // partition at equal volume.
-                    if offered && refined == current {
-                        other_direction = Some(spare.take());
+                    if let Some(run) = pending.take_if(|_| spawned && refined == current) {
+                        let (run, s) = run.join().expect("helper thread panicked");
+                        spare_scratch = s;
+                        other_direction = Some(run);
                     }
                     refined
                 }
@@ -250,25 +269,44 @@ mod tests {
 
     /// Above the IR threshold, running the other direction on a helper
     /// (forced on) gives the plain loop's (forced off) partition, volume
-    /// and iteration count.
+    /// and iteration count on random, power-law and RMAT inputs. Each
+    /// start's first run improves, so its helper run is dropped; later
+    /// non-improving runs take theirs.
     #[test]
     fn speculative_runs_match_the_plain_loop() {
         let mut rng = StdRng::seed_from_u64(8);
-        let a = mg_sparse::gen::erdos_renyi_square(8_000, PARALLEL_NNZ, &mut rng);
-        assert!(a.nnz() >= PARALLEL_NNZ);
-        let half = a.rows() / 2;
-        let parts: Vec<Idx> = a
-            .iter()
-            .map(|(i, j)| ((i < half) != (j < half)) as Idx)
-            .collect();
-        let p = NonzeroPartition::new(2, parts).unwrap();
-        let budget = mg_sparse::part_budget(a.nnz(), 2, 0.03);
-        let on = refine_with_helper(&a, &p, [budget, budget], Helper::Always);
-        let off = refine_with_helper(&a, &p, [budget, budget], Helper::Never);
-        assert_eq!(on.partition, off.partition);
-        assert_eq!(on.volume, off.volume);
-        assert_eq!(on.iterations, off.iterations);
-        assert!(off.iterations >= 2);
+        let matrices = [
+            mg_sparse::gen::erdos_renyi_square(8_000, PARALLEL_NNZ, &mut rng),
+            mg_sparse::gen::chung_lu_symmetric(8_000, PARALLEL_NNZ, 0.9, &mut rng),
+            mg_sparse::gen::rmat(13, PARALLEL_NNZ, 0.57, 0.19, 0.19, &mut rng),
+        ];
+        for a in &matrices {
+            assert!(a.nnz() >= PARALLEL_NNZ);
+            let half = a.rows() / 2;
+            let parts: Vec<Idx> = a
+                .iter()
+                .map(|(i, j)| ((i < half) != (j < half)) as Idx)
+                .collect();
+            let p = NonzeroPartition::new(2, parts).unwrap();
+            let budget = [mg_sparse::part_budget(a.nnz(), 2, 0.03); 2];
+            let limits = FmLimits {
+                budget,
+                max_passes: FM_PASSES,
+                stall_limit: STALL_LIMIT,
+                boundary_only: false,
+            };
+            let first = kl_run(a, &p, 0, &limits, &mut FmScratch::new(), false);
+            assert_ne!(
+                first, p,
+                "the first run improves: its helper run is dropped"
+            );
+            let on = refine_with_helper(a, &p, budget, Helper::Always);
+            let off = refine_with_helper(a, &p, budget, Helper::Never);
+            assert_eq!(on.partition, off.partition);
+            assert_eq!(on.volume, off.volume);
+            assert_eq!(on.iterations, off.iterations);
+            assert!(off.iterations >= 3);
+        }
     }
 
     #[test]

@@ -3,13 +3,13 @@
 //!
 //! Two pieces of a large bipartition are independent of each other: the
 //! FM polish of the initial candidates, and the KL run of Algorithm 2's
-//! other direction. A [`Spare`] runs such work on one scoped helper
-//! thread, one job at a time, while its caller goes on. A helper works
-//! only while the process-wide count of threads inside a bipartition
-//! (callers marked by [`enter`] plus working helpers) is below
-//! `available_parallelism()`. So a fully loaded sweep or service never
-//! oversubscribes its cores, and a lone request borrows the core that
-//! would otherwise idle.
+//! other direction. [`spawn`] runs such a piece on a scoped helper thread
+//! while its caller goes on; a caller keeps at most one helper
+//! outstanding. A helper is spawned only while the process-wide count of
+//! threads inside a bipartition (callers marked by [`enter`] plus running
+//! helpers) is below `available_parallelism()`. So a fully loaded sweep
+//! or service never oversubscribes its cores, and a lone request borrows
+//! the core that would otherwise idle.
 //!
 //! Callers combine the two results so that they never depend on whether
 //! the helper ran: the determinism contract holds at any load.
@@ -17,9 +17,8 @@
 use std::cell::Cell;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::OnceLock;
-use std::thread::Scope;
+use std::thread::{Scope, ScopedJoinHandle};
 
 /// Threads currently inside a bipartition: entered callers plus running
 /// helpers.
@@ -125,95 +124,26 @@ pub fn crowded(helper: Helper) -> bool {
     helper == Helper::Gated && BUSY.load(Ordering::SeqCst) > cores()
 }
 
-/// The helper thread of one bipartition: takes one job at a time, never
-/// makes its caller wait for a job the caller no longer needs, and holds
-/// a slot of the idle-core gate only while it works.
-///
-/// The thread is spawned on the first granted [`offer`](Self::offer) and
-/// ends when the `Spare` drops (after finishing the job in hand; the
-/// enclosing scope joins it).
-pub struct Spare<'scope, 'env, J, R> {
-    scope: &'scope Scope<'scope, 'env>,
+/// Runs `work` on a scoped thread named `mg-helper` if `helper`'s policy
+/// grants a slot of the idle-core gate (under [`Helper::Gated`]: only for
+/// a `large` input and while a core is idle); `None` otherwise. The slot
+/// is released when `work` returns or panics, and also when the OS
+/// refuses the thread, in which case this returns `None` and the caller
+/// does the work itself.
+pub fn spawn<'scope, T: Send + 'scope>(
+    scope: &'scope Scope<'scope, '_>,
     helper: Helper,
     large: bool,
-    /// The work, until the thread is spawned and takes it.
-    work: Option<Box<dyn FnMut(J) -> R + Send + 'scope>>,
-    jobs: Option<Sender<(J, Slot)>>,
-    results: Option<Receiver<R>>,
-    /// A job was handed over and its result not yet collected.
-    busy: bool,
-}
-
-impl<'scope, 'env, J: Send + 'scope, R: Send + 'scope> Spare<'scope, 'env, J, R> {
-    /// A helper for `scope` that runs `work` on each job it accepts, under
-    /// `helper`'s policy (`large` is the input-size half of the gate).
-    pub fn new(
-        scope: &'scope Scope<'scope, 'env>,
-        helper: Helper,
-        large: bool,
-        work: impl FnMut(J) -> R + Send + 'scope,
-    ) -> Self {
-        Spare {
-            scope,
-            helper,
-            large,
-            work: Some(Box::new(work)),
-            jobs: None,
-            results: None,
-            busy: false,
-        }
-    }
-
-    /// Hands the helper `job()` if it is idle and the gate grants a slot;
-    /// returns whether it did. A result left over from an earlier job
-    /// (one its caller did not [`take`](Self::take)) is discarded.
-    pub fn offer(&mut self, job: impl FnOnce() -> J) -> bool {
-        if self.busy {
-            let finished = self.results.as_ref().is_some_and(|r| r.try_recv().is_ok());
-            if !finished {
-                return false;
-            }
-            self.busy = false;
-        }
-        let Some(slot) = claim(self.helper, self.large) else {
-            return false;
-        };
-        if let Some(mut work) = self.work.take() {
-            let (job_tx, job_rx) = mpsc::channel::<(J, Slot)>();
-            let (result_tx, result_rx) = mpsc::channel();
-            self.scope.spawn(move || {
-                for (job, slot) in job_rx {
-                    let result = work(job);
-                    drop(slot);
-                    if result_tx.send(result).is_err() {
-                        break;
-                    }
-                }
-            });
-            self.jobs = Some(job_tx);
-            self.results = Some(result_rx);
-        }
-        let handed = self
-            .jobs
-            .as_ref()
-            .is_some_and(|jobs| jobs.send((job(), slot)).is_ok());
-        self.busy = handed;
-        handed
-    }
-
-    /// Waits for the result of the job last handed over by
-    /// [`offer`](Self::offer).
-    ///
-    /// # Panics
-    /// If no job is outstanding, or the helper panicked.
-    pub fn take(&mut self) -> R {
-        assert!(self.busy, "no job outstanding");
-        self.busy = false;
-        self.results
-            .as_ref()
-            .and_then(|results| results.recv().ok())
-            .expect("helper thread panicked")
-    }
+    work: impl FnOnce() -> T + Send + 'scope,
+) -> Option<ScopedJoinHandle<'scope, T>> {
+    let slot = claim(helper, large)?;
+    std::thread::Builder::new()
+        .name("mg-helper".into())
+        .spawn_scoped(scope, move || {
+            let _slot = slot;
+            work()
+        })
+        .ok()
 }
 
 #[cfg(test)]
@@ -221,42 +151,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn spare_runs_jobs_on_another_thread() {
-        let caller = std::thread::current().id();
+    fn spawn_follows_the_policy() {
         std::thread::scope(|scope| {
-            let mut spare = Spare::new(scope, Helper::Always, false, |()| {
-                std::thread::current().id()
+            let name = spawn(scope, Helper::Always, false, || {
+                std::thread::current().name().map(str::to_owned)
             });
-            assert!(spare.offer(|| ()));
-            assert_ne!(spare.take(), caller);
-        });
-    }
-
-    #[test]
-    fn gated_spare_skips_small_inputs() {
-        std::thread::scope(|scope| {
-            let mut spare = Spare::new(scope, Helper::Gated, false, |()| ());
-            assert!(!spare.offer(|| ()));
-        });
-    }
-
-    #[test]
-    fn spare_declines_while_busy_and_drops_uncollected_results() {
-        std::thread::scope(|scope| {
-            let mut spare = Spare::new(scope, Helper::Always, false, |x: u64| x * 2);
-            assert!(spare.offer(|| 21));
-            assert_eq!(spare.take(), 42);
-            // Left uncollected: the next offer drops it once finished, or
-            // declines while the helper is still on it.
-            assert!(spare.offer(|| 1));
-            while !spare.offer(|| 5) {
-                std::thread::yield_now();
-            }
-            assert_eq!(spare.take(), 10);
-        });
-        std::thread::scope(|scope| {
-            let mut spare = Spare::new(scope, Helper::Never, true, |x: u64| x);
-            assert!(!spare.offer(|| 1));
+            let name = name.expect("always granted").join().unwrap();
+            assert_eq!(name.as_deref(), Some("mg-helper"));
+            assert!(spawn(scope, Helper::Gated, false, || ()).is_none());
+            assert!(spawn(scope, Helper::Never, true, || ()).is_none());
         });
     }
 

@@ -3,12 +3,12 @@
 //! Generates several candidate bipartitions — alternating randomized
 //! balanced assignments and greedy net-growing (BFS) regions — polishes each
 //! with FM, and keeps the best by `(violation, cut)`. On a large coarsest
-//! hypergraph the polish is shared with a helper thread when a core is
-//! idle (see [`crate::helper`]).
+//! hypergraph a helper thread, spawned when the idle-core gate grants a
+//! core (see [`crate::helper`]), polishes some of the candidates.
 
 use crate::config::PartitionerConfig;
 use crate::fm::{fm_refine_with_scratch, FmLimits, FmScratch};
-use crate::helper::{self, Helper, Spare};
+use crate::helper::{self, Helper};
 use crate::multilevel::BisectionTargets;
 use crate::Idx;
 use mg_hypergraph::{Hypergraph, VertexBipartition};
@@ -95,10 +95,10 @@ pub(crate) fn initial_partition_with<R: Rng>(
     };
     let large = h.num_pins() >= PARALLEL_POLISH_PINS;
     let (mine, theirs) = std::thread::scope(|scope| {
-        let mut spare = Spare::new(scope, helper, large, |()| polish(true));
-        let offered = spare.offer(|| ());
+        let theirs = helper::spawn(scope, helper, large, || polish(true));
         let mine = polish(false);
-        (mine, if offered { spare.take() } else { None })
+        let theirs = theirs.and_then(|h| h.join().expect("helper thread panicked"));
+        (mine, theirs)
     });
     [mine, theirs]
         .into_iter()
@@ -359,7 +359,8 @@ mod tests {
 
     /// Above the shared-polish threshold, polishing with the helper forced
     /// on and forced off keeps the same candidate and leaves the RNG at
-    /// the same point, under both FM seeding disciplines.
+    /// the same point, under both FM seeding disciplines, on uniform
+    /// 5-pin nets and on the weighted row-net model of a power-law matrix.
     #[test]
     fn shared_polish_matches_sequential_polish() {
         let mut rng = StdRng::seed_from_u64(6);
@@ -369,20 +370,25 @@ mod tests {
             let pins: Vec<Idx> = (0..5).map(|_| rng.gen_range(0..n as Idx)).collect();
             b.add_net(1, pins);
         }
-        let h = b.build();
-        assert!(h.num_pins() >= PARALLEL_POLISH_PINS);
-        let t = targets_even(&h, 0.03);
-        for cfg in [
-            PartitionerConfig::mondriaan_like(),
-            PartitionerConfig::patoh_like(),
+        let power_law = mg_sparse::gen::chung_lu_symmetric(1_000, 25_000, 0.9, &mut rng);
+        for h in [
+            b.build(),
+            mg_hypergraph::row_net_model(&power_law).hypergraph,
         ] {
-            let run = |helper| {
-                let mut rng = StdRng::seed_from_u64(7);
-                let bp = initial_partition_with(&h, &t, &cfg, &mut rng, helper);
-                bp.validate(&h).unwrap();
-                (bp.into_sides(), rng.gen::<u64>())
-            };
-            assert_eq!(run(Helper::Always), run(Helper::Never));
+            assert!(h.num_pins() >= PARALLEL_POLISH_PINS);
+            let t = targets_even(&h, 0.03);
+            for cfg in [
+                PartitionerConfig::mondriaan_like(),
+                PartitionerConfig::patoh_like(),
+            ] {
+                let run = |helper| {
+                    let mut rng = StdRng::seed_from_u64(7);
+                    let bp = initial_partition_with(&h, &t, &cfg, &mut rng, helper);
+                    bp.validate(&h).unwrap();
+                    (bp.into_sides(), rng.gen::<u64>())
+                };
+                assert_eq!(run(Helper::Always), run(Helper::Never));
+            }
         }
     }
 

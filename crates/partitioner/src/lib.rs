@@ -12,8 +12,8 @@
 //!   best-prefix rollback ([`fm`], [`gainbucket`]),
 //! * a **driver** that stacks the levels and projects partitions back up
 //!   ([`multilevel`]),
-//! * an **idle-core gate** that lets a large bipartition run independent
-//!   work on one helper thread when a core would otherwise idle
+//! * an **idle-core gate** that lets a large bipartition spawn a scoped
+//!   helper thread for independent work when a core would otherwise idle
 //!   ([`helper`]).
 //!
 //! Two presets mirror the paper's engines: [`PartitionerConfig::mondriaan_like`]

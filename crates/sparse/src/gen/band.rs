@@ -1,27 +1,8 @@
-//! Banded and perturbed-band patterns (discretised 1D operators, time
+//! Perturbed-band patterns (discretised 1D operators, time
 //! series, finite differences).
 
 use crate::{Coo, Idx};
 use rand::Rng;
-
-/// Symmetric banded pattern: all entries with `|i − j| ≤ half_bandwidth`.
-pub fn banded(n: Idx, half_bandwidth: Idx) -> Coo {
-    assert!(n > 0);
-    let mut entries = Vec::new();
-    for i in 0..n {
-        let lo = i.saturating_sub(half_bandwidth);
-        let hi = (i + half_bandwidth).min(n - 1);
-        for j in lo..=hi {
-            entries.push((i, j));
-        }
-    }
-    Coo::new(n, n, entries).expect("band stays in bounds")
-}
-
-/// Tridiagonal pattern — `banded(n, 1)`.
-pub fn tridiagonal(n: Idx) -> Coo {
-    banded(n, 1)
-}
 
 /// A band with randomly dropped off-diagonal entries (keeping the pattern
 /// symmetric) and a sprinkle of random long-range couples — models
@@ -64,22 +45,6 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn tridiagonal_counts() {
-        let a = tridiagonal(10);
-        assert_eq!(a.nnz(), 10 + 2 * 9);
-        assert!(a.is_pattern_symmetric());
-    }
-
-    #[test]
-    fn band_respects_width() {
-        let a = banded(20, 3);
-        for (i, j) in a.iter() {
-            assert!((i as i64 - j as i64).abs() <= 3);
-        }
-        assert!(a.is_pattern_symmetric());
-    }
 
     #[test]
     fn perturbed_band_stays_symmetric() {

@@ -11,7 +11,7 @@
 //! * [`grid`] — 2D/3D grid Laplacians (5-, 9-, 7-point stencils),
 //! * [`powerlaw`] — Chung–Lu style skewed-degree patterns and bipartite
 //!   term–document matrices,
-//! * [`band`] — banded and perturbed-band patterns,
+//! * [`band`] — perturbed-band patterns,
 //! * [`block`] — block-diagonal-with-coupling, arrow, and RMAT-like
 //!   Kronecker patterns.
 
@@ -21,7 +21,7 @@ pub mod grid;
 pub mod powerlaw;
 pub mod random;
 
-pub use band::{banded, perturbed_band, tridiagonal};
+pub use band::perturbed_band;
 pub use block::{arrow, block_diagonal, rmat};
 pub use grid::{laplacian_2d, laplacian_2d_9pt, laplacian_3d};
 pub use powerlaw::{chung_lu_symmetric, scale_free_directed, term_document};
