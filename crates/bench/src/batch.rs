@@ -17,7 +17,9 @@ use crate::runner::class_label;
 use mg_collection::batch::{expand_jobs, run_jobs, run_seed, worker_count};
 use mg_collection::{generate, BatchJob, CollectionEntry, CollectionSpec};
 use mg_core::{parse_backend, Method, PartitionBackend};
-use mg_sparse::{col_lambdas, load_imbalance, row_lambdas, Coo, MatrixClass, NonzeroPartition};
+use mg_sparse::{
+    col_lambdas, load_imbalance, row_lambdas, Coo, MatrixClass, NonzeroPartition, PatternStats,
+};
 use std::time::Instant;
 
 /// Configuration of a batched sweep.
@@ -207,6 +209,8 @@ pub fn records_to_jsonl(records: &[BatchRecord]) -> String {
 pub(crate) struct SweepPlan {
     pub backend: &'static dyn PartitionBackend,
     pub entries: Vec<CollectionEntry>,
+    /// The paper's class of each entry, classified once per sweep.
+    pub classes: Vec<MatrixClass>,
     pub jobs: Vec<BatchJob>,
 }
 
@@ -247,9 +251,14 @@ pub(crate) fn plan_sweep(
             epsilons: config.epsilons.len(),
         });
     }
+    let classes = entries
+        .iter()
+        .map(|e| PatternStats::compute(&e.matrix).class())
+        .collect();
     Ok(SweepPlan {
         backend,
         entries,
+        classes,
         jobs,
     })
 }
@@ -266,12 +275,14 @@ pub fn run_batch_sweep(config: &BatchSweepConfig) -> Result<Vec<BatchRecord>, Sw
     Ok(run_jobs(&plan.jobs, worker_count(config.threads), |job| {
         let entry = &plan.entries[job.matrix_index];
         let method = config.methods[job.method_index];
-        measure_cell(entry, method, plan.backend, job, config)
+        let class = plan.classes[job.matrix_index];
+        measure_cell(entry, class, method, plan.backend, job, config)
     }))
 }
 
 fn measure_cell(
     entry: &CollectionEntry,
+    class: MatrixClass,
     method: Method,
     backend: &dyn PartitionBackend,
     job: &BatchJob,
@@ -301,7 +312,7 @@ fn measure_cell(
     }
     BatchRecord {
         matrix: entry.name.clone(),
-        class: entry.class,
+        class,
         nnz: entry.matrix.nnz(),
         backend: job.backend.clone(),
         method: job.method.clone(),

@@ -86,7 +86,7 @@ pub fn run_multiway_sweep(
         }
         MultiwayRecord {
             matrix: entry.name.clone(),
-            class: entry.class,
+            class: plan.classes[job.matrix_index],
             method: job.method.clone(),
             p,
             volume_avg: volume_sum / runs as f64,

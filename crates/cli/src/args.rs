@@ -119,13 +119,25 @@ impl Parsed {
         self.switches.iter().any(|s| s == switch)
     }
 
-    /// Fails, naming the first offender, unless every flag, switch and
-    /// positional is in `allowed` — so a typo such as `--thread` is an
-    /// error instead of a silently ignored switch.
-    pub fn allow_only(&self, command: &str, allowed: &[&str]) -> Result<(), String> {
-        let given = self.flags.iter().map(|(name, _)| name);
-        let mut given = given.chain(&self.switches).chain(&self.positionals);
-        match given.find(|arg| !allowed.contains(&arg.as_str())) {
+    /// Fails, naming the first offender, unless every flag and switch is
+    /// in `allowed` and at most `positionals` positionals are given — so
+    /// a typo such as `--thread` is an error instead of a silently
+    /// ignored switch.
+    pub fn allow_only(
+        &self,
+        command: &str,
+        allowed: &[&str],
+        positionals: usize,
+    ) -> Result<(), String> {
+        let mut given = self
+            .flags
+            .iter()
+            .map(|(name, _)| name)
+            .chain(&self.switches);
+        let offender = given
+            .find(|arg| !allowed.contains(&arg.as_str()))
+            .or_else(|| self.positionals.get(positionals));
+        match offender {
             Some(arg) => Err(format!("{command} does not take {arg:?}")),
             None => Ok(()),
         }
@@ -180,6 +192,20 @@ mod tests {
     fn last_occurrence_wins() {
         let p = Parsed::parse(&argv(&["-m", "lb", "-m", "fg"])).unwrap();
         assert_eq!(p.flag("-m", "mg"), "fg");
+    }
+
+    #[test]
+    fn allow_only_names_the_first_unlisted_option_or_extra_positional() {
+        let p = Parsed::parse(&argv(&["a.mtx", "b.mtx", "-p", "4", "--spy"])).unwrap();
+        assert!(p.allow_only("partition", &["-p", "--spy"], 2).is_ok());
+        assert_eq!(
+            p.allow_only("partition", &["-p", "--spy"], 1).unwrap_err(),
+            "partition does not take \"b.mtx\""
+        );
+        assert_eq!(
+            p.allow_only("partition", &["-p"], 2).unwrap_err(),
+            "partition does not take \"--spy\""
+        );
     }
 
     #[test]

@@ -64,8 +64,8 @@ PARTITION OPTIONS:
   -e EPS        load imbalance (default 0.03)
   -m METHOD     mg | mg-ir | lb | lb-ir | fg | fg-ir | rn | cn  (default mg-ir)
   -o FILE       write the distributed matrix (Mondriaan-style format)
-  --backend B   mondriaan | patoh | coarse-grain | geometric  (default mondriaan;
-                --engine is accepted as an alias)
+  --backend B   mondriaan | patoh | coarse-grain | geometric  (default mondriaan)
+  --engine B    alias of --backend
   --seed S      RNG seed (default 2014)
   --spy         render a partition spy plot
 
@@ -76,6 +76,7 @@ SWEEP OPTIONS:
   -m LIST       comma-separated methods  (default lb,lb-ir,mg,mg-ir,fg,fg-ir)
   -e LIST       comma-separated epsilons  (default 0.03)
   --backend B   backend every cell runs on  (default mondriaan)
+  --engine B    alias of --backend
   --matrices L  comma-separated name substrings; keep matching matrices only.
                 A filter that matches nothing is an error, not an empty sweep.
   --seed S      master seed; every cell derives its own stream  (default 2014)
@@ -148,6 +149,7 @@ REQUEST OPTIONS:
                 third payload kind)
   -m METHOD     method name  (default mg-ir)
   --backend B   request an explicit backend  (omitted = server default)
+  --engine B    alias of --backend
   -e EPS        load imbalance  (default 0.03)
   --seed S      request seed (optional)
   --id ID       correlation id echoed by the server
@@ -196,6 +198,10 @@ TRACE OPTIONS:
   --report      also render a human-readable summary to stdout: the span
                 tree per trace, request-latency p50/p99, and per-phase
                 time shares (the paper's Fig. 5 breakdown)
+
+GENERATE OPTIONS:
+  -o FILE       output path  (default <family>.mtx)
+  --seed S      seed of the random families  (default 2014)
 
 GENERATE FAMILIES:
   laplace2d [k]   5-point Laplacian on a k×k grid      (default k = 64)
@@ -254,25 +260,31 @@ fn run(argv: &[String]) -> Result<(), String> {
         print!("{USAGE}");
         return Ok(());
     };
-    match command.as_str() {
-        "partition" => partition(&Parsed::parse(&argv[1..])?),
-        "analyze" => analyze(&Parsed::parse(&argv[1..])?),
-        "generate" => generate(&Parsed::parse(&argv[1..])?),
-        "volume" => volume(&Parsed::parse(&argv[1..])?),
-        "backends" => backends(),
-        "sweep" => sweep(&Parsed::parse(&argv[1..])?),
-        "serve" => serve(&Parsed::parse(&argv[1..])?),
-        "route" => route(&Parsed::parse(&argv[1..])?),
-        "request" => request(&Parsed::parse(&argv[1..])?),
-        "bench" => bench::bench(&Parsed::parse(&argv[1..])?),
-        "metrics" => metrics(&Parsed::parse(&argv[1..])?),
-        "trace" => trace_cmd(&Parsed::parse(&argv[1..])?),
-        "help" | "--help" | "-h" => {
-            print!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command {other:?}; try `mgpart help`")),
+    if matches!(command.as_str(), "help" | "--help" | "-h") {
+        print!("{USAGE}");
+        return Ok(());
     }
+    // A subcommand takes the options its USAGE section lists and at most
+    // its count of positionals.
+    type Run = fn(&Parsed) -> Result<(), String>;
+    let (run, section, positionals): (Run, &str, usize) = match command.as_str() {
+        "partition" => (partition, "PARTITION OPTIONS", 1),
+        "analyze" => (analyze, "", 1),
+        "generate" => (generate, "GENERATE OPTIONS", 2),
+        "volume" => (volume, "", 1),
+        "backends" => (backends, "", 0),
+        "sweep" => (sweep, "SWEEP OPTIONS", 0),
+        "serve" => (serve, "SERVE OPTIONS", 0),
+        "route" => (route, "ROUTE OPTIONS", 0),
+        "request" => (request, "REQUEST OPTIONS", 1),
+        "bench" => (bench::bench, "BENCH OPTIONS", 0),
+        "metrics" => (metrics, "METRICS OPTIONS", 1),
+        "trace" => (trace_cmd, "TRACE OPTIONS", usize::MAX),
+        other => return Err(format!("unknown command {other:?}; try `mgpart help`")),
+    };
+    let parsed = Parsed::parse(&argv[1..])?;
+    parsed.allow_only(command, &usage_flags(section), positionals)?;
+    run(&parsed)
 }
 
 fn scale_from_name(name: &str) -> Result<CollectionScale, String> {
@@ -295,7 +307,7 @@ fn backend_from_flags(parsed: &Parsed) -> Result<&'static dyn PartitionBackend, 
     parse_backend(&name)
 }
 
-fn backends() -> Result<(), String> {
+fn backends(_: &Parsed) -> Result<(), String> {
     println!(
         "{:<14} {:<12} {:<7} {:<6} {:<5} description",
         "name", "granularity", "model", "seed", "geom"
@@ -780,21 +792,24 @@ fn render_trace_report(doc: &Json) -> String {
     out
 }
 
-/// The options a USAGE section lists: the `--flag` opening each of its
-/// lines, from the line starting with `heading` to the next blank line.
+/// The options a USAGE section lists: the `-f` or `--flag` opening each
+/// of its lines, from the line starting with `heading` to the next blank
+/// line. No section (an empty heading) lists none.
 fn usage_flags(heading: &str) -> Vec<&'static str> {
+    if heading.is_empty() {
+        return Vec::new();
+    }
     USAGE
         .lines()
         .skip_while(|line| !line.starts_with(heading))
         .skip(1)
         .take_while(|line| !line.is_empty())
-        .filter(|line| line.starts_with("  --"))
+        .filter(|line| line.starts_with("  -"))
         .filter_map(|line| line.split_whitespace().next())
         .collect()
 }
 
 fn serve(parsed: &Parsed) -> Result<(), String> {
-    parsed.allow_only("serve", &usage_flags("SERVE OPTIONS"))?;
     let config = ServiceConfig {
         threads: parsed.flag_parse("--threads", 0usize)?,
         queue_capacity: parsed.flag_parse("--queue", 256usize)?,
@@ -878,7 +893,6 @@ fn seconds_flag(parsed: &Parsed, name: &str) -> Result<Option<std::time::Duratio
 }
 
 fn route(parsed: &Parsed) -> Result<(), String> {
-    parsed.allow_only("route", &usage_flags("ROUTE OPTIONS"))?;
     // A missing --shards list is the empty topology: same typed error,
     // nonzero exit.
     let topology = Topology::parse(&parsed.flag("--shards", ""))

@@ -360,3 +360,125 @@ fn backends_listing_names_every_registered_backend() {
     }
     assert!(body.contains("default: mondriaan"));
 }
+
+/// Runs `line` and expects a nonzero exit whose fatal log line carries
+/// `named` (JSON-escaped there).
+fn fails_naming(line: &str, named: &str) {
+    let args: Vec<&str> = line.split_whitespace().collect();
+    let out = mgpart(&args);
+    assert!(!out.status.success(), "{line:?} must exit nonzero");
+    let err = stderr(&out);
+    let escaped = named.replace('"', "\\\"");
+    assert!(err.contains(&escaped), "{line:?} stderr: {err}");
+}
+
+// Each subcommand rejects an option its USAGE section does not list and
+// a positional beyond its count, naming the offender; with every listed
+// option the run gets past the check and fails later, on its input.
+
+#[test]
+fn partition_rejects_options_it_does_not_take() {
+    fails_naming(
+        "partition m.mtx --epslion 0.5 -m mg",
+        "partition does not take \"--epslion\"",
+    );
+    fails_naming("partition m.mtx extra", "partition does not take \"extra\"");
+    fails_naming(
+        "partition /no/such.mtx -p 2 -e 0.1 -m mg -o o --backend patoh --engine patoh \
+         --seed 1 --spy",
+        "No such file",
+    );
+}
+
+#[test]
+fn analyze_rejects_options_it_does_not_take() {
+    fails_naming("analyze m.mtx --spy", "analyze does not take \"--spy\"");
+    fails_naming("analyze m.mtx extra", "analyze does not take \"extra\"");
+    fails_naming("analyze /no/such.mtx", "No such file");
+}
+
+#[test]
+fn generate_rejects_options_it_does_not_take() {
+    fails_naming(
+        "generate laplace2d 4 --sed 1",
+        "generate does not take \"--sed\"",
+    );
+    fails_naming(
+        "generate laplace2d 4 extra",
+        "generate does not take \"extra\"",
+    );
+    fails_naming("generate no_family 4 -o x.mtx --seed 1", "unknown family");
+}
+
+#[test]
+fn volume_rejects_options_it_does_not_take() {
+    fails_naming("volume d.mtx --verify", "volume does not take \"--verify\"");
+    fails_naming("volume d.mtx extra", "volume does not take \"extra\"");
+    fails_naming("volume /no/such.mtx", "No such file");
+}
+
+#[test]
+fn backends_rejects_options_it_does_not_take() {
+    fails_naming("backends --json", "backends does not take \"--json\"");
+    fails_naming("backends extra", "backends does not take \"extra\"");
+}
+
+#[test]
+fn sweep_rejects_options_it_does_not_take() {
+    fails_naming(
+        "sweep --bogus-flag --scale smoke -m mg --matrices laplace2d_00",
+        "sweep does not take \"--bogus-flag\"",
+    );
+    fails_naming("sweep --help", "sweep does not take \"--help\"");
+    fails_naming("sweep extra", "sweep does not take \"extra\"");
+    fails_naming(
+        "sweep --scale smoke --threads 1 --runs 1 -m mg -e 0.03 --backend mondriaan \
+         --engine mondriaan --matrices no_such_matrix --seed 1 -o x.jsonl --timing --verify",
+        "empty sweep",
+    );
+}
+
+#[test]
+fn request_rejects_options_it_does_not_take() {
+    fails_naming(
+        "request --op ping --print --include_partition",
+        "request does not take \"--include_partition\"",
+    );
+    fails_naming(
+        "request h:1 extra --print",
+        "request does not take \"extra\"",
+    );
+    fails_naming(
+        "request --op bogus --mtx m --collection c --inline -m mg --backend patoh \
+         --engine patoh -e 0.1 --seed 1 --id 1 --shard s --include-partition --timeout 1 \
+         --trace --print",
+        "unknown op",
+    );
+}
+
+#[test]
+fn bench_rejects_options_it_does_not_take() {
+    fails_naming("bench --quik", "bench does not take \"--quik\"");
+    fails_naming("bench extra", "bench does not take \"extra\"");
+    fails_naming(
+        "bench --validate /no/such.json --against x --requests 1 --threads 1 --quick \
+         --json -o x",
+        "No such file",
+    );
+}
+
+#[test]
+fn metrics_rejects_options_it_does_not_take() {
+    fails_naming(
+        "metrics --input f --scheme s",
+        "metrics does not take \"--scheme\"",
+    );
+    fails_naming("metrics h:1 extra", "metrics does not take \"extra\"");
+    fails_naming("metrics --input /no/such --schema s", "No such file");
+}
+
+#[test]
+fn trace_rejects_options_it_does_not_take() {
+    fails_naming("trace h:1 --reprot", "trace does not take \"--reprot\"");
+    fails_naming("trace 127.0.0.1:1 127.0.0.1:2 --out x --report", "scraping");
+}

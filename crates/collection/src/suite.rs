@@ -8,7 +8,6 @@
 //! 500 – 5M nonzero span of the original test set (scaled down to keep the
 //! full sweep tractable on one machine).
 
-use mg_sparse::stats::{MatrixClass, PatternStats};
 use mg_sparse::{gen, Coo, Idx};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -39,7 +38,9 @@ impl CollectionScale {
 /// Specification of a deterministic collection.
 #[derive(Debug, Clone)]
 pub struct CollectionSpec {
-    /// Master seed; every matrix derives its own stream from it.
+    /// Master seed of the one RNG stream that [`generate`] threads
+    /// through the families in order: a matrix's content depends on every
+    /// draw before it.
     pub seed: u64,
     /// Size of the collection.
     pub scale: CollectionScale,
@@ -63,8 +64,6 @@ pub struct CollectionEntry {
     pub family: &'static str,
     /// The matrix.
     pub matrix: Coo,
-    /// The paper's class of this matrix.
-    pub class: MatrixClass,
 }
 
 /// Log-uniform interpolation between `lo` and `hi` for step `i` of `n`.
@@ -79,12 +78,10 @@ fn log_interp(lo: usize, hi: usize, i: usize, n: usize) -> usize {
 }
 
 fn push(entries: &mut Vec<CollectionEntry>, family: &'static str, name: String, matrix: Coo) {
-    let class = PatternStats::compute(&matrix).class();
     entries.push(CollectionEntry {
         name,
         family,
         matrix,
-        class,
     });
 }
 
@@ -274,6 +271,7 @@ pub fn generate(spec: &CollectionSpec) -> Vec<CollectionEntry> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mg_sparse::stats::{MatrixClass, PatternStats};
     use std::collections::HashSet;
 
     #[test]
@@ -322,7 +320,7 @@ mod tests {
         });
         let mut seen = HashSet::new();
         for e in &c {
-            seen.insert(e.class);
+            seen.insert(PatternStats::compute(&e.matrix).class());
         }
         assert!(seen.contains(&MatrixClass::Rectangular));
         assert!(seen.contains(&MatrixClass::Symmetric));
@@ -336,7 +334,11 @@ mod tests {
             scale: CollectionScale::Default,
         });
         let total = c.len() as f64;
-        let frac = |cl: MatrixClass| c.iter().filter(|e| e.class == cl).count() as f64 / total;
+        let classes: Vec<MatrixClass> = c
+            .iter()
+            .map(|e| PatternStats::compute(&e.matrix).class())
+            .collect();
+        let frac = |cl: MatrixClass| classes.iter().filter(|&&c| c == cl).count() as f64 / total;
         let sym = frac(MatrixClass::Symmetric);
         let rect = frac(MatrixClass::Rectangular);
         let sqr = frac(MatrixClass::SquareNonSymmetric);

@@ -16,6 +16,13 @@
 //! This is a *cheap* post-processing step — one level, no coarsening — and
 //! is applicable to the output of any bipartitioning method.
 //!
+//! The runs share one structure. A's row starts and column-major order
+//! ([`ALayout`]) are computed once per refinement, and each run lays B out
+//! again in the buffers of one [`MediumGrainModel`]
+//! ([`MediumGrainModel::lay_out`]). The FM start is the pure split's
+//! sides, and a run's volume is FM's cut of B (eqn (6)), so the loop
+//! counts A's volume only once, for its input.
+//!
 //! A run that does not improve returns its start unchanged, and the next
 //! run is the other direction from that same start. On a large matrix
 //! with an idle core, a run therefore spawns the other direction's run
@@ -23,10 +30,10 @@
 //! [`mg_partitioner::helper::spawn`]), unless an earlier one is still
 //! running. The helper's result replaces the next run only when the run
 //! left the partition unchanged; otherwise it is dropped. So the sequence
-//! of runs — and the result — is the one of the plain loop.
+//! of runs — and the result — is the one of the plain loop. The helper
+//! lays out its own B: its buffers go with each of its runs.
 
-use crate::bmatrix::MediumGrainModel;
-use crate::split::Split;
+use crate::bmatrix::{ALayout, MediumGrainModel};
 use mg_hypergraph::VertexBipartition;
 use mg_partitioner::helper::{self, Helper};
 use mg_partitioner::{fm_refine_with_scratch, FmLimits, FmScratch};
@@ -100,29 +107,34 @@ fn refine_with_helper(
     };
     let large = a.nnz() >= PARALLEL_NNZ;
 
+    let layout = {
+        let _build = mg_obs::phase("medium_grain_build");
+        ALayout::new(a)
+    };
     let mut current = partition.clone();
     let mut volumes = vec![communication_volume(a, &current)];
     let mut direction = 0u8;
     let mut iterations = 0u32;
-    // One FM scratch serves every KL run of the loop on this thread.
-    let mut scratch = FmScratch::new();
+    // One B layout and FM scratch serve every KL run of the loop on this
+    // thread.
+    let mut scratch = KlScratch::default();
 
     std::thread::scope(|scope| {
-        let limits = &limits;
-        // The helper's FM scratch goes with each of its runs and comes
-        // back with the result.
-        let mut spare_scratch = FmScratch::new();
+        let (limits, layout) = (&limits, &layout);
+        // The helper's scratch goes with each of its runs and comes back
+        // with the result.
+        let mut spare_scratch = KlScratch::default();
         // The helper's run still outstanding, if any, and its scratch.
-        let mut pending: Option<ScopedJoinHandle<(NonzeroPartition, FmScratch)>> = None;
+        let mut pending: Option<ScopedJoinHandle<(Run, KlScratch)>> = None;
         // The other direction's run from `current`, made by the helper
         // alongside the run that left `current` unchanged.
-        let mut other_direction: Option<NonzeroPartition> = None;
+        let mut other_direction: Option<Run> = None;
 
         while iterations < MAX_ITERATIONS {
             iterations += 1;
 
-            let refined = match other_direction.take() {
-                Some(refined) => refined,
+            let (refined, volume) = match other_direction.take() {
+                Some(run) => run,
                 None => {
                     // A finished run nobody took is dropped; one still
                     // running leaves this run without a helper.
@@ -139,26 +151,25 @@ fn refine_with_helper(
                         let (start, other) = (current.clone(), 1 - direction);
                         let mut s = std::mem::take(&mut spare_scratch);
                         pending = helper::spawn(scope, helper, large, move || {
-                            (kl_run(a, &start, other, limits, &mut s, false), s)
+                            (kl_run(a, layout, &start, other, limits, &mut s, false), s)
                         });
                         spawned = pending.is_some();
                     }
-                    let refined = kl_run(a, &current, direction, limits, &mut scratch, true);
+                    let run = kl_run(a, layout, &current, direction, limits, &mut scratch, true);
                     // Unchanged means no improvement: the direction
                     // switches and the next run starts from this same
                     // partition — exactly the run spawned above (never
                     // one left over from an earlier `current`). Compare
                     // partitions, not volumes: a run may change the
                     // partition at equal volume.
-                    if let Some(run) = pending.take_if(|_| spawned && refined == current) {
-                        let (run, s) = run.join().expect("helper thread panicked");
+                    if let Some(pending_run) = pending.take_if(|_| spawned && run.0 == current) {
+                        let (other_run, s) = pending_run.join().expect("helper thread panicked");
                         spare_scratch = s;
-                        other_direction = Some(run);
+                        other_direction = Some(other_run);
                     }
-                    refined
+                    run
                 }
             };
-            let volume = communication_volume(a, &refined);
 
             // FM's best-prefix rule guarantees (violation, cut) never
             // worsens, so accepting unconditionally keeps the procedure
@@ -182,34 +193,51 @@ fn refine_with_helper(
     }
 }
 
+/// A KL run's result: the refined partition and its volume.
+type Run = (NonzeroPartition, u64);
+
+/// The buffers one thread's KL runs reuse: B's layout, the FM start
+/// sides and the FM scratch.
+#[derive(Debug, Default)]
+struct KlScratch {
+    model: MediumGrainModel,
+    sides: Vec<u8>,
+    fm: FmScratch,
+}
+
 /// One KL run of Algorithm 2: re-encodes `start` as a split in
-/// `direction` (0 puts A0 in Ar, the row groups; 1 puts A0 in Ac), builds
-/// the hypergraph of `B` seeded with `start` (groups are pure by
-/// construction) and runs a single FM refinement on it. With `timed`, the
-/// build counts as `medium_grain_build` and the FM as `fm_refinement`, so
-/// IR shows in the Fig. 5 phase profile; a helper's run records nothing.
+/// `direction` (0 puts A0 in Ar, the row groups; 1 puts A0 in Ac), lays
+/// out the hypergraph of `B` seeded with `start` (groups are pure by
+/// construction, so the column groups start on A0's side in direction 1
+/// and on A1's in direction 0) and runs a single FM refinement on it.
+/// Returns the refined partition and its volume, which is FM's cut
+/// (eqn (6)). With `timed`, the layout counts as `medium_grain_build` and
+/// the FM as `fm_refinement`, so IR shows in the Fig. 5 phase profile; a
+/// helper's run records nothing.
 fn kl_run(
     a: &Coo,
+    layout: &ALayout,
     start: &NonzeroPartition,
     direction: u8,
     limits: &FmLimits,
-    scratch: &mut FmScratch,
+    scratch: &mut KlScratch,
     timed: bool,
-) -> NonzeroPartition {
+) -> Run {
     let build_timer = timed.then(|| mg_obs::phase("medium_grain_build"));
-    let in_row: Vec<bool> = (0..a.nnz())
-        .map(|k| (start.part_of(k) == 0) == (direction == 0))
-        .collect();
-    let split = Split::from_assignment(in_row);
-    let model = MediumGrainModel::build(a, &split);
-    let sides = model.sides_from_partition(a, start);
-    let mut bp = VertexBipartition::new(&model.hypergraph, sides);
+    let KlScratch { model, sides, fm } = scratch;
+    model.lay_out(a, layout, |k| (start.part_of(k) == 0) == (direction == 0));
+    model.pure_sides(1 - direction, sides);
+    let mut bp = VertexBipartition::new(&model.hypergraph, std::mem::take(sides));
     drop(build_timer);
 
     let refine_timer = timed.then(|| mg_obs::phase("fm_refinement"));
-    fm_refine_with_scratch(&model.hypergraph, &mut bp, limits, scratch);
+    fm_refine_with_scratch(&model.hypergraph, &mut bp, limits, fm);
     drop(refine_timer);
-    model.to_nonzero_partition(a, &bp.into_sides())
+    let volume = bp.cut_weight();
+    *sides = bp.into_sides();
+    let refined = model.to_nonzero_partition(a, sides);
+    debug_assert_eq!(volume, communication_volume(a, &refined), "eqn (6)");
+    (refined, volume)
 }
 
 #[cfg(test)]
@@ -269,16 +297,24 @@ mod tests {
 
     /// Above the IR threshold, running the other direction on a helper
     /// (forced on) gives the plain loop's (forced off) partition, volume
-    /// and iteration count on random, power-law and RMAT inputs. Each
-    /// start's first run improves, so its helper run is dropped; later
-    /// non-improving runs take theirs.
+    /// and iteration count on random, power-law and RMAT inputs, and on a
+    /// random one with empty rows and columns (so B lacks some groups and
+    /// nets). Each start's first run improves, so its helper run is
+    /// dropped; later non-improving runs take theirs.
     #[test]
     fn speculative_runs_match_the_plain_loop() {
         let mut rng = StdRng::seed_from_u64(8);
+        let spread = mg_sparse::gen::erdos_renyi_square(6_000, PARALLEL_NNZ, &mut rng);
         let matrices = [
             mg_sparse::gen::erdos_renyi_square(8_000, PARALLEL_NNZ, &mut rng),
             mg_sparse::gen::chung_lu_symmetric(8_000, PARALLEL_NNZ, 0.9, &mut rng),
             mg_sparse::gen::rmat(13, PARALLEL_NNZ, 0.57, 0.19, 0.19, &mut rng),
+            Coo::new(
+                2 * spread.rows(),
+                3 * spread.cols(),
+                spread.iter().map(|(i, j)| (2 * i + 1, 3 * j)).collect(),
+            )
+            .unwrap(),
         ];
         for a in &matrices {
             assert!(a.nnz() >= PARALLEL_NNZ);
@@ -295,7 +331,16 @@ mod tests {
                 stall_limit: STALL_LIMIT,
                 boundary_only: false,
             };
-            let first = kl_run(a, &p, 0, &limits, &mut FmScratch::new(), false);
+            let first = kl_run(
+                a,
+                &ALayout::new(a),
+                &p,
+                0,
+                &limits,
+                &mut KlScratch::default(),
+                false,
+            )
+            .0;
             assert_ne!(
                 first, p,
                 "the first run improves: its helper run is dropped"

@@ -221,19 +221,42 @@ pub fn name_fingerprint(name: &str) -> u64 {
 /// This is the single decode path shared by the `mg-server` engine and
 /// the `mg-router` front end, so a malformed payload produces the exact
 /// same `(code, message)` pair whether a shard or the router rejects it.
+/// A borrowed inline payload is copied; [`MatrixPayload::into_matrix`]
+/// takes the entries instead.
 pub fn payload_matrix(payload: &MatrixPayload) -> Result<Option<Coo>, (ErrorCode, String)> {
     match payload {
         MatrixPayload::Inline {
             rows,
             cols,
             entries,
-        } => Coo::new(*rows, *cols, entries.clone())
-            .map(Some)
-            .map_err(|e| (ErrorCode::BadMatrix, e.to_string())),
+        } => inline_matrix(*rows, *cols, entries.clone()).map(Some),
         MatrixPayload::Collection(_) => Ok(None),
-        MatrixPayload::MatrixMarket(text) => io::read_matrix_market(text.as_bytes())
+        MatrixPayload::MatrixMarket(text) => io::parse_matrix_market(text.as_bytes())
             .map(Some)
             .map_err(|e| (ErrorCode::BadMatrix, e.to_string())),
+    }
+}
+
+fn inline_matrix(
+    rows: Idx,
+    cols: Idx,
+    entries: Vec<(Idx, Idx)>,
+) -> Result<Coo, (ErrorCode, String)> {
+    Coo::new(rows, cols, entries).map_err(|e| (ErrorCode::BadMatrix, e.to_string()))
+}
+
+impl MatrixPayload {
+    /// [`payload_matrix`] of an owned payload: inline entries become the
+    /// matrix's own storage.
+    pub fn into_matrix(self) -> Result<Option<Coo>, (ErrorCode, String)> {
+        match self {
+            MatrixPayload::Inline {
+                rows,
+                cols,
+                entries,
+            } => inline_matrix(rows, cols, entries).map(Some),
+            other => payload_matrix(&other),
+        }
     }
 }
 
@@ -243,11 +266,14 @@ pub fn payload_matrix(payload: &MatrixPayload) -> Result<Option<Coo>, (ErrorCode
 /// [`name_fingerprint`] when only a collection name does. Fails with the
 /// same typed error the serving engine would produce for an undecodable
 /// payload.
-pub fn placement_key(payload: &MatrixPayload) -> Result<u64, (ErrorCode, String)> {
-    Ok(match (payload_matrix(payload)?, payload) {
-        (Some(a), _) => matrix_fingerprint(&a),
-        (None, MatrixPayload::Collection(name)) => name_fingerprint(name),
-        (None, _) => unreachable!("payload_matrix returns None only for collections"),
+pub fn placement_key(payload: MatrixPayload) -> Result<u64, (ErrorCode, String)> {
+    Ok(match payload {
+        MatrixPayload::Collection(name) => name_fingerprint(&name),
+        content => matrix_fingerprint(
+            &content
+                .into_matrix()?
+                .expect("content payloads carry their matrix"),
+        ),
     })
 }
 
@@ -300,14 +326,14 @@ mod tests {
             "%%MatrixMarket matrix coordinate pattern general\n3 4 3\n1 2\n3 4\n2 2\n".into(),
         );
         let a = Coo::new(3, 4, vec![(0, 1), (2, 3), (1, 1)]).unwrap();
-        for payload in [&inline, &mtx] {
+        for payload in [inline, mtx] {
             assert_eq!(placement_key(payload).unwrap(), matrix_fingerprint(&a));
         }
     }
 
     #[test]
     fn placement_keys_hash_collection_names_without_content() {
-        let key = placement_key(&MatrixPayload::Collection("laplace2d_00_k10".into())).unwrap();
+        let key = placement_key(MatrixPayload::Collection("laplace2d_00_k10".into())).unwrap();
         assert_eq!(key, name_fingerprint("laplace2d_00_k10"));
         assert_ne!(
             name_fingerprint("laplace2d_00_k10"),
@@ -322,11 +348,11 @@ mod tests {
             cols: 2,
             entries: vec![(5, 0)],
         };
-        let (code, message) = placement_key(&bad).unwrap_err();
+        let (code, message) = placement_key(bad).unwrap_err();
         assert_eq!(code, ErrorCode::BadMatrix);
         assert!(!message.is_empty());
         let bad_mtx = MatrixPayload::MatrixMarket("not a matrix market header".into());
-        assert_eq!(placement_key(&bad_mtx).unwrap_err().0, ErrorCode::BadMatrix);
+        assert_eq!(placement_key(bad_mtx).unwrap_err().0, ErrorCode::BadMatrix);
     }
 
     #[test]

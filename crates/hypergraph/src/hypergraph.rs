@@ -140,6 +140,70 @@ impl Hypergraph {
     }
 }
 
+/// The CSR buffers of a [`Hypergraph`], for a producer that lays out the
+/// nets and the vertex→net lists itself and reuses the buffers from one
+/// hypergraph to the next ([`Hypergraph::from_csr`],
+/// [`Hypergraph::into_csr`]).
+#[derive(Debug, Clone, Default)]
+pub struct HypergraphCsr {
+    /// Weight per vertex.
+    pub vertex_weights: Vec<u64>,
+    /// Weight per net.
+    pub net_weights: Vec<u64>,
+    /// `net_pins[net_ptr[n]..net_ptr[n + 1]]` are the pins of net `n`.
+    pub net_ptr: Vec<usize>,
+    /// Pins of all nets, each net's ascending and unique.
+    pub net_pins: Vec<Idx>,
+    /// `vtx_nets[vtx_ptr[v]..vtx_ptr[v + 1]]` are the nets of vertex `v`.
+    pub vtx_ptr: Vec<usize>,
+    /// Nets of all vertices, each vertex's ascending: the transpose of
+    /// the pins.
+    pub vtx_nets: Vec<Idx>,
+}
+
+impl Default for Hypergraph {
+    /// The hypergraph with no vertices and no nets.
+    fn default() -> Self {
+        Hypergraph::from_csr(HypergraphCsr {
+            net_ptr: vec![0],
+            vtx_ptr: vec![0],
+            ..HypergraphCsr::default()
+        })
+    }
+}
+
+impl Hypergraph {
+    /// Takes buffers that already hold a hypergraph. The invariants of
+    /// [`Hypergraph`] are the caller's to keep; debug builds check them.
+    pub fn from_csr(csr: HypergraphCsr) -> Self {
+        let h = Hypergraph {
+            total_vertex_weight: csr.vertex_weights.iter().sum(),
+            vertex_weights: csr.vertex_weights,
+            net_weights: csr.net_weights,
+            net_ptr: csr.net_ptr,
+            net_pins: csr.net_pins,
+            vtx_ptr: csr.vtx_ptr,
+            vtx_nets: csr.vtx_nets,
+        };
+        debug_assert_eq!(h.net_ptr.len(), h.net_weights.len() + 1);
+        debug_assert_eq!(h.vtx_ptr.len(), h.vertex_weights.len() + 1);
+        debug_assert_eq!(h.validate(), Ok(()));
+        h
+    }
+
+    /// Gives the buffers back, for the next hypergraph to be laid out in.
+    pub fn into_csr(self) -> HypergraphCsr {
+        HypergraphCsr {
+            vertex_weights: self.vertex_weights,
+            net_weights: self.net_weights,
+            net_ptr: self.net_ptr,
+            net_pins: self.net_pins,
+            vtx_ptr: self.vtx_ptr,
+            vtx_nets: self.vtx_nets,
+        }
+    }
+}
+
 /// Incremental constructor for [`Hypergraph`].
 ///
 /// Collects nets one at a time, then [`HypergraphBuilder::build`] sorts and
@@ -201,7 +265,7 @@ impl HypergraphBuilder {
         for n in 0..num_nets {
             let (lo, hi) = (self.net_ptr[n], self.net_ptr[n + 1]);
             let pins = &mut self.net_pins[lo..hi];
-            // Most producers (the medium-grain model, contraction) emit
+            // Most producers (the matrix models, contraction) emit
             // pins already strictly increasing; skip the sort *and* the
             // dedup compaction for them.
             let sorted_unique = pins.windows(2).all(|w| w[0] < w[1]);

@@ -24,7 +24,7 @@ pub mod models;
 pub mod partition;
 
 pub use dedup::dedup_nets;
-pub use hypergraph::{Hypergraph, HypergraphBuilder};
+pub use hypergraph::{Hypergraph, HypergraphBuilder, HypergraphCsr};
 pub use models::{column_net_model, fine_grain_model, row_net_model, MatrixModel, ModelKind};
 pub use partition::VertexBipartition;
 

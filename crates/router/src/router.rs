@@ -858,7 +858,7 @@ impl RouterSessionDriver {
                 "router is draining; request rejected".to_string(),
             ))
         } else {
-            placement_key(&spec.matrix)
+            placement_key(spec.matrix)
         };
         let placement = match placed {
             Ok(placement) => placement,

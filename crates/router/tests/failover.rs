@@ -77,7 +77,7 @@ impl<F: FnMut()> Read for ScriptReader<F> {
 fn replica_set(line: &str, topology: &Topology, r: usize) -> Vec<usize> {
     let request = protocol::parse_request_line(line).expect("test script line parses");
     let spec = request.spec.expect("partition line carries a spec");
-    let key = placement_key(&spec.matrix).expect("placement key");
+    let key = placement_key(spec.matrix).expect("placement key");
     rank(key, topology.shards(), r)
 }
 

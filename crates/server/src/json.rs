@@ -12,7 +12,14 @@
 //! [`Json::UInt`] (full `u64` range, so 64-bit seeds survive a round
 //! trip), negative ones to [`Json::Int`], and everything else to
 //! [`Json::Num`].
+//!
+//! [`Json::parse_request`] is the same parser with one difference: the
+//! `entries` arrays of the document's top-level `matrix` object decode
+//! straight into [`Json::Pairs`], one `(row, col)` tuple per element,
+//! instead of a tree with a value per coordinate. The grammar, the error
+//! offsets and messages, and the nesting limit are the same for both.
 
+use mg_sparse::Idx;
 use std::fmt;
 
 /// A parsed JSON value.
@@ -35,6 +42,32 @@ pub enum Json {
     Arr(Vec<Json>),
     /// Object, in source (or construction) key order.
     Obj(Vec<(String, Json)>),
+    /// An inline `entries` array decoded by [`Json::parse_request`]. It
+    /// writes as the array of `[row, col]` pairs it decoded.
+    Pairs(Pairs),
+}
+
+/// The elements of an inline `entries` array, decoded in the parser's
+/// pass over the document.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Pairs {
+    /// The `[row, col]` pairs of 0-based `u32` indices, in document
+    /// order, up to the first fault.
+    pub pairs: Vec<(Idx, Idx)>,
+    /// The first element that is not such a pair. The rest of the array
+    /// is still parsed, so a later syntax error still wins.
+    pub fault: Option<PairFault>,
+}
+
+/// Why element `k` of an `entries` array is not a pair of indices.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PairFault {
+    /// Element `k` is not an array of exactly two values.
+    Shape(usize),
+    /// Element `k`'s first value is not an integer in `0..u32::MAX`.
+    Row(usize),
+    /// Element `k`'s second value is not an integer in `0..u32::MAX`.
+    Col(usize),
 }
 
 /// A parse failure: byte offset and message.
@@ -61,27 +94,43 @@ struct Parser<'a> {
     pos: usize,
 }
 
+/// Where a value sits in a request document: only the `entries` of the
+/// top-level `matrix` object decode as [`Json::Pairs`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    Any,
+    Root,
+    Matrix,
+    Entries,
+}
+
 impl Json {
     /// Parses one complete JSON document; trailing non-whitespace is an
     /// error.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let value = p.value(0)?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after the document"));
-        }
-        Ok(value)
+        Parser::document(text, Slot::Any)
+    }
+
+    /// Parses a request line: [`Json::parse`], except that every array
+    /// under the key `entries` of the top-level `matrix` object becomes
+    /// [`Json::Pairs`]. Accepts and rejects exactly what
+    /// [`Json::parse`] does, with the same errors.
+    pub fn parse_request(text: &str) -> Result<Json, JsonError> {
+        Parser::document(text, Slot::Root)
     }
 
     /// Object field lookup (first match; `None` for non-objects).
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// Mutable [`Json::get`]: the first field named `key`.
+    pub fn get_mut(&mut self, key: &str) -> Option<&mut Json> {
+        match self {
+            Json::Obj(fields) => fields.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
@@ -173,6 +222,16 @@ impl Json {
                 }
                 out.push('}');
             }
+            Json::Pairs(decoded) => {
+                out.push('[');
+                for (k, (row, col)) in decoded.pairs.iter().enumerate() {
+                    if k > 0 {
+                        out.push(',');
+                    }
+                    out.push_str(&format!("[{row},{col}]"));
+                }
+                out.push(']');
+            }
         }
     }
 }
@@ -214,6 +273,20 @@ fn write_escaped(s: &str, out: &mut String) {
 }
 
 impl<'a> Parser<'a> {
+    fn document(text: &'a str, slot: Slot) -> Result<Json, JsonError> {
+        let mut p = Parser {
+            bytes: text.as_bytes(),
+            pos: 0,
+        };
+        p.skip_ws();
+        let value = p.value(0, slot)?;
+        p.skip_ws();
+        if p.pos != p.bytes.len() {
+            return Err(p.err("trailing characters after the document"));
+        }
+        Ok(value)
+    }
+
     fn err(&self, message: impl Into<String>) -> JsonError {
         JsonError {
             offset: self.pos,
@@ -249,7 +322,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
+    fn value(&mut self, depth: usize, slot: Slot) -> Result<Json, JsonError> {
         if depth > MAX_DEPTH {
             return Err(self.err("nesting too deep"));
         }
@@ -258,38 +331,101 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
+            Some(b'[') if slot == Slot::Entries => self.pairs(depth),
             Some(b'[') => self.array(depth),
-            Some(b'{') => self.object(depth),
+            Some(b'{') => self.object(depth, slot),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.err(format!("unexpected character {:?}", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
     }
 
-    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
+    /// Parses `[item, …]`, calling `item` with each element's index
+    /// while the cursor is on the element.
+    fn items(
+        &mut self,
+        mut item: impl FnMut(&mut Self, usize) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
         self.expect(b'[')?;
-        let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Json::Arr(items));
+            return Ok(());
         }
-        loop {
+        for k in 0.. {
             self.skip_ws();
-            items.push(self.value(depth + 1)?);
+            item(self, k)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
+                Some(b']') => break,
                 _ => return Err(self.err("expected ',' or ']'")),
             }
         }
+        self.pos += 1;
+        Ok(())
     }
 
-    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
+    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
+        let mut items = Vec::new();
+        self.items(|p, _| {
+            items.push(p.value(depth + 1, Slot::Any)?);
+            Ok(())
+        })?;
+        Ok(Json::Arr(items))
+    }
+
+    /// An `entries` array: each element decodes to a pair, and the first
+    /// element that is not one is recorded as the fault.
+    fn pairs(&mut self, depth: usize) -> Result<Json, JsonError> {
+        let mut decoded = Pairs::default();
+        self.items(|p, k| {
+            let pair = p.pair(depth + 1, k)?;
+            if decoded.fault.is_none() {
+                match pair {
+                    Ok(rc) => decoded.pairs.push(rc),
+                    Err(fault) => decoded.fault = Some(fault),
+                }
+            }
+            Ok(())
+        })?;
+        Ok(Json::Pairs(decoded))
+    }
+
+    /// Element `k` of an `entries` array: the pair, or its fault (the
+    /// shape check comes before the row check, the row before the
+    /// column).
+    fn pair(&mut self, depth: usize, k: usize) -> Result<Result<(Idx, Idx), PairFault>, JsonError> {
+        if depth > MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        if self.peek() != Some(b'[') {
+            self.value(depth, Slot::Any)?;
+            return Ok(Err(PairFault::Shape(k)));
+        }
+        let mut coords = [None; 2];
+        let mut len = 0;
+        self.items(|p, j| {
+            let index = p
+                .value(depth + 1, Slot::Any)?
+                .as_u64()
+                .filter(|&v| v < u64::from(Idx::MAX))
+                .map(|v| v as Idx);
+            if let Some(slot) = coords.get_mut(j) {
+                *slot = index;
+            }
+            len = j + 1;
+            Ok(())
+        })?;
+        Ok(match (len, coords) {
+            (2, [Some(row), Some(col)]) => Ok((row, col)),
+            (2, [None, _]) => Err(PairFault::Row(k)),
+            (2, _) => Err(PairFault::Col(k)),
+            _ => Err(PairFault::Shape(k)),
+        })
+    }
+
+    fn object(&mut self, depth: usize, slot: Slot) -> Result<Json, JsonError> {
         self.expect(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
@@ -303,7 +439,12 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value(depth + 1)?;
+            let inner = match (slot, key.as_str()) {
+                (Slot::Root, "matrix") => Slot::Matrix,
+                (Slot::Matrix, "entries") => Slot::Entries,
+                _ => Slot::Any,
+            };
+            let value = self.value(depth + 1, inner)?;
             fields.push((key, value));
             self.skip_ws();
             match self.peek() {
@@ -319,42 +460,37 @@ impl<'a> Parser<'a> {
 
     fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        // Bytes, checked as UTF-8 once at the closing quote: the input is
+        // valid UTF-8 (it came from &str), runs stop only at ASCII
+        // delimiters and escapes push whole characters.
+        let mut out = Vec::new();
         loop {
             let start = self.pos;
-            // Fast path: a run of plain bytes.
-            while let Some(c) = self.peek() {
-                if c == b'"' || c == b'\\' || c < 0x20 {
-                    break;
-                }
-                self.pos += 1;
-            }
-            if self.pos > start {
-                // The input is valid UTF-8 (it came from &str) and the run
-                // stops only at ASCII delimiters, so the slice is valid.
-                out.push_str(
-                    std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.err("invalid UTF-8 inside string"))?,
-                );
-            }
+            let run = self.bytes[start..]
+                .iter()
+                .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+                .unwrap_or(self.bytes.len() - start);
+            self.pos += run;
+            out.extend_from_slice(&self.bytes[start..self.pos]);
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return String::from_utf8(out)
+                        .map_err(|_| self.err("invalid UTF-8 inside string"));
                 }
                 Some(b'\\') => {
                     self.pos += 1;
                     let escape = self.peek().ok_or_else(|| self.err("unfinished escape"))?;
                     self.pos += 1;
                     match escape {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000C}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
+                        b'"' => out.push(b'"'),
+                        b'\\' => out.push(b'\\'),
+                        b'/' => out.push(b'/'),
+                        b'b' => out.push(0x08),
+                        b'f' => out.push(0x0C),
+                        b'n' => out.push(b'\n'),
+                        b'r' => out.push(b'\r'),
+                        b't' => out.push(b'\t'),
                         b'u' => {
                             let unit = self.hex4()?;
                             let c = if (0xD800..0xDC00).contains(&unit) {
@@ -379,7 +515,7 @@ impl<'a> Parser<'a> {
                             } else {
                                 char::from_u32(unit).ok_or_else(|| self.err("invalid codepoint"))?
                             };
-                            out.push(c);
+                            out.extend_from_slice(c.encode_utf8(&mut [0; 4]).as_bytes());
                         }
                         other => return Err(self.err(format!("bad escape \\{}", other as char))),
                     }
@@ -407,14 +543,18 @@ impl<'a> Parser<'a> {
 
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
         let mut integral = true;
+        // The integer part's value, exact while it has at most 19 digits.
+        let mut value = 0u64;
         if self.peek() == Some(b'0') {
             self.pos += 1;
         } else if matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            while let Some(c @ b'0'..=b'9') = self.peek() {
+                value = value.wrapping_mul(10).wrapping_add(u64::from(c - b'0'));
                 self.pos += 1;
             }
         } else {
@@ -442,6 +582,9 @@ impl<'a> Parser<'a> {
             while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
                 self.pos += 1;
             }
+        }
+        if integral && !negative && self.pos - start <= 19 {
+            return Ok(Json::UInt(value));
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("invalid number bytes"))?;

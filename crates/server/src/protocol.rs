@@ -10,7 +10,7 @@
 //! verbatim in the `message` field.
 
 use crate::codec::WireCodec;
-use crate::json::{obj, Json};
+use crate::json::{obj, Json, PairFault};
 use mg_core::service::{ErrorCode, MatrixPayload, PartitionOutcome, PartitionSpec, RequestOp};
 use mg_core::Method;
 use mg_sparse::Idx;
@@ -69,9 +69,11 @@ pub const DEFAULT_EPSILON: f64 = 0.03;
 /// medium-grain with iterative refinement, Mondriaan 4.0's default.
 pub const DEFAULT_METHOD: &str = "mg-ir";
 
-/// Decodes one request line.
+/// Decodes one request line, in one pass over its bytes: inline entries
+/// come out of the JSON parser as pairs ([`Json::parse_request`]) and
+/// move into the payload, as does Matrix Market text.
 pub fn parse_request_line(line: &str) -> Result<Request, RequestError> {
-    let doc = Json::parse(line)
+    let mut doc = Json::parse_request(line)
         .map_err(|e| RequestError::new(&Json::Null, ErrorCode::BadJson, e.to_string()))?;
     if !matches!(doc, Json::Obj(_)) {
         return Err(RequestError::new(
@@ -245,7 +247,7 @@ pub fn parse_request_line(line: &str) -> Result<Request, RequestError> {
         },
     };
 
-    let matrix = decode_matrix(&id, doc.get("matrix"))?;
+    let matrix = decode_matrix(&id, doc.get_mut("matrix"))?;
 
     Ok(Request {
         id,
@@ -312,7 +314,7 @@ fn parse_trace_field(id: &Json, v: &Json) -> Result<mg_obs::WireTrace, RequestEr
     Ok(mg_obs::WireTrace { trace_id, parent })
 }
 
-fn decode_matrix(id: &Json, field: Option<&Json>) -> Result<MatrixPayload, RequestError> {
+fn decode_matrix(id: &Json, field: Option<&mut Json>) -> Result<MatrixPayload, RequestError> {
     let Some(m) = field else {
         return Err(RequestError::new(
             id,
@@ -336,41 +338,25 @@ fn decode_matrix(id: &Json, field: Option<&Json>) -> Result<MatrixPayload, Reque
         [true, false, false] => {
             let rows = dim(id, m, "rows")?;
             let cols = dim(id, m, "cols")?;
-            let raw = m.get("entries").and_then(Json::as_array).ok_or_else(|| {
-                RequestError::new(
+            let Some(Json::Pairs(decoded)) = m.get_mut("entries") else {
+                return Err(RequestError::new(
                     id,
                     ErrorCode::BadRequest,
                     "inline matrices need an \"entries\" array",
-                )
-            })?;
-            let mut entries = Vec::with_capacity(raw.len());
-            for (k, pair) in raw.iter().enumerate() {
-                let coords = pair.as_array().filter(|a| a.len() == 2).ok_or_else(|| {
-                    RequestError::new(
-                        id,
-                        ErrorCode::BadMatrix,
-                        format!("entry {k} must be a [row, col] pair"),
-                    )
-                })?;
-                let coord = |axis: usize, name: &str| -> Result<Idx, RequestError> {
-                    coords[axis]
-                        .as_u64()
-                        .filter(|&v| v < u64::from(Idx::MAX))
-                        .map(|v| v as Idx)
-                        .ok_or_else(|| {
-                            RequestError::new(
-                                id,
-                                ErrorCode::BadMatrix,
-                                format!("entry {k}: {name} must be a 0-based u32 index"),
-                            )
-                        })
+                ));
+            };
+            if let Some(fault) = decoded.fault {
+                let message = match fault {
+                    PairFault::Shape(k) => format!("entry {k} must be a [row, col] pair"),
+                    PairFault::Row(k) => format!("entry {k}: row must be a 0-based u32 index"),
+                    PairFault::Col(k) => format!("entry {k}: col must be a 0-based u32 index"),
                 };
-                entries.push((coord(0, "row")?, coord(1, "col")?));
+                return Err(RequestError::new(id, ErrorCode::BadMatrix, message));
             }
             Ok(MatrixPayload::Inline {
                 rows,
                 cols,
-                entries,
+                entries: std::mem::take(&mut decoded.pairs),
             })
         }
         [false, true, false] => {
@@ -380,10 +366,14 @@ fn decode_matrix(id: &Json, field: Option<&Json>) -> Result<MatrixPayload, Reque
             Ok(MatrixPayload::Collection(name.to_string()))
         }
         [false, false, true] => {
-            let text = m.get("mtx").and_then(Json::as_str).ok_or_else(|| {
-                RequestError::new(id, ErrorCode::BadRequest, "\"mtx\" must be a string")
-            })?;
-            Ok(MatrixPayload::MatrixMarket(text.to_string()))
+            let Some(Json::Str(text)) = m.get_mut("mtx") else {
+                return Err(RequestError::new(
+                    id,
+                    ErrorCode::BadRequest,
+                    "\"mtx\" must be a string",
+                ));
+            };
+            Ok(MatrixPayload::MatrixMarket(std::mem::take(text)))
         }
         _ => Err(RequestError::new(
             id,
@@ -888,6 +878,136 @@ mod tests {
         assert_eq!(
             op_response(&Json::Null, "ping"),
             r#"{"id":null,"status":"ok","op":"ping"}"#
+        );
+    }
+
+    /// Inline entries, Matrix Market text and a binary `0x02` frame of one
+    /// matrix decode to the same `Coo`, placement key and fingerprint —
+    /// unsorted and duplicate entries, the largest index a `Coo` of the
+    /// largest dimensions accepts, and no entries at all.
+    #[test]
+    fn every_payload_form_decodes_to_the_same_matrix() {
+        use crate::codec::{decode_partition_payload, partition_payload};
+        use mg_core::service::{matrix_fingerprint, placement_key};
+        let top = Idx::MAX - 2;
+        for (dims, entries) in [
+            (
+                (Idx::MAX - 1, Idx::MAX - 1),
+                vec![(2, 1), (0, 0), (top, top), (2, 1), (0, 5), (top, 0)],
+            ),
+            ((3, 2), vec![]),
+        ] {
+            let pairs: Vec<String> = entries.iter().map(|(i, j)| format!("[{i},{j}]")).collect();
+            let inline = format!(
+                r#"{{"matrix":{{"rows":{},"cols":{},"entries":[{}]}}}}"#,
+                dims.0,
+                dims.1,
+                pairs.join(",")
+            );
+            let mut text = format!(
+                "%%MatrixMarket matrix coordinate pattern general\n{} {} {}\n",
+                dims.0,
+                dims.1,
+                entries.len()
+            );
+            for (i, j) in &entries {
+                text.push_str(&format!("{} {}\n", i + 1, j + 1));
+            }
+            let mtx = format!(r#"{{"matrix":{{"mtx":{}}}}}"#, Json::Str(text));
+            let inline = parse_request_line(&inline).unwrap();
+            let frame = partition_payload(&inline).unwrap();
+            let binary = decode_partition_payload(&frame[1..]).unwrap();
+            let mtx = parse_request_line(&mtx).unwrap();
+            let payloads = [inline, mtx, binary].map(|r| r.spec.unwrap().matrix);
+            let expected = mg_sparse::Coo::new(dims.0, dims.1, entries.clone()).unwrap();
+            for payload in payloads {
+                let key = placement_key(payload.clone()).unwrap();
+                let matrix = payload.into_matrix().unwrap().unwrap();
+                assert_eq!(matrix, expected);
+                assert_eq!(key, matrix_fingerprint(&expected));
+            }
+        }
+    }
+
+    /// The exact response line of each entry the decoder does not take as
+    /// a pair, and of the number forms it does take.
+    #[test]
+    fn malformed_entries_fail_with_pinned_error_lines() {
+        let line = |entries: &str| {
+            format!(r#"{{"id":7,"matrix":{{"rows":9,"cols":9,"entries":{entries}}}}}"#)
+        };
+        let bad_matrix = |message: &str| {
+            format!(r#"{{"id":7,"status":"error","code":"bad_matrix","message":"{message}"}}"#)
+        };
+        for (entries, expected) in [
+            ("[[0,1],5]", bad_matrix("entry 1 must be a [row, col] pair")),
+            ("[[0]]", bad_matrix("entry 0 must be a [row, col] pair")),
+            ("[[0,1,2]]", bad_matrix("entry 0 must be a [row, col] pair")),
+            ("[[1.5,\"x\",3]]", bad_matrix("entry 0 must be a [row, col] pair")),
+            ("[null]", bad_matrix("entry 0 must be a [row, col] pair")),
+            ("[[-1,0]]", bad_matrix("entry 0: row must be a 0-based u32 index")),
+            ("[[0,0],[1.5,0]]", bad_matrix("entry 1: row must be a 0-based u32 index")),
+            ("[[4294967295,0]]", bad_matrix("entry 0: row must be a 0-based u32 index")),
+            ("[[\"0\",\"x\"]]", bad_matrix("entry 0: row must be a 0-based u32 index")),
+            ("[[0,1e40]]", bad_matrix("entry 0: col must be a 0-based u32 index")),
+            ("[[0,-0]]", bad_matrix("entry 0: col must be a 0-based u32 index")),
+            // The first fault wins, and a later syntax error beats it.
+            ("[[0],[-1,0]]", bad_matrix("entry 0 must be a [row, col] pair")),
+            (
+                "[[0],[0,0}",
+                r#"{"id":null,"status":"error","code":"bad_json","message":"invalid JSON at byte 55: expected ',' or ']'"}"#.to_string(),
+            ),
+            (
+                "7",
+                r#"{"id":7,"status":"error","code":"bad_request","message":"inline matrices need an \"entries\" array"}"#.to_string(),
+            ),
+        ] {
+            let err = parse_request_line(&line(entries)).unwrap_err();
+            assert_eq!(
+                error_response(&err.id, err.code, &err.message, None),
+                expected,
+                "{entries}"
+            );
+        }
+        // Integral fractions and exponents, and a negative zero fraction,
+        // are indices, as `Json::as_u64` reads them.
+        let spec = parse_request_line(&line("[[1.0,2e1],[-0.0,0E+0],[8,1e0]]"))
+            .unwrap()
+            .spec
+            .unwrap();
+        let MatrixPayload::Inline { entries, .. } = spec.matrix else {
+            panic!("inline payload");
+        };
+        assert_eq!(entries, vec![(1, 20), (0, 0), (8, 1)]);
+    }
+
+    /// The first `entries` of the first `matrix` is the payload; a later
+    /// duplicate is still parsed, so its syntax errors fail the line, but
+    /// its entries are never checked.
+    #[test]
+    fn the_first_duplicate_entries_key_wins() {
+        let spec = parse_request_line(
+            r#"{"matrix":{"rows":2,"cols":2,"entries":[[1,1]],"entries":[[9]]},"matrix":5}"#,
+        )
+        .unwrap()
+        .spec
+        .unwrap();
+        assert_eq!(
+            spec.matrix,
+            MatrixPayload::Inline {
+                rows: 2,
+                cols: 2,
+                entries: vec![(1, 1)]
+            }
+        );
+        let err = parse_request_line(
+            r#"{"matrix":{"rows":2,"cols":2,"entries":[[1,1]],"entries":[[0,]]}}"#,
+        )
+        .unwrap_err();
+        assert_eq!(err.code, ErrorCode::BadJson);
+        assert_eq!(
+            err.message,
+            "invalid JSON at byte 61: unexpected character ']'"
         );
     }
 }

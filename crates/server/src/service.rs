@@ -266,21 +266,22 @@ impl Engine {
         slot.as_ref().expect("just filled").get(name).cloned()
     }
 
-    fn resolve_matrix(&self, payload: &MatrixPayload) -> Result<Arc<Coo>, (ErrorCode, String)> {
+    fn resolve_matrix(&self, payload: MatrixPayload) -> Result<Arc<Coo>, (ErrorCode, String)> {
         // The decode path is shared with the router's placement-key
         // extraction (mg_core::service), so both reject a malformed
         // payload with byte-identical (code, message) pairs.
-        match mg_core::service::payload_matrix(payload)? {
-            Some(matrix) => Ok(Arc::new(matrix)),
-            None => match payload {
-                MatrixPayload::Collection(name) => self.collection_matrix(name).ok_or_else(|| {
-                    (
-                        ErrorCode::UnknownCollection,
-                        format!("no collection matrix named {name:?}"),
-                    )
-                }),
-                _ => unreachable!("payload_matrix returns None only for collections"),
-            },
+        match payload {
+            MatrixPayload::Collection(name) => self.collection_matrix(&name).ok_or_else(|| {
+                (
+                    ErrorCode::UnknownCollection,
+                    format!("no collection matrix named {name:?}"),
+                )
+            }),
+            content => Ok(Arc::new(
+                content
+                    .into_matrix()?
+                    .expect("content payloads carry their matrix"),
+            )),
         }
     }
 }
@@ -807,7 +808,7 @@ impl SessionDriver<'_> {
         t0: Stamp,
     ) {
         let engine = &self.service.engine;
-        let matrix = match engine.resolve_matrix(&spec.matrix) {
+        let matrix = match engine.resolve_matrix(spec.matrix) {
             Ok(matrix) => matrix,
             Err((code, message)) => {
                 self.fail(index, &id, code, &message);

@@ -6,7 +6,7 @@
 //! the partitioning pipeline expects). Values are parsed for validation but
 //! discarded — see the crate-level note on pattern-only storage.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::path::Path;
 
 use crate::{Coo, Idx, SparseError};
@@ -38,40 +38,99 @@ impl Field {
     }
 }
 
-/// Reads a Matrix Market file from any reader.
-pub fn read_matrix_market<R: Read>(reader: R) -> Result<Coo, SparseError> {
-    let reader = BufReader::new(reader);
-    let mut lines = reader.lines().enumerate();
+/// Reads a Matrix Market file from any reader: reads it whole, then
+/// [`parse_matrix_market`].
+pub fn read_matrix_market<R: Read>(mut reader: R) -> Result<Coo, SparseError> {
+    let mut bytes = Vec::new();
+    reader.read_to_end(&mut bytes)?;
+    parse_matrix_market(&bytes)
+}
+
+/// The lines of `text` as [`std::io::BufRead::lines`] yields them: split
+/// at `\n`, a `\r` before a `\n` dropped, no empty line after a final
+/// `\n`. With `invalid`, `text` is the valid UTF-8 prefix of the input,
+/// and the line it ends in is the same I/O error as there.
+fn lines(text: &str, invalid: bool) -> impl Iterator<Item = Result<&str, SparseError>> {
+    let mut segments = text.split('\n').peekable();
+    std::iter::from_fn(move || {
+        let segment = segments.next()?;
+        Some(match segments.peek() {
+            Some(_) => Ok(segment.strip_suffix('\r').unwrap_or(segment)),
+            None if invalid => Err(SparseError::from(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                "stream did not contain valid UTF-8",
+            ))),
+            None if segment.is_empty() => return None,
+            None => Ok(segment),
+        })
+    })
+}
+
+/// The tokens of `line` as [`str::split_whitespace`] yields them, stepping
+/// over ASCII bytes without decoding characters.
+fn tokens(line: &str) -> impl Iterator<Item = &str> {
+    // Whether the character at byte `i` is whitespace, and its length.
+    let char_at = move |i: usize| match line.as_bytes()[i] {
+        b if b.is_ascii() => (matches!(b, b'\t'..=b'\r' | b' '), 1),
+        _ => {
+            let c = line[i..].chars().next().expect("a character starts at i");
+            (c.is_whitespace(), c.len_utf8())
+        }
+    };
+    let mut at = 0;
+    std::iter::from_fn(move || {
+        let mut start = None;
+        while at < line.len() {
+            let (space, len) = char_at(at);
+            match (space, start) {
+                (true, Some(_)) => break,
+                (false, None) => start = Some(at),
+                _ => {}
+            }
+            at += len;
+        }
+        start.map(|start| &line[start..at])
+    })
+}
+
+/// Parses a Matrix Market document held in memory, line by line in
+/// place: no line is copied.
+pub fn parse_matrix_market(bytes: &[u8]) -> Result<Coo, SparseError> {
+    let (text, invalid) = match std::str::from_utf8(bytes) {
+        Ok(text) => (text, false),
+        Err(e) => (
+            std::str::from_utf8(&bytes[..e.valid_up_to()]).expect("a valid prefix"),
+            true,
+        ),
+    };
+    let mut lines = lines(text, invalid).enumerate();
 
     // Header line.
     let (line_no, header) = loop {
         match lines.next() {
             Some((no, line)) => {
                 let line = line?;
-                if !line.trim().is_empty() {
+                if tokens(line).next().is_some() {
                     break (no + 1, line);
                 }
             }
             None => return Err(SparseError::Parse(0, "empty file".into())),
         }
     };
-    let tokens: Vec<String> = header
-        .split_whitespace()
-        .map(|t| t.to_ascii_lowercase())
-        .collect();
-    if tokens.len() < 5 || tokens[0] != "%%matrixmarket" || tokens[1] != "matrix" {
+    let words: Vec<String> = tokens(header).map(|t| t.to_ascii_lowercase()).collect();
+    if words.len() < 5 || words[0] != "%%matrixmarket" || words[1] != "matrix" {
         return Err(SparseError::Parse(
             line_no,
             format!("bad header: {header:?}"),
         ));
     }
-    if tokens[2] != "coordinate" {
+    if words[2] != "coordinate" {
         return Err(SparseError::Parse(
             line_no,
-            format!("unsupported format {:?} (only coordinate)", tokens[2]),
+            format!("unsupported format {:?} (only coordinate)", words[2]),
         ));
     }
-    let field = match tokens[3].as_str() {
+    let field = match words[3].as_str() {
         "pattern" => Field::Pattern,
         "real" => Field::Real,
         "integer" => Field::Integer,
@@ -83,7 +142,7 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<Coo, SparseError> {
             ))
         }
     };
-    let symmetry = match tokens[4].as_str() {
+    let symmetry = match words[4].as_str() {
         "general" => Symmetry::General,
         "symmetric" => Symmetry::Symmetric,
         "skew-symmetric" => Symmetry::SkewSymmetric,
@@ -102,15 +161,17 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<Coo, SparseError> {
         match lines.next() {
             Some((no, line)) => {
                 let line = line?;
-                let trimmed = line.trim();
-                if !trimmed.is_empty() && !trimmed.starts_with('%') {
+                if tokens(line)
+                    .next()
+                    .is_some_and(|first| !first.starts_with('%'))
+                {
                     break (no + 1, line);
                 }
             }
             None => return Err(SparseError::Parse(line_no, "missing size line".into())),
         }
     };
-    let dims: Vec<&str> = size_line.split_whitespace().collect();
+    let dims: Vec<&str> = tokens(size_line).collect();
     if dims.len() != 3 {
         return Err(SparseError::Parse(
             size_line_no,
@@ -138,30 +199,34 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<Coo, SparseError> {
     let mut seen = 0usize;
     let expected_tokens = 2 + field.value_tokens();
     for (no, line) in lines {
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('%') {
-            continue;
+        let mut split = tokens(line?);
+        // Blank lines and comments; then the coordinates and values in
+        // place, and the rest only counted.
+        let mut words = match split.next() {
+            Some(first) if !first.starts_with('%') => [first, "", "", ""],
+            _ => continue,
+        };
+        let mut found = 1;
+        for token in split.by_ref().take(expected_tokens - 1) {
+            words[found] = token;
+            found += 1;
         }
-        let tokens: Vec<&str> = trimmed.split_whitespace().collect();
-        if tokens.len() < expected_tokens {
+        if found < expected_tokens {
             return Err(SparseError::TruncatedEntry {
                 line: no + 1,
                 expected: expected_tokens,
-                found: tokens.len(),
+                found,
             });
         }
-        if tokens.len() > expected_tokens {
+        let trailing = split.count();
+        if trailing > 0 {
             return Err(SparseError::Parse(
                 no + 1,
-                format!(
-                    "{} trailing token(s) after a complete entry",
-                    tokens.len() - expected_tokens
-                ),
+                format!("{trailing} trailing token(s) after a complete entry"),
             ));
         }
-        let i = parse_dim(tokens[0], no + 1)?;
-        let j = parse_dim(tokens[1], no + 1)?;
+        let i = parse_dim(words[0], no + 1)?;
+        let j = parse_dim(words[1], no + 1)?;
         // Coordinates are 1-based; zero smells like 0-based indexing and is
         // rejected rather than silently shifted.
         if i == 0 || j == 0 || i > m || j > n {
@@ -480,5 +545,57 @@ mod tests {
         let b = read_matrix_market_file(&path).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn malformed_bodies_fail_with_pinned_messages() {
+        let header = "%%MatrixMarket matrix coordinate real general\n";
+        for (body, expected) in [
+            (
+                "3 3 2\n1 1 0.5\n2 2\n",
+                "truncated entry on line 4: expected 3 token(s), found 2",
+            ),
+            (
+                "3 3 2\r\n1 1 0.5\r\n% note\r\n4 1 1\r\n",
+                "entry (4, 1) on line 5 out of range for a 3x3 matrix \
+                 (coordinates are 1-based)",
+            ),
+            (
+                "3 3 3\n1 1 1\n\n2 2 2\n",
+                "size line declares 3 entries, file has 2",
+            ),
+            (
+                "3 3 1\n1 1 1 9\n",
+                "parse error on line 3: 1 trailing token(s) after a complete entry",
+            ),
+            (
+                "3 3 1\n1 x 1\n",
+                "parse error on line 3: bad integer \"x\": invalid digit found in string",
+            ),
+            (
+                "3 3\n",
+                "parse error on line 2: size line must have 3 fields, got \"3 3\"",
+            ),
+        ] {
+            let text = format!("{header}{body}");
+            let err = parse_matrix_market(text.as_bytes()).unwrap_err();
+            assert_eq!(err.to_string(), expected, "{body:?}");
+        }
+        // A line that is not UTF-8 fails where it is read, as a stream
+        // read by lines does; earlier errors win.
+        let mut bytes = format!("{header}2 2 1\n1 1 1\n").into_bytes();
+        bytes.extend_from_slice(b"\xff\n");
+        assert_eq!(
+            read_matrix_market(bytes.as_slice())
+                .unwrap_err()
+                .to_string(),
+            "I/O error: stream did not contain valid UTF-8"
+        );
+        let mut bytes = format!("{header}2 2 1\n9 9 1\n").into_bytes();
+        bytes.extend_from_slice(b"\xff\n");
+        assert!(matches!(
+            read_matrix_market(bytes.as_slice()),
+            Err(SparseError::EntryOutOfRange { line: 3, .. })
+        ));
     }
 }
