@@ -41,9 +41,9 @@ pub struct BatchSweepConfig {
     pub runs: u32,
     /// Master seed folded into every cell's key hash.
     pub seed: u64,
-    /// Canonical backend name ([`mg_core::backend`] registry: `mondriaan`,
-    /// `patoh`, `coarse-grain`, `geometric`). Part of every cell key, so
-    /// campaigns on different engines draw independent RNG streams.
+    /// Canonical backend name ([`mg_core::backend`] registry: `mondriaan`
+    /// or `patoh`). Part of every cell key, so campaigns on different
+    /// engines draw independent RNG streams.
     pub backend: String,
     /// Worker threads for the job pool; 0 = one per available core.
     pub threads: usize,
@@ -444,7 +444,10 @@ mod tests {
         match run_batch_sweep(&cfg) {
             Err(SweepError::UnknownBackend(message)) => {
                 assert!(message.contains("hmetis"), "{message}");
-                assert!(message.contains("coarse-grain"), "lists names: {message}");
+                assert!(
+                    message.contains("mondriaan, patoh"),
+                    "lists names: {message}"
+                );
             }
             other => panic!("expected UnknownBackend, got {other:?}"),
         }

@@ -237,7 +237,7 @@ mod tests {
             "--runs",
             "2",
             "--backend",
-            "geometric",
+            "patoh",
             "--matrices",
             "laplace",
             "--timing",
@@ -246,7 +246,7 @@ mod tests {
         assert_eq!(p.flag("--scale", "default"), "smoke");
         assert_eq!(p.flag_parse("--threads", 0usize).unwrap(), 4);
         assert_eq!(p.flag_parse("--runs", 1u32).unwrap(), 2);
-        assert_eq!(p.flag("--backend", "mondriaan"), "geometric");
+        assert_eq!(p.flag("--backend", "mondriaan"), "patoh");
         assert_eq!(p.flag("--matrices", ""), "laplace");
         assert!(p.has("--timing"));
     }

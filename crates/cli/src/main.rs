@@ -17,8 +17,7 @@ use mg_bench::{run_batch_sweep, BatchSweepConfig};
 use mg_collection::{CollectionScale, CollectionSpec};
 use mg_core::service::ErrorCode;
 use mg_core::{
-    all_backends, parse_backend, recursive_bisection, Granularity, Method, PartitionBackend,
-    DEFAULT_BACKEND,
+    all_backends, parse_backend, recursive_bisection, Method, PartitionBackend, DEFAULT_BACKEND,
 };
 use mg_router::{Router, RouterConfig, RouterTcpServer, Topology};
 use mg_server::json::obj;
@@ -64,7 +63,7 @@ PARTITION OPTIONS:
   -e EPS        load imbalance (default 0.03)
   -m METHOD     mg | mg-ir | lb | lb-ir | fg | fg-ir | rn | cn  (default mg-ir)
   -o FILE       write the distributed matrix (Mondriaan-style format)
-  --backend B   mondriaan | patoh | coarse-grain | geometric  (default mondriaan)
+  --backend B   mondriaan | patoh  (default mondriaan)
   --engine B    alias of --backend
   --seed S      RNG seed (default 2014)
   --spy         render a partition spy plot
@@ -297,8 +296,8 @@ fn scale_from_name(name: &str) -> Result<CollectionScale, String> {
 }
 
 /// Resolves the requested backend: `--backend` is the canonical flag,
-/// `--engine` the historical alias (the two original backends *are* the
-/// old engine presets, so every old invocation keeps working).
+/// `--engine` the historical alias (the two backends *are* the old engine
+/// presets, so every old invocation keeps working).
 fn backend_from_flags(parsed: &Parsed) -> Result<&'static dyn PartitionBackend, String> {
     let name = parsed
         .flag_opt("--backend")
@@ -308,24 +307,9 @@ fn backend_from_flags(parsed: &Parsed) -> Result<&'static dyn PartitionBackend, 
 }
 
 fn backends(_: &Parsed) -> Result<(), String> {
-    println!(
-        "{:<14} {:<12} {:<7} {:<6} {:<5} description",
-        "name", "granularity", "model", "seed", "geom"
-    );
+    println!("{:<10} description", "name");
     for backend in all_backends() {
-        let caps = backend.capabilities();
-        println!(
-            "{:<14} {:<12} {:<7} {:<6} {:<5} {}",
-            backend.name(),
-            match caps.granularity {
-                Granularity::Nonzero => "nonzero",
-                Granularity::RowOrColumn => "row/column",
-            },
-            if caps.honors_model { "full" } else { "ir-only" },
-            caps.seed_sensitive,
-            caps.uses_geometry,
-            backend.description()
-        );
+        println!("{:<10} {}", backend.name(), backend.description());
     }
     println!("\ndefault: {DEFAULT_BACKEND}");
     Ok(())

@@ -62,18 +62,45 @@ fn unknown_backends_exit_nonzero_and_list_the_registry() {
     assert!(!out.status.success());
     let err = stderr(&out);
     assert!(err.contains("unknown backend"), "stderr: {err}");
-    assert!(err.contains("coarse-grain"), "stderr lists names: {err}");
+    assert!(err.contains("patoh"), "stderr lists names: {err}");
+}
+
+#[test]
+fn retired_backends_are_unknown_to_partition_and_sweep() {
+    let dir = std::env::temp_dir().join(format!("mgpart-retired-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mtx = dir.join("two.mtx");
+    std::fs::write(
+        &mtx,
+        "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 2 1.0\n",
+    )
+    .unwrap();
+    let partition = ["partition", mtx.to_str().unwrap(), "--backend", "geometric"];
+    // The 1D baseline's name, in a spelling the registry once normalised
+    // to it.
+    let sweep = narrow_sweep(&["--backend", "Coarse+Grain"]);
+    let sweep: Vec<&str> = sweep.iter().map(String::as_str).collect();
+    for args in [&partition[..], &sweep[..]] {
+        let out = mgpart(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = stderr(&out);
+        assert!(
+            err.contains("\"event\":\"fatal\"") && err.contains("expected one of mondriaan, patoh"),
+            "{args:?} stderr: {err}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn sweep_records_carry_the_selected_backend() {
-    let out = run_narrow_sweep(&["--backend", "geometric"]);
+    let out = run_narrow_sweep(&["--backend", "patoh"]);
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     let body = stdout(&out);
     assert!(!body.is_empty());
     for line in body.lines() {
         assert!(
-            line.contains("\"backend\":\"geometric\""),
+            line.contains("\"backend\":\"patoh\""),
             "record missing backend: {line}"
         );
     }
@@ -94,9 +121,9 @@ fn engine_flag_remains_an_alias_for_backend() {
 
 #[test]
 fn backend_sweeps_are_byte_identical_across_thread_counts() {
-    let baseline = run_narrow_sweep(&["--backend", "coarse-grain", "--threads", "1"]);
+    let baseline = run_narrow_sweep(&["--backend", "patoh", "--threads", "1"]);
     assert!(baseline.status.success(), "stderr: {}", stderr(&baseline));
-    let four = run_narrow_sweep(&["--backend", "coarse-grain", "--threads", "4"]);
+    let four = run_narrow_sweep(&["--backend", "patoh", "--threads", "4"]);
     assert_eq!(stdout(&baseline), stdout(&four));
 }
 
@@ -355,10 +382,14 @@ fn backends_listing_names_every_registered_backend() {
     let out = mgpart(&["backends"]);
     assert!(out.status.success());
     let body = stdout(&out);
-    for name in ["mondriaan", "patoh", "coarse-grain", "geometric"] {
-        assert!(body.contains(name), "missing {name}: {body}");
-    }
-    assert!(body.contains("default: mondriaan"));
+    let (table, default) = body.split_once("\n\n").expect("table, then default");
+    let names: Vec<&str> = table
+        .lines()
+        .skip(1)
+        .filter_map(|line| line.split_whitespace().next())
+        .collect();
+    assert_eq!(names, ["mondriaan", "patoh"], "{body}");
+    assert_eq!(default, "default: mondriaan\n");
 }
 
 /// Runs `line` and expects a nonzero exit whose fatal log line carries

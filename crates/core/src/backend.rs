@@ -1,68 +1,24 @@
-//! Pluggable partitioner backends behind one engine seam.
+//! The partitioner backends behind one engine seam.
 //!
 //! The paper's evaluation runs every [`Method`] on two multilevel engines
-//! (Mondriaan's internal partitioner and PaToH). This module turns that
-//! hard-coded pair into an extensible registry: a [`PartitionBackend`] is
-//! any deterministic bipartitioning engine — seeded by a plain `u64`, so
-//! results are a pure function of (matrix, method, targets, seed) — and
-//! the registry maps canonical lowercase names onto `&'static` instances,
-//! mirroring the [`Method`] name codec ([`parse_backend`] accepts the
-//! same spelling liberties as [`Method::parse_name`]).
+//! (Mondriaan's internal partitioner and PaToH). This module puts that
+//! pair behind one trait: a [`PartitionBackend`] is a deterministic
+//! bipartitioning engine — seeded by a plain `u64`, so results are a pure
+//! function of (matrix, method, targets, seed) — and the registry maps
+//! canonical lowercase names onto `&'static` instances, mirroring the
+//! [`Method`] name codec ([`parse_backend`] accepts the same spelling
+//! liberties as [`Method::parse_name`]).
 //!
-//! Four backends are registered:
-//!
-//! * `mondriaan` / `patoh` — the existing multilevel presets
-//!   ([`PartitionerConfig::mondriaan_like`],
-//!   [`PartitionerConfig::patoh_like`]), which honor the full hypergraph
-//!   model of the method they are given;
-//! * `coarse-grain` — a direct 1D baseline that keeps whole rows (or
-//!   whole columns, whichever direction cuts less) atomic, in the spirit
-//!   of Mondriaan's coarse-grain scheme: LPT-greedy assignment plus a
-//!   balance repair pass, no multilevel machinery at all;
-//! * `geometric` — recursive-coordinate-bisection in the style of
-//!   Fagginger Auer & Bisseling's many-core partitioner (arXiv:1105.4490):
-//!   nonzeros are points `(i, j)`, split by a single coordinate cut along
-//!   the axis with the larger spread, snapped to a grid line when the
-//!   balance budget allows.
-//!
-//! The non-multilevel backends interpret only the method's refine flag
-//! (Algorithm 2 applies to *any* bipartitioning); their
-//! [`BackendCapabilities::honors_model`] is `false`.
+//! Two backends are registered: `mondriaan` and `patoh`, the multilevel
+//! presets [`PartitionerConfig::mondriaan_like`] and
+//! [`PartitionerConfig::patoh_like`]. Each honors the full hypergraph
+//! model and the refine flag of the method it is given.
 
 use crate::methods::{BipartitionResult, Method};
-use crate::service::mix64;
 use mg_partitioner::{BisectionTargets, PartitionerConfig};
-use mg_sparse::{Coo, Idx, NonzeroPartition};
+use mg_sparse::Coo;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// The atomic unit a backend moves between parts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Granularity {
-    /// Individual nonzeros (2D methods).
-    Nonzero,
-    /// Whole rows or whole columns (1D methods); balance is only
-    /// achievable down to the heaviest row/column.
-    RowOrColumn,
-}
-
-/// What a backend can and cannot do — consulted by callers that pick a
-/// backend per request (the service) or per instance (the sweep).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BackendCapabilities {
-    /// Interprets the hypergraph model of the [`Method`] it is given
-    /// (rn/cn/lb/fg/mg). Backends with `false` run their own algorithm
-    /// and honor only the method's refine flag.
-    pub honors_model: bool,
-    /// Results vary with the seed. Seed-invariant backends still satisfy
-    /// the determinism contract trivially.
-    pub seed_sensitive: bool,
-    /// Relies on the nonzero coordinates as geometry (requires an
-    /// inferable embedding; for matrices, `(row, col)` always is one).
-    pub uses_geometry: bool,
-    /// Smallest unit assigned atomically.
-    pub granularity: Granularity,
-}
 
 /// A deterministic 2-way partitioning engine.
 ///
@@ -73,14 +29,11 @@ pub struct BackendCapabilities {
 /// lets sweeps and the service stay byte-deterministic whatever backend a
 /// cell or request selects.
 pub trait PartitionBackend: Send + Sync {
-    /// Canonical lowercase registry name (`mondriaan`, `coarse-grain`, …).
+    /// Canonical lowercase registry name (`mondriaan`, `patoh`).
     fn name(&self) -> &'static str;
 
     /// One-line human description.
     fn description(&self) -> &'static str;
-
-    /// What this backend can do.
-    fn capabilities(&self) -> BackendCapabilities;
 
     /// Bipartitions `a` with explicit (possibly uneven) nonzero targets,
     /// the primitive recursive bisection builds on. `targets.target`
@@ -124,26 +77,19 @@ static PATOH: MultilevelBackend = MultilevelBackend {
     description: "multilevel FM, PaToH-like preset",
     config: PartitionerConfig::patoh_like,
 };
-static COARSE_GRAIN: CoarseGrainBackend = CoarseGrainBackend;
-static GEOMETRIC: GeometricBackend = GeometricBackend;
 
 /// Name of the backend used when none is requested (the paper's primary
 /// engine).
 pub const DEFAULT_BACKEND: &str = "mondriaan";
 
 /// Every registered backend, in canonical registry order.
-pub fn all_backends() -> [&'static dyn PartitionBackend; 4] {
-    [&MONDRIAAN, &PATOH, &COARSE_GRAIN, &GEOMETRIC]
+pub fn all_backends() -> [&'static dyn PartitionBackend; 2] {
+    [&MONDRIAAN, &PATOH]
 }
 
 /// The canonical names of every registered backend, in registry order.
-pub fn backend_names() -> [&'static str; 4] {
-    [
-        MONDRIAAN.name(),
-        PATOH.name(),
-        COARSE_GRAIN.name(),
-        GEOMETRIC.name(),
-    ]
+pub fn backend_names() -> [&'static str; 2] {
+    [MONDRIAAN.name(), PATOH.name()]
 }
 
 /// Resolves a backend by name. Accepts the same spelling liberties as the
@@ -171,7 +117,7 @@ pub fn parse_backend(raw: &str) -> Result<&'static dyn PartitionBackend, String>
 }
 
 // --------------------------------------------------------------------------
-// Multilevel backends (the two original engine presets)
+// Multilevel backends (the two engine presets)
 // --------------------------------------------------------------------------
 
 /// A backend wrapping the multilevel hypergraph bipartitioner with one of
@@ -191,15 +137,6 @@ impl PartitionBackend for MultilevelBackend {
         self.description
     }
 
-    fn capabilities(&self) -> BackendCapabilities {
-        BackendCapabilities {
-            honors_model: true,
-            seed_sensitive: true,
-            uses_geometry: false,
-            granularity: Granularity::Nonzero,
-        }
-    }
-
     fn bipartition_with_targets(
         &self,
         a: &Coo,
@@ -213,244 +150,6 @@ impl PartitionBackend for MultilevelBackend {
     }
 }
 
-// --------------------------------------------------------------------------
-// Shared helpers for the direct (non-multilevel) backends
-// --------------------------------------------------------------------------
-
-// --------------------------------------------------------------------------
-// coarse-grain: direct 1D row/column baseline
-// --------------------------------------------------------------------------
-
-/// The 1D coarse-grain baseline: whole rows (or whole columns) are atomic.
-///
-/// For each direction the atoms are LPT-assigned toward the targets
-/// (heaviest first, seeded tie-breaks) and a repair pass walks atoms from
-/// an over-budget side while that strictly reduces the total violation.
-/// The direction with the smaller `(violation, volume)` wins, ties going
-/// to rows — the same preference order as localbest.
-struct CoarseGrainBackend;
-
-/// Assigns `weights` atoms to two sides aiming at `targets`. Returns the
-/// side per atom. Deterministic in `seed` (used only for tie-breaking
-/// among equal-weight atoms).
-fn assign_atoms(weights: &[u64], targets: &BisectionTargets, seed: u64) -> Vec<u8> {
-    let mut order: Vec<usize> = (0..weights.len()).filter(|&i| weights[i] > 0).collect();
-    order.sort_by_key(|&i| (std::cmp::Reverse(weights[i]), mix64(seed ^ i as u64)));
-
-    // Normalised-load greedy: put the next atom where it leaves the
-    // relative loads most even. Targets of zero (degenerate uneven splits)
-    // count as one unit to keep the cross-multiplication meaningful.
-    let t = [targets.target[0].max(1), targets.target[1].max(1)];
-    let mut size = [0u64; 2];
-    let mut side = vec![0u8; weights.len()];
-    for &i in &order {
-        let w = weights[i];
-        let load0 = u128::from(size[0] + w) * u128::from(t[1]);
-        let load1 = u128::from(size[1] + w) * u128::from(t[0]);
-        let s = usize::from(load1 < load0);
-        side[i] = s as u8;
-        size[s] += w;
-    }
-
-    // Repair: move the lightest atoms off an over-budget side while that
-    // strictly reduces the total violation.
-    let budgets = targets.budgets();
-    let violation = |size: &[u64; 2]| -> u64 {
-        size[0].saturating_sub(budgets[0]) + size[1].saturating_sub(budgets[1])
-    };
-    let mut by_weight = order;
-    by_weight.reverse(); // lightest first
-    for _ in 0..weights.len() {
-        let current = violation(&size);
-        if current == 0 {
-            break;
-        }
-        let heavy =
-            usize::from(size[1].saturating_sub(budgets[1]) > size[0].saturating_sub(budgets[0]));
-        let Some(&atom) = by_weight.iter().find(|&&i| side[i] as usize == heavy) else {
-            break;
-        };
-        let w = weights[atom];
-        let mut moved = size;
-        moved[heavy] -= w;
-        moved[1 - heavy] += w;
-        if violation(&moved) >= current {
-            break;
-        }
-        side[atom] = (1 - heavy) as u8;
-        size = moved;
-    }
-    side
-}
-
-impl PartitionBackend for CoarseGrainBackend {
-    fn name(&self) -> &'static str {
-        "coarse-grain"
-    }
-
-    fn description(&self) -> &'static str {
-        "direct 1D baseline, whole rows/columns atomic"
-    }
-
-    fn capabilities(&self) -> BackendCapabilities {
-        BackendCapabilities {
-            honors_model: false,
-            seed_sensitive: true,
-            uses_geometry: false,
-            granularity: Granularity::RowOrColumn,
-        }
-    }
-
-    fn bipartition_with_targets(
-        &self,
-        a: &Coo,
-        method: Method,
-        targets: &BisectionTargets,
-        seed: u64,
-    ) -> BipartitionResult {
-        if a.nnz() == 0 {
-            return BipartitionResult::empty(a);
-        }
-        let row_weights: Vec<u64> = a.row_counts().iter().map(|&c| c as u64).collect();
-        let col_weights: Vec<u64> = a.col_counts().iter().map(|&c| c as u64).collect();
-        let by_rows = assign_atoms(&row_weights, targets, seed);
-        let by_cols = assign_atoms(&col_weights, targets, mix64(seed ^ 0xC01));
-
-        let project = |sides: &[u8], use_rows: bool| -> BipartitionResult {
-            let parts: Vec<Idx> = a
-                .iter()
-                .map(|(i, j)| Idx::from(sides[if use_rows { i } else { j } as usize]))
-                .collect();
-            BipartitionResult::from_partition(
-                a,
-                NonzeroPartition::new(2, parts).expect("sides are 0/1"),
-            )
-        };
-        let rows = project(&by_rows, true);
-        let cols = project(&by_cols, false);
-
-        let budgets = targets.budgets();
-        let violation = |r: &BipartitionResult| -> u64 {
-            r.partition
-                .part_sizes()
-                .iter()
-                .zip(budgets.iter())
-                .map(|(&s, &b)| s.saturating_sub(b))
-                .sum()
-        };
-        let best = if (violation(&rows), rows.volume) <= (violation(&cols), cols.volume) {
-            rows
-        } else {
-            cols
-        };
-        method.maybe_refine(a, best, targets)
-    }
-}
-
-// --------------------------------------------------------------------------
-// geometric: recursive coordinate bisection
-// --------------------------------------------------------------------------
-
-/// Coordinate bisection on the nonzero positions, per arXiv:1105.4490:
-/// each nonzero is the point `(i, j)`; one cut along the axis with the
-/// larger coordinate spread splits the sorted point list at the balance
-/// target, snapped to the nearest grid-line boundary the budget allows
-/// (cutting *between* distinct coordinates keeps that line's row or
-/// column whole, which is exactly what kills volume).
-struct GeometricBackend;
-
-impl PartitionBackend for GeometricBackend {
-    fn name(&self) -> &'static str {
-        "geometric"
-    }
-
-    fn description(&self) -> &'static str {
-        "coordinate bisection on nonzero positions"
-    }
-
-    fn capabilities(&self) -> BackendCapabilities {
-        BackendCapabilities {
-            honors_model: false,
-            seed_sensitive: false,
-            uses_geometry: true,
-            granularity: Granularity::Nonzero,
-        }
-    }
-
-    fn bipartition_with_targets(
-        &self,
-        a: &Coo,
-        method: Method,
-        targets: &BisectionTargets,
-        _seed: u64,
-    ) -> BipartitionResult {
-        let nnz = a.nnz();
-        if nnz == 0 {
-            return BipartitionResult::empty(a);
-        }
-        // Axis with the larger spread of occupied coordinates.
-        let (mut min_i, mut max_i, mut min_j, mut max_j) = (Idx::MAX, 0, Idx::MAX, 0);
-        for (i, j) in a.iter() {
-            min_i = min_i.min(i);
-            max_i = max_i.max(i);
-            min_j = min_j.min(j);
-            max_j = max_j.max(j);
-        }
-        let split_rows = (max_i - min_i) >= (max_j - min_j);
-
-        let mut order: Vec<u32> = (0..nnz as u32).collect();
-        if !split_rows {
-            order.sort_by_key(|&k| {
-                let (i, j) = a.entry(k as usize);
-                (j, i)
-            });
-        }
-        let coord = |k: u32| -> Idx {
-            let (i, j) = a.entry(k as usize);
-            if split_rows {
-                i
-            } else {
-                j
-            }
-        };
-
-        // Feasible window for the cut position, and the balance target.
-        // When the targets sum to nnz (every in-tree caller), lo <= hi
-        // because each budget covers its target; inconsistent targets
-        // from an external caller collapse the window to the nearest
-        // feasible point instead of panicking in `clamp`.
-        let budgets = targets.budgets();
-        let lo = (nnz as u64).saturating_sub(budgets[1]) as usize;
-        let hi = (budgets[0].min(nnz as u64)) as usize;
-        let lo = lo.min(hi);
-        let t0 = (targets.target[0] as usize).clamp(lo, hi);
-
-        // Snap to the grid-line boundary nearest the target, if any lies
-        // inside the window; otherwise cut mid-line at the target itself.
-        let mut split = t0;
-        let mut best_distance = usize::MAX;
-        for p in lo.max(1)..=hi.min(nnz.saturating_sub(1)) {
-            if coord(order[p - 1]) != coord(order[p]) {
-                let distance = p.abs_diff(t0);
-                if distance < best_distance {
-                    best_distance = distance;
-                    split = p;
-                }
-            }
-        }
-
-        let mut parts = vec![0 as Idx; nnz];
-        for (pos, &k) in order.iter().enumerate() {
-            parts[k as usize] = Idx::from(pos >= split);
-        }
-        let result = BipartitionResult::from_partition(
-            a,
-            NonzeroPartition::new(2, parts).expect("sides are 0/1"),
-        );
-        method.maybe_refine(a, result, targets)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -459,7 +158,7 @@ mod tests {
     #[test]
     fn registry_names_are_canonical_and_unique() {
         let names = backend_names();
-        assert_eq!(names.len(), 4);
+        assert_eq!(names, ["mondriaan", "patoh"]);
         let mut seen = std::collections::HashSet::new();
         for (backend, name) in all_backends().iter().zip(names) {
             assert_eq!(backend.name(), name);
@@ -491,7 +190,10 @@ mod tests {
             assert_eq!(parse_backend(&name.replace('-', "_")).unwrap().name(), name);
         }
         let err = parse_backend("hmetis").unwrap_err();
-        assert!(err.contains("coarse-grain"), "error lists names: {err}");
+        assert!(
+            err.ends_with("(expected one of mondriaan, patoh)"),
+            "error lists names: {err}"
+        );
         assert!(parse_backend("").is_err());
     }
 
@@ -578,42 +280,6 @@ mod tests {
     }
 
     #[test]
-    fn coarse_grain_keeps_one_direction_whole() {
-        let a = mg_sparse::gen::laplacian_2d(12, 12);
-        let r = parse_backend("coarse-grain").unwrap().bipartition(
-            &a,
-            Method::MediumGrain { refine: false },
-            0.03,
-            3,
-        );
-        let rl = mg_sparse::row_lambdas(&a, &r.partition);
-        let cl = mg_sparse::col_lambdas(&a, &r.partition);
-        assert!(
-            rl.iter().all(|&l| l <= 1) || cl.iter().all(|&l| l <= 1),
-            "coarse-grain split both rows and columns"
-        );
-    }
-
-    #[test]
-    fn geometric_backend_is_balanced_and_cheap_on_a_grid() {
-        let a = mg_sparse::gen::laplacian_2d(20, 20);
-        let r = parse_backend("geometric").unwrap().bipartition(
-            &a,
-            Method::MediumGrain { refine: false },
-            0.03,
-            0,
-        );
-        r.partition.check_against(&a).unwrap();
-        assert!(load_imbalance(&r.partition) <= 0.03 + 1e-9);
-        // A coordinate cut through a 20×20 Laplacian severs O(k) rows.
-        assert!(
-            r.volume <= 64,
-            "geometric cut unexpectedly bad: {}",
-            r.volume
-        );
-    }
-
-    #[test]
     fn backends_handle_empty_and_singleton_matrices() {
         let empty = Coo::empty(4, 4);
         let single = Coo::new(3, 3, vec![(1, 2)]).unwrap();
@@ -630,24 +296,6 @@ mod tests {
                 r.partition.check_against(&single).unwrap();
             }
         }
-    }
-
-    #[test]
-    fn capabilities_distinguish_the_backend_families() {
-        assert!(
-            parse_backend("mondriaan")
-                .unwrap()
-                .capabilities()
-                .honors_model
-        );
-        assert!(parse_backend("patoh").unwrap().capabilities().honors_model);
-        let coarse = parse_backend("coarse-grain").unwrap().capabilities();
-        assert!(!coarse.honors_model);
-        assert_eq!(coarse.granularity, Granularity::RowOrColumn);
-        let geo = parse_backend("geometric").unwrap().capabilities();
-        assert!(geo.uses_geometry);
-        assert!(!geo.seed_sensitive);
-        assert_eq!(geo.granularity, Granularity::Nonzero);
     }
 
     #[test]
@@ -669,31 +317,6 @@ mod tests {
             r.partition
                 .check_against(&a)
                 .unwrap_or_else(|e| panic!("{}: {e:?}", backend.name()));
-        }
-    }
-
-    #[test]
-    fn uneven_targets_are_respected_by_direct_backends() {
-        let a = mg_sparse::gen::laplacian_2d(14, 14);
-        let nnz = a.nnz() as u64;
-        let target0 = nnz * 3 / 4;
-        let targets = BisectionTargets {
-            target: [target0, nnz - target0],
-            epsilon: 0.1,
-        };
-        let budgets = targets.budgets();
-        for name in ["geometric", "coarse-grain"] {
-            let r = parse_backend(name).unwrap().bipartition_with_targets(
-                &a,
-                Method::MediumGrain { refine: false },
-                &targets,
-                11,
-            );
-            let sizes = r.partition.part_sizes();
-            assert!(
-                sizes[0] <= budgets[0] && sizes[1] <= budgets[1],
-                "{name}: sizes {sizes:?} exceed budgets {budgets:?}"
-            );
         }
     }
 }

@@ -17,10 +17,9 @@
 //!   post-processing step applicable to *any* bipartitioning;
 //! * [`methods`] — a single [`Method`] enum tying all of the above into one
 //!   API (what the experiment harness sweeps over);
-//! * [`backend`] — the pluggable engine seam: a [`PartitionBackend`] trait
-//!   with a registry of named engines (the two multilevel presets plus a
-//!   coarse-grain 1D baseline and a geometric coordinate-bisection
-//!   backend), which every layer above selects by canonical name;
+//! * [`backend`] — the engine seam: a [`PartitionBackend`] trait with a
+//!   registry of the paper's two multilevel engines (`mondriaan`,
+//!   `patoh`), which every layer above selects by canonical name;
 //! * [`recursive`] — recursive bisection to `p` parts with a per-level
 //!   imbalance budget (Table II's p = 64 experiments);
 //! * [`service`] — transport-agnostic request/response types of the
@@ -36,10 +35,7 @@ pub mod refine;
 pub mod service;
 pub mod split;
 
-pub use backend::{
-    all_backends, backend_names, parse_backend, BackendCapabilities, Granularity, PartitionBackend,
-    DEFAULT_BACKEND,
-};
+pub use backend::{all_backends, backend_names, parse_backend, PartitionBackend, DEFAULT_BACKEND};
 pub use bmatrix::MediumGrainModel;
 pub use medium_grain::medium_grain_bipartition;
 pub use methods::{BipartitionResult, Method};

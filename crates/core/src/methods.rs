@@ -214,18 +214,6 @@ impl Method {
                 medium_grain_bipartition_with_targets(a, targets, config, rng)
             }
         };
-        self.maybe_refine(a, result, targets)
-    }
-
-    /// Applies Algorithm 2 to `result` when the method asks for it — the
-    /// half of a method every backend honors, since iterative refinement
-    /// applies to the output of *any* bipartitioning.
-    pub(crate) fn maybe_refine(
-        self,
-        a: &Coo,
-        result: BipartitionResult,
-        targets: &BisectionTargets,
-    ) -> BipartitionResult {
         if !self.refines() {
             return result;
         }

@@ -28,8 +28,7 @@ pub struct MultiwayResult {
 
 /// Partitions `a` into `p` parts with method `method` under the global
 /// eqn (1) constraint with parameter `epsilon`, through any
-/// [`PartitionBackend`] (the direct backends take uneven targets
-/// natively; the multilevel ones route through
+/// [`PartitionBackend`] (each takes the uneven targets of a node through
 /// [`Method::bipartition_with_targets`]).
 ///
 /// Backends are seeded per bisection node — a stable mix of `seed` with

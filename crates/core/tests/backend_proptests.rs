@@ -2,8 +2,8 @@
 //! registered backend, on random COO matrices, the returned partition is
 //! valid (each nonzero assigned exactly once, parts in range), the
 //! reported volume is true, the ε balance bound of eqn (1) holds up to
-//! the backend's atomic granularity, and the result is a pure function of
-//! the seed.
+//! one atomic row/column group, and the result is a pure function of the
+//! seed.
 
 use mg_core::{all_backends, Method};
 use mg_partitioner::BisectionTargets;
@@ -20,10 +20,9 @@ fn arb_coo() -> impl Strategy<Value = Coo> {
 proptest! {
     /// Validity and balance for every backend. The balance limit is the
     /// per-side budget of the even bisection targets the backend actually
-    /// runs under ([`BisectionTargets::budgets`]); backends that move
-    /// whole rows/columns (or the medium-grain row/column *groups*)
-    /// atomically may overshoot it by at most one atom, while the purely
-    /// pointwise geometric cut meets it exactly.
+    /// runs under ([`BisectionTargets::budgets`]); the medium-grain
+    /// row/column *groups* move atomically, so a side may overshoot it by
+    /// at most one atom: the largest line minus one.
     #[test]
     fn every_backend_partition_is_valid_and_balanced(a in arb_coo(), seed in 0u64..40) {
         let budgets = BisectionTargets::even(a.nnz() as u64, 0.03).budgets();
@@ -33,6 +32,7 @@ proptest! {
             .chain(a.col_counts())
             .max()
             .unwrap_or(0) as u64;
+        let atom_slack = largest_line.saturating_sub(1);
         for backend in all_backends() {
             for method in [
                 Method::MediumGrain { refine: false },
@@ -48,11 +48,6 @@ proptest! {
                     communication_volume(&a, &r.partition),
                     "{}: stale volume", backend.name()
                 );
-                let atom_slack = if backend.capabilities().uses_geometry {
-                    0
-                } else {
-                    largest_line.saturating_sub(1)
-                };
                 let sizes = r.partition.part_sizes();
                 prop_assert!(
                     sizes.iter().zip(budgets.iter()).all(|(&s, &b)| s <= b + atom_slack),

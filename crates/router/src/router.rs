@@ -494,8 +494,15 @@ fn exchange(reader: &mut BufReader<TcpStream>, line: &[u8], timeout: Duration) -
 /// parent under the router's `dispatch` leg. Falls back to the
 /// unstamped line if `raw` fails to re-parse (the shard then records a
 /// trace rooted at the client's context, or none at all).
+///
+/// The line is parsed with the request parser, so inline entries stay
+/// [`Json::Pairs`] and write back as the same `[[r,c],…]` text. A pairs
+/// array writes only the pairs before its fault, but the router answers
+/// a line whose first `entries` is faulty itself; a faulty later
+/// duplicate is cut short, and the shard, which reads the first key,
+/// decodes the stamped line exactly as it would `raw`.
 pub(crate) fn stamp_trace(raw: &str, trace_id: u128, parent: u64) -> String {
-    let Ok(mut doc) = Json::parse(raw) else {
+    let Ok(mut doc) = Json::parse_request(raw) else {
         return raw.to_string();
     };
     let Json::Obj(fields) = &mut doc else {
@@ -1122,32 +1129,56 @@ mod tests {
 
     #[test]
     fn stamp_trace_inserts_or_replaces_the_trace_field() {
-        let raw = r#"{"op":"partition","id":7,"matrix":{"rows":1,"cols":1,"entries":[[0,0]]}}"#;
-        let stamped = stamp_trace(raw, 0xabc, 0x123);
-        let doc = Json::parse(&stamped).expect("stamped line parses");
-        let t = doc.get("trace").expect("trace field present");
+        const TRACE: &str =
+            r#""trace":{"id":"00000000000000000000000000000abc","parent":"0000000000000123"}"#;
+        let cases = [
+            // Inline entries write back as the same pair text.
+            (
+                r#"{"op":"partition","id":7,"matrix":{"rows":2,"cols":2,"entries":[[0,0],[1,1]]}}"#,
+                format!(
+                    r#"{{"op":"partition","id":7,"matrix":{{"rows":2,"cols":2,"entries":[[0,0],[1,1]]}},{TRACE}}}"#
+                ),
+            ),
+            (
+                r#"{"id":1,"matrix":{"mtx":"%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 1\n"},"method":"lb"}"#,
+                format!(
+                    r#"{{"id":1,"matrix":{{"mtx":"%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 1\n"}},"method":"lb",{TRACE}}}"#
+                ),
+            ),
+            (
+                r#"{"id":"c","matrix":{"collection":"laplace2d_00_k20"}}"#,
+                format!(r#"{{"id":"c","matrix":{{"collection":"laplace2d_00_k20"}},{TRACE}}}"#),
+            ),
+            // An existing trace is replaced in place, never duplicated.
+            (
+                r#"{"id":2,"trace":{"id":"0123456789abcdef0123456789abcdef","parent":"0000000000000456"},"matrix":{"collection":"grid_01"}}"#,
+                format!(r#"{{"id":2,{TRACE},"matrix":{{"collection":"grid_01"}}}}"#),
+            ),
+            // The first `entries` wins; a faulty later one is cut at its
+            // fault, which the shard's decode never reads.
+            (
+                r#"{"id":3,"matrix":{"rows":2,"cols":2,"entries":[[1,1]],"entries":[[0,0],"x",[1,0]]}}"#,
+                format!(
+                    r#"{{"id":3,"matrix":{{"rows":2,"cols":2,"entries":[[1,1]],"entries":[[0,0]]}},{TRACE}}}"#
+                ),
+            ),
+        ];
+        for (raw, expected) in cases {
+            let stamped = stamp_trace(raw, 0xabc, 0x123);
+            assert_eq!(stamped, expected);
+            let untraced = |line: &str| protocol::Request {
+                trace: None,
+                ..protocol::parse_request_line(line).expect("decodes")
+            };
+            assert_eq!(untraced(&stamped), untraced(raw), "{raw}");
+            let trace = protocol::parse_request_line(&stamped).unwrap().trace;
+            assert_eq!(trace.map(|t| t.parent), Some(Some(0x123)), "{raw}");
+        }
+        // Restamping (the failover path) replaces the parent.
+        let once = stamp_trace(r#"{"matrix":{"collection":"grid_01"}}"#, 0xabc, 0x123);
         assert_eq!(
-            t.get("id").and_then(Json::as_str),
-            Some("00000000000000000000000000000abc")
-        );
-        assert_eq!(
-            t.get("parent").and_then(Json::as_str),
-            Some("0000000000000123")
-        );
-        // Everything else survives the re-render.
-        assert_eq!(doc.get("id").and_then(Json::as_u64), Some(7));
-        // Restamping (the failover path) replaces, never duplicates.
-        let restamped = stamp_trace(&stamped, 0xabc, 0x456);
-        let doc = Json::parse(&restamped).expect("restamped line parses");
-        let Json::Obj(fields) = &doc else {
-            panic!("object")
-        };
-        assert_eq!(fields.iter().filter(|(k, _)| k == "trace").count(), 1);
-        assert_eq!(
-            doc.get("trace")
-                .and_then(|t| t.get("parent"))
-                .and_then(Json::as_str),
-            Some("0000000000000456")
+            stamp_trace(&once, 0xabc, 0x456),
+            r#"{"matrix":{"collection":"grid_01"},"trace":{"id":"00000000000000000000000000000abc","parent":"0000000000000456"}}"#
         );
     }
 

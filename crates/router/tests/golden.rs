@@ -102,7 +102,9 @@ fn golden_stream_has_the_router_features_visible() {
     assert_eq!(lines.len(), 10);
     // Repeat answered as cached, whichever cache layer served it.
     assert!(lines[2].contains("\"cached\":true"));
-    // Local decode error short-circuits at the router.
+    // Local decode errors short-circuit at the router: the retired
+    // `geometric` backend and a made-up one.
+    assert!(lines[3].contains("\"code\":\"unknown_backend\""));
     assert!(lines[4].contains("\"code\":\"unknown_backend\""));
     // A second collection matrix routes by name fingerprint.
     assert!(lines[5].contains("\"nnz\":1995"));
@@ -111,6 +113,6 @@ fn golden_stream_has_the_router_features_visible() {
     assert!(lines[6].contains("\"partition\":["));
     // Router-local ops.
     assert!(lines[7].ends_with("\"op\":\"ping\"}"));
-    assert!(lines[8].contains("\"op\":\"stats\",\"received\":9,\"cache_hits\":1,\"errors\":1"));
+    assert!(lines[8].contains("\"op\":\"stats\",\"received\":9,\"cache_hits\":1,\"errors\":2"));
     assert!(lines[9].ends_with("\"op\":\"shutdown\"}"));
 }

@@ -82,7 +82,7 @@ fn script() -> String {
     id += 1;
     // Another backend on a known matrix: separate key, computed fresh.
     lines.push(format!(
-        "{{\"id\":{id},\"matrix\":{},\"backend\":\"geometric\"}}",
+        "{{\"id\":{id},\"matrix\":{},\"backend\":\"patoh\"}}",
         inline_payload(&matrices[2])
     ));
     id += 1;

@@ -875,7 +875,7 @@ mod tests {
     fn partition_payloads_round_trip_through_binary() {
         let line = "{\"id\":\"job-1\",\"matrix\":{\"rows\":3,\"cols\":4,\
                     \"entries\":[[0,1],[2,3],[1,1]]},\"method\":\"mg\",\
-                    \"backend\":\"geometric\",\"epsilon\":0.1,\"seed\":7,\
+                    \"backend\":\"PATOH\",\"epsilon\":0.1,\"seed\":7,\
                     \"include_partition\":true}";
         let request = parse_request_line(line).unwrap();
         let payload = partition_payload(&request).unwrap();

@@ -694,9 +694,9 @@ mod tests {
     #[test]
     fn decodes_the_backend_field_through_the_registry() {
         for (raw, canonical) in [
-            ("geometric", "geometric"),
-            ("coarse_grain", "coarse-grain"),
+            ("patoh", "patoh"),
             ("PATOH", "patoh"),
+            ("Mondriaan", "mondriaan"),
         ] {
             let r = parse_request_line(&format!(
                 r#"{{"matrix":{{"rows":2,"cols":2,"entries":[[0,0]]}},"backend":"{raw}"}}"#
@@ -715,7 +715,7 @@ mod tests {
         assert_eq!(err.code, ErrorCode::UnknownBackend);
         assert!(err.message.contains("hmetis"), "{}", err.message);
         assert!(
-            err.message.contains("coarse-grain"),
+            err.message.ends_with("(expected one of mondriaan, patoh)"),
             "message lists the registry: {}",
             err.message
         );

@@ -935,7 +935,7 @@ impl Drop for SessionDriver<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mg_core::{BackendCapabilities, BipartitionResult};
+    use mg_core::BipartitionResult;
     use mg_partitioner::BisectionTargets;
     use std::sync::mpsc::{channel, Receiver, Sender};
 
@@ -960,9 +960,6 @@ mod tests {
         }
         fn description(&self) -> &'static str {
             "waits for a release signal, then panics or partitions"
-        }
-        fn capabilities(&self) -> BackendCapabilities {
-            real().capabilities()
         }
         fn bipartition_with_targets(
             &self,

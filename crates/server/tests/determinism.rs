@@ -32,9 +32,9 @@ fn mtx_payload(a: &Coo) -> String {
 }
 
 /// A script exercising every request shape: three matrix payload kinds,
-/// several methods and epsilons, explicit seeds, duplicates (cache hits
-/// and in-flight coalescing), include_partition, malformed lines, and the
-/// auxiliary ops.
+/// several methods and epsilons, both backends, explicit seeds,
+/// duplicates (cache hits and in-flight coalescing), include_partition,
+/// malformed lines, and the auxiliary ops.
 fn script() -> String {
     let laplace = gen::laplacian_2d(9, 7);
     let arrow = gen::arrow(40, 3);
@@ -51,6 +51,12 @@ fn script() -> String {
         ));
         id += 1;
     }
+    // Request 1 (mg-ir) again on the other backend: see PATOH_REPEAT.
+    push(format!(
+        "{{\"id\":{id},\"matrix\":{},\"method\":\"mg-ir\",\"backend\":\"patoh\"}}",
+        inline_payload(&laplace)
+    ));
+    id += 1;
     for eps in ["0.03", "0.1", "0.3"] {
         push(format!(
             "{{\"id\":{id},\"matrix\":{},\"method\":\"mg-ir\",\"epsilon\":{eps}}}",
@@ -111,6 +117,25 @@ fn script() -> String {
     text
 }
 
+/// The id of the script's request that repeats request 1 (the Laplacian,
+/// `mg-ir`, default backend) on `patoh`.
+const PATOH_REPEAT: u64 = 6;
+
+/// The response line answering request `id`.
+fn response(stream: &str, id: u64) -> &str {
+    let prefix = format!("{{\"id\":{id},");
+    stream
+        .lines()
+        .find(|line| line.starts_with(&prefix))
+        .unwrap_or_else(|| panic!("no response to request {id}"))
+}
+
+/// The `seed` field of a response line.
+fn seed(line: &str) -> &str {
+    let rest = &line[line.find("\"seed\":").expect("a seed field") + 7..];
+    &rest[..rest.find(',').unwrap()]
+}
+
 fn run(threads: usize) -> String {
     let service = Service::start(ServiceConfig {
         threads,
@@ -132,6 +157,16 @@ fn response_stream_is_byte_identical_for_1_2_4_8_threads() {
     assert!(!baseline.is_empty());
     assert!(baseline.contains("\"cached\":true"));
     assert!(baseline.contains("\"status\":\"error\""));
+    // Another backend on the same matrix and method computes fresh: the
+    // backend is part of the cache key and of the seed derivation.
+    let (mondriaan, patoh) = (response(&baseline, 1), response(&baseline, PATOH_REPEAT));
+    assert!(
+        mondriaan.contains("\"backend\":\"mondriaan\""),
+        "{mondriaan}"
+    );
+    assert!(patoh.contains("\"backend\":\"patoh\""), "{patoh}");
+    assert!(patoh.contains("\"cached\":false"), "{patoh}");
+    assert_ne!(seed(mondriaan), seed(patoh));
     for threads in [2usize, 4, 8] {
         assert_eq!(
             baseline,

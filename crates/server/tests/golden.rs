@@ -5,9 +5,11 @@
 //!
 //! The script covers the transport-visible features: an inline-COO
 //! request, a named collection matrix, a repeat served from the cache
-//! (`"cached":true`), an explicit `backend` selection (computed fresh —
-//! the backend is part of the cache key), and an unknown backend answered
-//! with a typed `unknown_backend` error. The service config below must
+//! (`"cached":true`), and two backends the registry does not hold — the
+//! retired `geometric` and a made-up name — each answered with a typed
+//! `unknown_backend` error that lists the registered two. (That another
+//! backend on the same matrix computes fresh, with its own seed, is
+//! checked by `determinism.rs`.) The service config below must
 //! stay in sync with the `mgpart serve` defaults, since both must
 //! reproduce the same golden bytes.
 
@@ -38,7 +40,7 @@ fn smoke_script_reproduces_the_checked_in_golden_stream() {
         let summary = service.run_session(REQUESTS.as_bytes(), &mut out);
         assert_eq!(summary.responses, 5);
         assert_eq!(summary.cache_hits, 1);
-        assert_eq!(summary.errors, 1);
+        assert_eq!(summary.errors, 2);
         assert_eq!(
             String::from_utf8(out).unwrap(),
             GOLDEN,
@@ -62,10 +64,16 @@ fn golden_stream_has_the_five_features_visible() {
     );
     assert!(lines[1].contains("\"collection\"") || lines[1].contains("\"nnz\":1920"));
     assert!(lines[2].contains("\"cached\":true"));
-    // The same matrix + method on another backend computes fresh: the
-    // backend is part of the cache key and the seed derivation.
-    assert!(lines[3].contains("\"backend\":\"geometric\""));
-    assert!(lines[3].contains("\"cached\":false"));
-    assert!(lines[4].contains("\"status\":\"error\""));
-    assert!(lines[4].contains("\"code\":\"unknown_backend\""));
+    // `geometric` was retired: it is as unknown as a made-up name, and
+    // both errors list the two registered engines.
+    for (line, name) in [(lines[3], "geometric"), (lines[4], "quantum")] {
+        assert!(line.contains("\"status\":\"error\""), "{line}");
+        assert!(line.contains("\"code\":\"unknown_backend\""), "{line}");
+        assert!(
+            line.contains(&format!(
+                "unknown backend \\\"{name}\\\" (expected one of mondriaan, patoh)"
+            )),
+            "{line}"
+        );
+    }
 }

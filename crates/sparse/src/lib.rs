@@ -54,10 +54,9 @@ pub type Idx = u32;
 
 /// The shared 64-bit bit mixer (the SplitMix64 finaliser) behind every
 /// hash in the workspace: matrix fingerprints, placement keys, the
-/// router's rendezvous scores, the direct backends' tie-breaks, the
-/// per-node seeds of recursive bisection and the sweep's cell and run
-/// seeds all funnel through it, so one well-mixed function backs every
-/// key-derived decision.
+/// router's rendezvous scores, the per-node seeds of recursive bisection
+/// and the sweep's cell and run seeds all funnel through it, so one
+/// well-mixed function backs every key-derived decision.
 pub fn mix64(h: u64) -> u64 {
     let mut x = h;
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
