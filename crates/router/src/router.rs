@@ -496,11 +496,11 @@ fn exchange(reader: &mut BufReader<TcpStream>, line: &[u8], timeout: Duration) -
 /// trace rooted at the client's context, or none at all).
 ///
 /// The line is parsed with the request parser, so inline entries stay
-/// [`Json::Pairs`] and write back as the same `[[r,c],…]` text. A pairs
-/// array writes only the pairs before its fault, but the router answers
-/// a line whose first `entries` is faulty itself; a faulty later
-/// duplicate is cut short, and the shard, which reads the first key,
-/// decodes the stamped line exactly as it would `raw`.
+/// [`Json::Pairs`] and write back as the same `[[r,c],…]` text. Pairs
+/// write only up to their first fault. The router answers a line whose
+/// first `entries` is faulty itself, so only a faulty later duplicate
+/// is cut short, and the shard reads the first key: it decodes the
+/// stamped line as it would `raw`.
 pub(crate) fn stamp_trace(raw: &str, trace_id: u128, parent: u64) -> String {
     let Ok(mut doc) = Json::parse_request(raw) else {
         return raw.to_string();
