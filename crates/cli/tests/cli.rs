@@ -76,9 +76,8 @@ fn retired_backends_are_unknown_to_partition_and_sweep() {
     )
     .unwrap();
     let partition = ["partition", mtx.to_str().unwrap(), "--backend", "geometric"];
-    // The 1D baseline's name, in a spelling the registry once normalised
-    // to it.
-    let sweep = narrow_sweep(&["--backend", "Coarse+Grain"]);
+    // The retired 1D baseline's name; the lookup ignores case.
+    let sweep = narrow_sweep(&["--backend", "Coarse-Grain"]);
     let sweep: Vec<&str> = sweep.iter().map(String::as_str).collect();
     for args in [&partition[..], &sweep[..]] {
         let out = mgpart(args);

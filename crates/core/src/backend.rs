@@ -6,8 +6,8 @@
 //! bipartitioning engine — seeded by a plain `u64`, so results are a pure
 //! function of (matrix, method, targets, seed) — and the registry maps
 //! canonical lowercase names onto `&'static` instances, mirroring the
-//! [`Method`] name codec ([`parse_backend`] accepts the same spelling
-//! liberties as [`Method::parse_name`]).
+//! [`Method`] name codec ([`parse_backend`] ignores case and surrounding
+//! whitespace).
 //!
 //! Two backends are registered: `mondriaan` and `patoh`, the multilevel
 //! presets [`PartitionerConfig::mondriaan_like`] and
@@ -92,19 +92,11 @@ pub fn backend_names() -> [&'static str; 2] {
     [MONDRIAAN.name(), PATOH.name()]
 }
 
-/// Resolves a backend by name. Accepts the same spelling liberties as the
-/// [`Method`] codec (case-insensitive; `+`/`_` normalise to `-`), and the
-/// error message lists every valid name — the single lookup every layer
+/// Resolves a backend by name, ignoring case and surrounding whitespace;
+/// the error message lists every valid name — the single lookup every layer
 /// (CLI `--backend`, sweep configs, the service protocol) goes through.
 pub fn parse_backend(raw: &str) -> Result<&'static dyn PartitionBackend, String> {
-    let normalized: String = raw
-        .trim()
-        .chars()
-        .map(|c| match c {
-            '+' | '_' => '-',
-            c => c.to_ascii_lowercase(),
-        })
-        .collect();
+    let normalized = raw.trim().to_ascii_lowercase();
     all_backends()
         .into_iter()
         .find(|b| b.name() == normalized)
@@ -163,13 +155,9 @@ mod tests {
         for (backend, name) in all_backends().iter().zip(names) {
             assert_eq!(backend.name(), name);
             assert!(seen.insert(name), "duplicate backend name {name}");
-            // Canonical: lowercase, '-' separated — exactly what
-            // parse_backend normalises to.
-            assert_eq!(
-                name,
-                name.to_ascii_lowercase().replace(['+', '_'], "-"),
-                "{name} is not canonical"
-            );
+            // Canonical: lowercase, exactly what parse_backend
+            // normalises to.
+            assert_eq!(name, name.to_ascii_lowercase(), "{name} is not canonical");
         }
         assert!(seen.contains(DEFAULT_BACKEND));
         assert_eq!(
@@ -187,7 +175,7 @@ mod tests {
                 parse_backend(&name.to_ascii_uppercase()).unwrap().name(),
                 name
             );
-            assert_eq!(parse_backend(&name.replace('-', "_")).unwrap().name(), name);
+            assert_eq!(parse_backend(&format!(" {name} ")).unwrap().name(), name);
         }
         let err = parse_backend("hmetis").unwrap_err();
         assert!(
