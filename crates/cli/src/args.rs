@@ -15,7 +15,6 @@ const VALUE_FLAGS: &[&str] = &[
     "-e",
     "-m",
     "-o",
-    "--engine",
     "--backend",
     "--matrices",
     "--seed",

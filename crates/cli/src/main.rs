@@ -64,7 +64,6 @@ PARTITION OPTIONS:
   -m METHOD     mg | mg-ir | lb | lb-ir | fg | fg-ir | rn | cn  (default mg-ir)
   -o FILE       write the distributed matrix (Mondriaan-style format)
   --backend B   mondriaan | patoh  (default mondriaan)
-  --engine B    alias of --backend
   --seed S      RNG seed (default 2014)
   --spy         render a partition spy plot
 
@@ -75,7 +74,6 @@ SWEEP OPTIONS:
   -m LIST       comma-separated methods  (default lb,lb-ir,mg,mg-ir,fg,fg-ir)
   -e LIST       comma-separated epsilons  (default 0.03)
   --backend B   backend every cell runs on  (default mondriaan)
-  --engine B    alias of --backend
   --matrices L  comma-separated name substrings; keep matching matrices only.
                 A filter that matches nothing is an error, not an empty sweep.
   --seed S      master seed; every cell derives its own stream  (default 2014)
@@ -98,11 +96,9 @@ SERVE OPTIONS (protocol: crates/server/PROTOCOL.md):
   --seed S      master seed for requests without one  (default 2014)
   --backend B   default backend for requests without a \"backend\" field
                 (default mondriaan)
-  --engine B    alias of --backend
   --collection-scale S   collection served to {\"collection\": name} requests
                          (smoke | default | large, default smoke)
   --collection-seed S    seed of that collection  (default 11)
-  --timing      append non-deterministic time_ms to computed responses
   --shard-id ID diagnostic shard tag added to stats/error responses
                 (for shards behind mgpart route; omit to stay untagged)
   --metrics-addr HOST:PORT   serve a Prometheus-style text snapshot of the
@@ -148,7 +144,6 @@ REQUEST OPTIONS:
                 third payload kind)
   -m METHOD     method name  (default mg-ir)
   --backend B   request an explicit backend  (omitted = server default)
-  --engine B    alias of --backend
   -e EPS        load imbalance  (default 0.03)
   --seed S      request seed (optional)
   --id ID       correlation id echoed by the server
@@ -295,15 +290,9 @@ fn scale_from_name(name: &str) -> Result<CollectionScale, String> {
     })
 }
 
-/// Resolves the requested backend: `--backend` is the canonical flag,
-/// `--engine` the historical alias (the two backends *are* the old engine
-/// presets, so every old invocation keeps working).
+/// Resolves `--backend`, defaulting to [`DEFAULT_BACKEND`].
 fn backend_from_flags(parsed: &Parsed) -> Result<&'static dyn PartitionBackend, String> {
-    let name = parsed
-        .flag_opt("--backend")
-        .or_else(|| parsed.flag_opt("--engine"))
-        .unwrap_or_else(|| DEFAULT_BACKEND.to_string());
-    parse_backend(&name)
+    parse_backend(&parsed.flag("--backend", DEFAULT_BACKEND))
 }
 
 fn backends(_: &Parsed) -> Result<(), String> {
@@ -804,7 +793,6 @@ fn serve(parsed: &Parsed) -> Result<(), String> {
             seed: parsed.flag_parse("--collection-seed", 11u64)?,
             scale: scale_from_name(&parsed.flag("--collection-scale", "smoke"))?,
         },
-        timing: parsed.has("--timing"),
         shard_id: parsed.flag_opt("--shard-id"),
         trace_slow: trace_slow_flag(parsed)?,
     };
@@ -975,10 +963,7 @@ fn request(parsed: &Parsed) -> Result<(), String> {
             fields.push(("matrix", matrix));
             let method = Method::parse_name(&parsed.flag("-m", "mg-ir"))?;
             fields.push(("method", Json::Str(method.name().into())));
-            if let Some(name) = parsed
-                .flag_opt("--backend")
-                .or_else(|| parsed.flag_opt("--engine"))
-            {
+            if let Some(name) = parsed.flag_opt("--backend") {
                 let backend = parse_backend(&name)?;
                 fields.push(("backend", Json::Str(backend.name().into())));
             }

@@ -106,19 +106,6 @@ fn sweep_records_carry_the_selected_backend() {
 }
 
 #[test]
-fn engine_flag_remains_an_alias_for_backend() {
-    let with_engine = run_narrow_sweep(&["--engine", "patoh"]);
-    let with_backend = run_narrow_sweep(&["--backend", "patoh"]);
-    assert!(
-        with_engine.status.success(),
-        "stderr: {}",
-        stderr(&with_engine)
-    );
-    assert_eq!(stdout(&with_engine), stdout(&with_backend));
-    assert!(stdout(&with_engine).contains("\"backend\":\"patoh\""));
-}
-
-#[test]
 fn backend_sweeps_are_byte_identical_across_thread_counts() {
     let baseline = run_narrow_sweep(&["--backend", "patoh", "--threads", "1"]);
     assert!(baseline.status.success(), "stderr: {}", stderr(&baseline));
@@ -288,9 +275,10 @@ fn serve_and_route_reject_options_they_do_not_take() {
         ("route --shards 127.0.0.1:1 --replica 2", "--replica"),
         ("serve --thread 2 stray", "--thread"),
         ("serve stray", "stray"),
+        ("serve --timing", "--timing"),
         (
             "serve --listen h:1 --queue 1 --cache 1 --seed 1 --backend patoh \
-             --engine patoh --collection-scale smoke --collection-seed 1 --timing \
+             --collection-scale smoke --collection-seed 1 \
              --shard-id s0 --metrics-addr h:2 --trace-slow-ms 1 --threads many",
             "bad value for --threads",
         ),
@@ -414,8 +402,11 @@ fn partition_rejects_options_it_does_not_take() {
     );
     fails_naming("partition m.mtx extra", "partition does not take \"extra\"");
     fails_naming(
-        "partition /no/such.mtx -p 2 -e 0.1 -m mg -o o --backend patoh --engine patoh \
-         --seed 1 --spy",
+        "partition m.mtx --engine patoh",
+        "partition does not take \"--engine\"",
+    );
+    fails_naming(
+        "partition /no/such.mtx -p 2 -e 0.1 -m mg -o o --backend patoh --seed 1 --spy",
         "No such file",
     );
 }
@@ -463,7 +454,7 @@ fn sweep_rejects_options_it_does_not_take() {
     fails_naming("sweep extra", "sweep does not take \"extra\"");
     fails_naming(
         "sweep --scale smoke --threads 1 --runs 1 -m mg -e 0.03 --backend mondriaan \
-         --engine mondriaan --matrices no_such_matrix --seed 1 -o x.jsonl --timing --verify",
+         --matrices no_such_matrix --seed 1 -o x.jsonl --timing --verify",
         "empty sweep",
     );
 }
@@ -480,7 +471,7 @@ fn request_rejects_options_it_does_not_take() {
     );
     fails_naming(
         "request --op bogus --mtx m --collection c --inline -m mg --backend patoh \
-         --engine patoh -e 0.1 --seed 1 --id 1 --shard s --include-partition --timeout 1 \
+         -e 0.1 --seed 1 --id 1 --shard s --include-partition --timeout 1 \
          --trace --print",
         "unknown op",
     );

@@ -218,7 +218,8 @@ impl Method {
             return result;
         }
         let budgets = targets.budgets();
-        let refined = iterative_refinement_with_budgets(a, &result.partition, budgets);
+        let refined =
+            iterative_refinement_with_budgets(a, &result.partition, result.volume, budgets);
         // Monotone whenever the input was feasible; from an infeasible
         // start (an atomic row/column group heavier than the budget) the
         // FM inside IR repairs balance first, possibly at a volume cost —

@@ -21,7 +21,7 @@
 //! again in the buffers of one [`MediumGrainModel`]
 //! ([`MediumGrainModel::lay_out`]). The FM start is the pure split's
 //! sides, and a run's volume is FM's cut of B (eqn (6)), so the loop
-//! counts A's volume only once, for its input.
+//! never counts A's volume: the caller passes its input's volume in.
 //!
 //! A run that does not improve returns its start unchanged, and the next
 //! run is the other direction from that same start. On a large matrix
@@ -72,17 +72,20 @@ pub struct RefinedResult {
 /// `⌊(1+ε)·N/2⌋` per side.
 pub fn iterative_refinement(a: &Coo, partition: &NonzeroPartition, epsilon: f64) -> RefinedResult {
     let b = part_budget(a.nnz(), 2, epsilon);
-    iterative_refinement_with_budgets(a, partition, [b, b])
+    let volume = communication_volume(a, partition);
+    iterative_refinement_with_budgets(a, partition, volume, [b, b])
 }
 
 /// Iterative refinement with explicit per-side budgets (recursive bisection
-/// passes uneven ones).
+/// passes uneven ones), from a `partition` whose communication volume the
+/// caller already holds.
 pub fn iterative_refinement_with_budgets(
     a: &Coo,
     partition: &NonzeroPartition,
+    volume: u64,
     budget: [u64; 2],
 ) -> RefinedResult {
-    refine_with_helper(a, partition, budget, Helper::Gated)
+    refine_with_helper(a, partition, volume, budget, Helper::Gated)
 }
 
 /// [`iterative_refinement_with_budgets`] with an explicit helper policy,
@@ -90,6 +93,7 @@ pub fn iterative_refinement_with_budgets(
 fn refine_with_helper(
     a: &Coo,
     partition: &NonzeroPartition,
+    volume: u64,
     budget: [u64; 2],
     helper: Helper,
 ) -> RefinedResult {
@@ -97,6 +101,7 @@ fn refine_with_helper(
     partition
         .check_against(a)
         .expect("partition does not match matrix");
+    debug_assert_eq!(volume, communication_volume(a, partition), "stale volume");
     let _busy = helper::enter();
 
     let limits = FmLimits {
@@ -112,7 +117,7 @@ fn refine_with_helper(
         ALayout::new(a)
     };
     let mut current = partition.clone();
-    let mut volumes = vec![communication_volume(a, &current)];
+    let mut volumes = vec![volume];
     let mut direction = 0u8;
     let mut iterations = 0u32;
     // One B layout and FM scratch serve every KL run of the loop on this
@@ -345,8 +350,9 @@ mod tests {
                 first, p,
                 "the first run improves: its helper run is dropped"
             );
-            let on = refine_with_helper(a, &p, budget, Helper::Always);
-            let off = refine_with_helper(a, &p, budget, Helper::Never);
+            let volume = communication_volume(a, &p);
+            let on = refine_with_helper(a, &p, volume, budget, Helper::Always);
+            let off = refine_with_helper(a, &p, volume, budget, Helper::Never);
             assert_eq!(on.partition, off.partition);
             assert_eq!(on.volume, off.volume);
             assert_eq!(on.iterations, off.iterations);

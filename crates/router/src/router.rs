@@ -663,20 +663,21 @@ impl Handler for RouterSessionDriver {
     /// requests are forwarded as the original text.
     fn handle_unit(&mut self, kind: UnitKind, bytes: &[u8]) -> bool {
         let t0 = Stamp::now();
-        session::decode_unit(kind, bytes, &mut |decoded| {
-            let index = self.begin();
-            match decoded {
-                Ok((request, Some(line))) => self.dispatch(index, request, line, t0),
-                Ok((request, None)) => {
-                    let line = codec::request_json_line(&request);
-                    self.dispatch(index, request, &line, t0)
-                }
-                Err(e) => {
-                    self.local_error(index, &e.id, e.code, &e.message, None);
-                    true
-                }
+        let Some(decoded) = session::decode_unit(kind, bytes) else {
+            return true;
+        };
+        let index = self.begin();
+        match decoded {
+            Ok((request, Some(line))) => self.dispatch(index, request, line, t0),
+            Ok((request, None)) => {
+                let line = codec::request_json_line(&request);
+                self.dispatch(index, request, &line, t0)
             }
-        })
+            Err(e) => {
+                self.local_error(index, &e.id, e.code, &e.message, None);
+                true
+            }
+        }
     }
 
     fn take_codec_switch(&mut self) -> Option<WireCodec> {

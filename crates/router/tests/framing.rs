@@ -9,7 +9,7 @@ use mg_router::{LocalCluster, RouterConfig};
 use mg_server::codec::{
     encode_frame, json_payload, partition_payload, request_json_line, KIND_JSON,
 };
-use mg_server::{parse_request_line, ServiceConfig};
+use mg_server::{parse_request_line, Service, ServiceConfig};
 use mg_sparse::{gen, Coo};
 
 fn inline_payload(a: &Coo) -> String {
@@ -155,4 +155,29 @@ fn binary_clients_match_json_clients_through_the_router() {
         .find(|t| t.contains("\"id\":9"))
         .expect("repeat response");
     assert!(repeat.contains("\"cached\":true"), "{repeat}");
+}
+
+#[test]
+fn a_kind_0x03_frame_gets_the_shards_unknown_kind_error_through_the_router() {
+    // Shaped like the retired batch kind: one length-prefixed ping.
+    let mut batch = vec![0x03];
+    batch.extend_from_slice(&encode_frame(&json_payload("{\"id\":8,\"op\":\"ping\"}")));
+    let mut script = b"{\"id\":\"hs\",\"op\":\"hello\",\"codec\":\"binary\"}\n".to_vec();
+    script.extend_from_slice(&encode_frame(&batch));
+    script.extend_from_slice(&encode_frame(&json_payload("{\"id\":9,\"op\":\"ping\"}")));
+
+    let cluster = LocalCluster::spawn(2, |_| shard_config(1));
+    let mut routed = Vec::new();
+    cluster
+        .router(RouterConfig::default())
+        .run_session(script.as_slice(), &mut routed);
+    cluster.shutdown();
+    let mut direct = Vec::new();
+    Service::start(shard_config(1)).run_session(script.as_slice(), &mut direct);
+
+    let texts = response_texts(&routed);
+    assert_eq!(texts.len(), 3, "{texts:?}");
+    assert!(texts[1].contains("unknown frame kind 0x03"), "{}", texts[1]);
+    assert!(texts[2].contains("\"id\":9"), "{}", texts[2]);
+    assert_eq!(routed, direct, "router and shard answer byte for byte");
 }

@@ -6,8 +6,8 @@
 //! [`WireCodec::Binary`]: length-prefixed frames whose payloads carry
 //! either a JSON document (requests *and* all responses — the response
 //! text stays byte-identical to JSON-lines mode, so determinism is pinned
-//! by a single encoder), a compact binary partition request decoded
-//! zero-copy from the frame slice, or a batch of pipelined sub-requests.
+//! by a single encoder) or a compact binary partition request decoded
+//! zero-copy from the frame slice. Each frame carries one request.
 //!
 //! ## Frame layout (binary codec)
 //!
@@ -16,8 +16,6 @@
 //! payload := kind:u8 body
 //! kind    := 0x01 JSON document (UTF-8, no trailing newline)
 //!          | 0x02 binary partition request
-//!          | 0x03 batch: repeated (sublen:u32-le subpayload), where each
-//!                 subpayload is a kind-0x01 or kind-0x02 payload
 //! ```
 //!
 //! ## Binary partition body (kind 0x02)
@@ -85,8 +83,6 @@ impl WireCodec {
 pub const KIND_JSON: u8 = 0x01;
 /// Payload kind: a compact binary partition request.
 pub const KIND_PARTITION: u8 = 0x02;
-/// Payload kind: a batch of pipelined sub-payloads.
-pub const KIND_BATCH: u8 = 0x03;
 
 /// Hard cap on a declared frame length, and on a JSON line's length. A
 /// peer announcing a longer frame, or sending a longer line, is treated
@@ -279,42 +275,6 @@ pub fn json_payload(text: &str) -> Vec<u8> {
     payload.push(KIND_JSON);
     payload.extend_from_slice(text.as_bytes());
     payload
-}
-
-/// A kind-`0x03` payload batching several sub-payloads into one frame.
-pub fn batch_payload(subpayloads: &[Vec<u8>]) -> Vec<u8> {
-    let total: usize = subpayloads.iter().map(|p| 4 + p.len()).sum();
-    let mut payload = Vec::with_capacity(1 + total);
-    payload.push(KIND_BATCH);
-    for sub in subpayloads {
-        payload.extend_from_slice(&(sub.len() as u32).to_le_bytes());
-        payload.extend_from_slice(sub);
-    }
-    payload
-}
-
-/// Splits a kind-`0x03` body (after the kind byte) into sub-payload
-/// ranges relative to `body`. Fails on a truncated sub-length or a
-/// sub-payload running past the end of the batch.
-pub fn batch_subframes(body: &[u8]) -> Result<Vec<Range<usize>>, String> {
-    let mut subs = Vec::new();
-    let mut pos = 0usize;
-    while pos < body.len() {
-        if body.len() - pos < 4 {
-            return Err(format!("truncated batch sub-frame length at byte {pos}"));
-        }
-        let len =
-            u32::from_le_bytes([body[pos], body[pos + 1], body[pos + 2], body[pos + 3]]) as usize;
-        pos += 4;
-        if body.len() - pos < len {
-            return Err(format!(
-                "batch sub-frame of {len} bytes at byte {pos} runs past the batch end"
-            ));
-        }
-        subs.push(pos..pos + len);
-        pos += len;
-    }
-    Ok(subs)
 }
 
 fn write_varint(buf: &mut Vec<u8>, mut v: u64) {
@@ -939,23 +899,6 @@ mod tests {
         let err = decode_partition_payload(&p).unwrap_err();
         assert_eq!(err.code, ErrorCode::BadMatrix);
         assert!(err.message.contains("entry 0"), "{}", err.message);
-    }
-
-    #[test]
-    fn batch_payloads_split_back_into_subframes() {
-        let a = json_payload("{\"op\":\"ping\"}");
-        let b = json_payload("{\"id\":2,\"op\":\"ping\"}");
-        let batch = batch_payload(&[a.clone(), b.clone()]);
-        assert_eq!(batch[0], KIND_BATCH);
-        let subs = batch_subframes(&batch[1..]).unwrap();
-        assert_eq!(subs.len(), 2);
-        assert_eq!(&batch[1..][subs[0].clone()], a.as_slice());
-        assert_eq!(&batch[1..][subs[1].clone()], b.as_slice());
-        // Truncated sub-length and overlong sub-frame both fail.
-        assert!(batch_subframes(&batch[1..3]).is_err());
-        let mut bad = vec![9, 0, 0, 0];
-        bad.push(KIND_JSON);
-        assert!(batch_subframes(&bad).is_err());
     }
 
     #[test]

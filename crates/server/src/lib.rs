@@ -16,6 +16,10 @@
 //! * **TCP** ([`TcpServer`]) — a threaded `std::net` listener with one
 //!   session per connection over a shared engine and response cache.
 //!
+//! Sessions start in JSON lines; a `hello` request can switch one to
+//! length-prefixed binary frames ([`codec`]). Either way each line or
+//! frame carries exactly one request.
+//!
 //! The engine provides bounded-queue backpressure, an LRU response cache
 //! keyed by (matrix fingerprint, method, ε, seed), graceful
 //! drain-on-shutdown, and the workspace's determinism contract extended

@@ -403,14 +403,11 @@ fn dim(id: &Json, m: &Json, name: &str) -> Result<Idx, RequestError> {
 /// Every field is a pure function of (matrix content, method, ε, seed) —
 /// plus the submission-order-deterministic `cached` flag — so the line is
 /// byte-identical whatever thread count or scheduling produced it.
-/// `time_ms` is the only exception and is emitted solely when the server
-/// runs with timing enabled (a non-deterministic, human-facing mode).
 pub fn ok_response(
     id: &Json,
     outcome: &PartitionOutcome,
     cached: bool,
     include_partition: bool,
-    time_ms: Option<f64>,
 ) -> String {
     let mut fields = vec![
         ("id", id.clone()),
@@ -457,9 +454,6 @@ pub fn ok_response(
                     .collect(),
             ),
         ));
-    }
-    if let Some(ms) = time_ms {
-        fields.push(("time_ms", Json::Num(ms)));
     }
     obj(fields).to_string()
 }
@@ -831,7 +825,7 @@ mod tests {
             part_nnz: [2, 2],
             partition: vec![0, 1, 1, 0],
         };
-        let line = ok_response(&Json::UInt(5), &outcome, false, false, None);
+        let line = ok_response(&Json::UInt(5), &outcome, false, false);
         assert_eq!(
             line,
             "{\"id\":5,\"status\":\"ok\",\
@@ -840,12 +834,9 @@ mod tests {
              \"method\":\"mg-ir\",\"epsilon\":0.03,\"seed\":99,\"volume\":1,\"imbalance\":0,\
              \"ir_iterations\":2,\"part_nnz\":[2,2],\"cached\":false}"
         );
-        let with_partition = ok_response(&Json::Null, &outcome, true, true, None);
+        let with_partition = ok_response(&Json::Null, &outcome, true, true);
         assert!(with_partition.contains("\"partition\":[0,1,1,0]"));
         assert!(with_partition.contains("\"cached\":true"));
-        assert!(!line.contains("time_ms"));
-        let timed = ok_response(&Json::Null, &outcome, false, false, Some(1.5));
-        assert!(timed.contains("\"time_ms\":1.5"));
     }
 
     #[test]

@@ -52,7 +52,7 @@ use std::io::{BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Configuration of a [`Service`].
 #[derive(Debug, Clone)]
@@ -74,8 +74,6 @@ pub struct ServiceConfig {
     /// The deterministic collection served for `{"collection": name}`
     /// payloads (generated lazily on first use).
     pub collection: CollectionSpec,
-    /// Append a non-deterministic `time_ms` field to computed responses.
-    pub timing: bool,
     /// Diagnostic shard tag (`mgpart serve --shard-id`): when set, stats
     /// and error responses carry a `"shard"` field so clients behind a
     /// router can attribute them. `None` (the default) leaves every
@@ -97,7 +95,6 @@ impl Default for ServiceConfig {
             master_seed: 2014,
             default_backend: DEFAULT_BACKEND,
             collection: CollectionSpec::default(),
-            timing: false,
             shard_id: None,
             trace_slow: None,
         }
@@ -122,9 +119,9 @@ impl Default for ServiceConfig {
 /// ([`seed_of`]), so both shapes report identical volumes and seeds.
 type CacheKey = (u64, &'static str, Method, u64, u64, bool);
 
-/// Completion callback: `(outcome, cached, compute_seconds)`; the
-/// outcome is `None` when the job panicked.
-type Deliver = Box<dyn FnOnce(Option<Arc<PartitionOutcome>>, bool, f64) + Send>;
+/// Completion callback: `(outcome, cached)`; the outcome is `None` when
+/// the job panicked.
+type Deliver = Box<dyn FnOnce(Option<Arc<PartitionOutcome>>, bool) + Send>;
 
 /// Trace identity of a queued job's primary: the request's root span
 /// (`queue_wait` and `execute` record under it) plus when it queued.
@@ -201,7 +198,7 @@ impl Engine {
             if let Some(hit) = inner.cache.get(&key) {
                 let outcome = hit.clone();
                 drop(inner);
-                deliver(Some(outcome), true, 0.0);
+                deliver(Some(outcome), true);
                 return SubmitOutcome::CacheHit;
             }
             if let Some(followers) = inner.inflight.get_mut(&key) {
@@ -349,22 +346,20 @@ fn run_job(engine: &Engine, job: EngineJob) {
     // phase timers record as its children.
     let exec_span = job_trace.map(|jt| {
         jt.queued.record_child(&jt.ctx, "queue_wait");
-        (jt.ctx.child(), trace::now_us())
+        (jt.ctx.child(), Stamp::now())
     });
-    let start = Instant::now();
     let result = {
         let _scope = exec_span.map(|(ctx, _)| trace::enter(ctx));
         catch_unwind(AssertUnwindSafe(|| execute(&matrix, backend, &key)))
     };
-    let elapsed = start.elapsed();
-    if let Some((ctx, start_us)) = exec_span {
+    if let Some((ctx, start)) = exec_span {
         trace::record_span(
             ctx.trace_id,
             ctx.span_id,
             ctx.parent_id,
             "execute",
-            start_us,
-            elapsed,
+            start.us,
+            start.at.elapsed(),
         );
     }
     let outcome = result.map(Arc::new);
@@ -410,9 +405,9 @@ fn run_job(engine: &Engine, job: EngineJob) {
             None
         }
     };
-    deliver(outcome.clone(), false, elapsed.as_secs_f64());
+    deliver(outcome.clone(), false);
     for follower in followers {
-        follower(outcome.clone(), true, 0.0);
+        follower(outcome.clone(), true);
     }
 }
 
@@ -696,16 +691,17 @@ impl Handler for SessionDriver<'_> {
             UnitKind::Frame => WireCodec::Binary,
         };
         bytes_in(codec.name(), bytes.len() as u64);
-        session::decode_unit(kind, bytes, &mut |decoded| {
-            let index = self.begin();
-            match decoded {
-                Ok((request, _)) => self.dispatch(index, request, t0),
-                Err(e) => {
-                    self.fail(index, &e.id, e.code, &e.message);
-                    true
-                }
+        let Some(decoded) = session::decode_unit(kind, bytes) else {
+            return true;
+        };
+        let index = self.begin();
+        match decoded {
+            Ok((request, _)) => self.dispatch(index, request, t0),
+            Err(e) => {
+                self.fail(index, &e.id, e.code, &e.message);
+                true
             }
-        })
+        }
     }
 
     fn take_codec_switch(&mut self) -> Option<WireCodec> {
@@ -849,28 +845,20 @@ impl SessionDriver<'_> {
 
         let slots = self.slots.clone();
         let include_partition = spec.include_partition;
-        let timing = engine.config.timing;
         let deliver_id = id.clone();
         let shard = engine.config.shard_id.clone();
         // Count the job as outstanding from submission until delivery;
         // synchronous cache hits cancel out before anyone can observe
         // the increment through a stats slot.
         self.slots.outstanding.fetch_add(1, Ordering::SeqCst);
-        let deliver: Deliver = Box::new(move |outcome, cached, secs| {
+        let deliver: Deliver = Box::new(move |outcome, cached| {
             slots.outstanding.fetch_sub(1, Ordering::SeqCst);
-            let time_ms = timing.then_some(secs * 1000.0);
             let encode = req_trace.map(|rt| (rt, Stamp::now()));
             // Tag freshly computed lines with their backend so the writer
             // can tally per-backend completions for deferred stats slots.
             let (line, computed) = match outcome {
                 Some(outcome) => (
-                    protocol::ok_response(
-                        &deliver_id,
-                        &outcome,
-                        cached,
-                        include_partition,
-                        time_ms,
-                    ),
+                    protocol::ok_response(&deliver_id, &outcome, cached, include_partition),
                     (!cached).then_some(outcome.backend),
                 ),
                 None => {
@@ -1002,10 +990,9 @@ mod tests {
             2014,
             false,
         );
-        let deliver: Deliver = Box::new(move |outcome, cached, _| deliver(outcome, cached));
         service
             .engine
-            .submit(key, backend, Arc::new(matrix), deliver, None)
+            .submit(key, backend, Arc::new(matrix), Box::new(deliver), None)
     }
 
     #[test]

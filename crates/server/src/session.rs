@@ -12,7 +12,8 @@
 //!   session's [`Render`];
 //! * [`TcpFrontEnd`] — the threaded TCP listener over any [`Runtime`],
 //!   with session reaping;
-//! * [`decode_unit`] — the unit → request decoding both handlers share;
+//! * [`decode_unit`] — the unit → request decoding both handlers share
+//!   (one request per line or frame);
 //! * [`lock_ok`] / [`wait_ok`] — poison-tolerant locking, so a panicking
 //!   thread degrades its own request instead of every session sharing
 //!   the state.
@@ -164,7 +165,7 @@ pub trait Handler {
     /// reading (an in-band `shutdown`).
     fn handle_unit(&mut self, kind: UnitKind, bytes: &[u8]) -> bool;
 
-    /// After a unit that contained a `hello`: the codec the scanner must
+    /// After a `hello` unit: the codec the scanner must
     /// switch to before the next unit. The outbound switch rides on the
     /// response slot and is applied by the writer.
     fn take_codec_switch(&mut self) -> Option<WireCodec>;
@@ -183,18 +184,13 @@ pub trait Handler {
 /// error that answers it.
 pub type Decoded<'a> = Result<(Request, Option<&'a str>), RequestError>;
 
-/// Decodes one scanned unit and calls `each` once per response slot it
-/// needs, in stream order: one per non-blank line, one per frame, one per
-/// sub-frame of a batch. Stops early, returning `false`, as soon as
-/// `each` does.
-pub fn decode_unit(
-    kind: UnitKind,
-    bytes: &[u8],
-    each: &mut dyn FnMut(Decoded<'_>) -> bool,
-) -> bool {
+/// Decodes one scanned unit into the one request it carries, or the
+/// typed error that answers it. `None` for a blank line (or a blank
+/// kind-`0x01` body), which needs no response slot.
+pub fn decode_unit(kind: UnitKind, bytes: &[u8]) -> Option<Decoded<'_>> {
     match kind {
-        UnitKind::Line => decode_text(bytes, each),
-        UnitKind::Frame => decode_frame(bytes, each),
+        UnitKind::Line => decode_text(bytes),
+        UnitKind::Frame => decode_frame(bytes),
     }
 }
 
@@ -206,31 +202,27 @@ fn bad_request(message: String) -> RequestError {
     }
 }
 
-fn decode_text(bytes: &[u8], each: &mut dyn FnMut(Decoded<'_>) -> bool) -> bool {
+fn decode_text(bytes: &[u8]) -> Option<Decoded<'_>> {
     // Non-UTF-8 request bytes get a typed error, never a lossily mangled
     // parse.
     let Ok(text) = std::str::from_utf8(bytes) else {
-        return each(Err(bad_request("request bytes are not valid UTF-8".into())));
+        return Some(Err(bad_request("request bytes are not valid UTF-8".into())));
     };
     let line = text.trim();
     if line.is_empty() {
-        return true;
+        return None;
     }
-    each(protocol::parse_request_line(line).map(|request| (request, Some(line))))
+    Some(protocol::parse_request_line(line).map(|request| (request, Some(line))))
 }
 
-fn decode_frame(payload: &[u8], each: &mut dyn FnMut(Decoded<'_>) -> bool) -> bool {
+fn decode_frame(payload: &[u8]) -> Option<Decoded<'_>> {
     match payload.split_first() {
-        None => each(Err(bad_request("empty frame".into()))),
-        Some((&codec::KIND_JSON, body)) => decode_text(body, each),
+        None => Some(Err(bad_request("empty frame".into()))),
+        Some((&codec::KIND_JSON, body)) => decode_text(body),
         Some((&codec::KIND_PARTITION, body)) => {
-            each(codec::decode_partition_payload(body).map(|request| (request, None)))
+            Some(codec::decode_partition_payload(body).map(|request| (request, None)))
         }
-        Some((&codec::KIND_BATCH, body)) => match codec::batch_subframes(body) {
-            Ok(subs) => subs.into_iter().all(|sub| decode_frame(&body[sub], each)),
-            Err(message) => each(Err(bad_request(message))),
-        },
-        Some((&kind, _)) => each(Err(bad_request(format!("unknown frame kind 0x{kind:02x}")))),
+        Some((&kind, _)) => Some(Err(bad_request(format!("unknown frame kind 0x{kind:02x}")))),
     }
 }
 

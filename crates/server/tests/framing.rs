@@ -1,11 +1,9 @@
 //! Binary framing integration tests: hello negotiation, the per-codec
 //! determinism contract (response texts byte-identical to JSON-lines
-//! mode at any thread count), batch pipelining, and framing errors.
+//! mode at any thread count), and framing errors.
 
 use mg_collection::{CollectionScale, CollectionSpec};
-use mg_server::codec::{
-    batch_payload, encode_frame, json_payload, partition_payload, KIND_JSON, MAX_FRAME,
-};
+use mg_server::codec::{encode_frame, json_payload, partition_payload, KIND_JSON, MAX_FRAME};
 use mg_server::{parse_request_line, Service, ServiceConfig};
 use mg_sparse::{gen, Coo};
 use std::sync::Arc;
@@ -172,25 +170,6 @@ fn binary_responses_are_byte_identical_to_json_lines_at_any_thread_count() {
 }
 
 #[test]
-fn batched_frames_answer_in_submission_order() {
-    let service = smoke_service(4);
-    let sub1 = json_payload("{\"id\":10,\"op\":\"ping\"}");
-    let sub2 = partition_payload(&parse_request_line(INLINE).unwrap()).unwrap();
-    let sub3 = json_payload("{\"id\":30,\"op\":\"stats\"}");
-    let mut script = format!("{HELLO_BINARY}\n").into_bytes();
-    script.extend_from_slice(&encode_frame(&batch_payload(&[sub1, sub2, sub3])));
-
-    let mut out = Vec::new();
-    let summary = service.run_session(script.as_slice(), &mut out);
-    assert_eq!(summary.received, 4, "a batch counts per sub-request");
-    assert_eq!(summary.responses, 4);
-    let texts = response_texts(&out);
-    assert!(texts[1].contains("\"id\":10"));
-    assert!(texts[2].contains("\"id\":1") && texts[2].contains("\"volume\""));
-    assert!(texts[3].contains("\"id\":30") && texts[3].contains("\"op\":\"stats\""));
-}
-
-#[test]
 fn framing_violations_get_typed_errors() {
     // An oversized declared frame length ends the session with one
     // typed error — there is no way to resynchronise past it.
@@ -211,16 +190,23 @@ fn framing_violations_get_typed_errors() {
     );
 
     // An unknown payload kind is an in-band error; the session goes on.
-    let service = smoke_service(1);
-    let mut script = format!("{HELLO_BINARY}\n").into_bytes();
-    script.extend_from_slice(&encode_frame(&[0x07, 1, 2, 3]));
-    script.extend_from_slice(&encode_frame(&json_payload("{\"id\":9,\"op\":\"ping\"}")));
-    let mut out = Vec::new();
-    let summary = service.run_session(script.as_slice(), &mut out);
-    assert_eq!(summary.responses, 3);
-    let texts = response_texts(&out);
-    assert!(texts[1].contains("unknown frame kind 0x07"), "{}", texts[1]);
-    assert!(texts[2].contains("\"id\":9"), "{}", texts[2]);
+    // Kind 0x03 is one too: a frame shaped like a batch of one ping
+    // (length-prefixed sub-payload) gets one error, not a pong.
+    let mut batch = vec![0x03];
+    batch.extend_from_slice(&encode_frame(&json_payload("{\"id\":8,\"op\":\"ping\"}")));
+    for (payload, kind) in [(vec![0x07, 1, 2, 3], "0x07"), (batch, "0x03")] {
+        let service = smoke_service(1);
+        let mut script = format!("{HELLO_BINARY}\n").into_bytes();
+        script.extend_from_slice(&encode_frame(&payload));
+        script.extend_from_slice(&encode_frame(&json_payload("{\"id\":9,\"op\":\"ping\"}")));
+        let mut out = Vec::new();
+        let summary = service.run_session(script.as_slice(), &mut out);
+        assert_eq!(summary.responses, 3);
+        let texts = response_texts(&out);
+        let expected = format!("unknown frame kind {kind}");
+        assert!(texts[1].contains(&expected), "{}", texts[1]);
+        assert!(texts[2].contains("\"id\":9"), "{}", texts[2]);
+    }
 
     // A truncated binary partition payload is a typed bad_request.
     let service = smoke_service(1);

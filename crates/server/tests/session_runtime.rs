@@ -1,10 +1,8 @@
 //! The shared session runtime on its own: the pump, the ordered writer
 //! and the unit decoder driven by a toy handler.
 
-use mg_server::codec::{
-    batch_payload, encode_frame, json_payload, UnitKind, WireCodec, KIND_PARTITION,
-};
-use mg_server::session::{self, decode_unit, Decoded, Handler, Render, Responses};
+use mg_server::codec::{encode_frame, json_payload, UnitKind, WireCodec, KIND_PARTITION};
+use mg_server::session::{self, decode_unit, Handler, Render, Responses};
 use std::collections::VecDeque;
 use std::io::{BufReader, Read};
 use std::sync::mpsc;
@@ -46,18 +44,19 @@ impl Handler for ReverseEcho {
 
     fn handle_unit(&mut self, kind: UnitKind, bytes: &[u8]) -> bool {
         self.units.push((kind, bytes.to_vec()));
-        decode_unit(kind, bytes, &mut |decoded| {
-            let index = self.slots.open();
-            let line = match decoded {
-                Ok((request, _)) => {
-                    self.switch = self.switch.or(request.codec);
-                    request.id.to_string()
-                }
-                Err(e) => format!("error:{}", e.code),
-            };
-            self.held.push((index, line));
-            true
-        })
+        let Some(decoded) = decode_unit(kind, bytes) else {
+            return true;
+        };
+        let index = self.slots.open();
+        let line = match decoded {
+            Ok((request, _)) => {
+                self.switch = self.switch.or(request.codec);
+                request.id.to_string()
+            }
+            Err(e) => format!("error:{}", e.code),
+        };
+        self.held.push((index, line));
+        true
     }
 
     fn take_codec_switch(&mut self) -> Option<WireCodec> {
@@ -116,47 +115,34 @@ fn drain_waits_for_every_slot_but_the_skipped_one() {
     drainer.join().unwrap();
 }
 
-/// Collects what `decode_unit` reports, stopping after `stop_after`.
-fn decode_all(kind: UnitKind, bytes: &[u8], stop_after: usize) -> (bool, Vec<String>) {
-    let mut seen = Vec::new();
-    let go = decode_unit(kind, bytes, &mut |decoded: Decoded<'_>| {
-        seen.push(match decoded {
-            Ok((request, Some(line))) => format!("line {} {line}", request.id),
-            Ok((request, None)) => format!("binary {}", request.id),
-            Err(e) => format!("{}: {}", e.code, e.message),
-        });
-        seen.len() < stop_after
-    });
-    (go, seen)
+/// What `decode_unit` makes of one frame payload: `None` when it needs
+/// no response slot.
+fn decode_frame(payload: &[u8]) -> Option<String> {
+    decode_unit(UnitKind::Frame, payload).map(|decoded| match decoded {
+        Ok((request, Some(line))) => format!("line {} {line}", request.id),
+        Ok((request, None)) => format!("binary {}", request.id),
+        Err(e) => format!("{}: {}", e.code, e.message),
+    })
 }
 
 #[test]
-fn a_batch_frame_decodes_to_one_slot_per_sub_frame_in_order() {
-    let batch = batch_payload(&[
-        json_payload("{\"id\":1,\"op\":\"ping\"}"),
-        Vec::new(),
-        vec![0x7f],
-        vec![KIND_PARTITION],
-        json_payload("   "),
-        json_payload("{\"id\":2,\"op\":\"ping\"}"),
-    ]);
-    let (go, seen) = decode_all(UnitKind::Frame, &batch, usize::MAX);
-    assert!(go);
+fn each_frame_decodes_to_at_most_one_slot() {
     assert_eq!(
-        seen.len(),
-        5,
-        "a blank JSON sub-frame needs no slot: {seen:?}"
+        decode_frame(&json_payload("{\"id\":1,\"op\":\"ping\"}")).unwrap(),
+        "line 1 {\"id\":1,\"op\":\"ping\"}"
     );
-    assert_eq!(seen[0], "line 1 {\"id\":1,\"op\":\"ping\"}");
-    assert_eq!(seen[1], "bad_request: empty frame");
-    assert_eq!(seen[2], "bad_request: unknown frame kind 0x7f");
-    assert!(seen[3].starts_with("bad_request"), "{}", seen[3]);
-    assert_eq!(seen[4], "line 2 {\"id\":2,\"op\":\"ping\"}");
-
-    // A handler that stops (an in-band shutdown) ends the batch there.
-    let (go, seen) = decode_all(UnitKind::Frame, &batch, 2);
-    assert!(!go);
-    assert_eq!(seen.len(), 2);
+    assert_eq!(decode_frame(&[]).unwrap(), "bad_request: empty frame");
+    assert_eq!(
+        decode_frame(&[0x7f]).unwrap(),
+        "bad_request: unknown frame kind 0x7f"
+    );
+    let truncated = decode_frame(&[KIND_PARTITION]).unwrap();
+    assert!(truncated.starts_with("bad_request"), "{truncated}");
+    assert_eq!(
+        decode_frame(&json_payload("   ")),
+        None,
+        "a blank JSON frame needs no slot"
+    );
 }
 
 /// Input that reaches the pump in exactly these reads, one per chunk.
