@@ -67,13 +67,13 @@ mod tests {
     fn twin_is_connected() {
         let a = gd97b_twin();
         // BFS over the symmetric pattern.
-        let csr = mg_sparse::Csr::from_coo(&a);
+        let index = mg_sparse::LineIndex::new(&a);
         let mut seen = [false; 47];
         let mut queue = std::collections::VecDeque::from([0u32]);
         seen[0] = true;
         let mut count = 1;
         while let Some(v) = queue.pop_front() {
-            for &u in csr.row(v) {
+            for &(_, u) in &a.entries()[index.row_nonzero_ids(v)] {
                 if !seen[u as usize] {
                     seen[u as usize] = true;
                     count += 1;

@@ -6,8 +6,7 @@
 //! That collection cannot be redistributed here, so this crate generates a
 //! *deterministic* population with the same class mix (≈26% / 44% / 30%)
 //! and a comparable diversity of structure, drawn from the twelve generator
-//! families of [`mg_sparse::gen`] (see DESIGN.md §5 for the substitution
-//! argument).
+//! families of [`mg_sparse::gen`].
 //!
 //! Everything is a pure function of the [`CollectionSpec`] seed, so the
 //! whole experiment pipeline is reproducible bit-for-bit.

@@ -5,12 +5,14 @@
 use crate::methods::BipartitionResult;
 use mg_hypergraph::{column_net_model, fine_grain_model, row_net_model, ModelKind};
 use mg_partitioner::{bipartition_hypergraph, BisectionTargets, PartitionerConfig};
-use mg_sparse::Coo;
+use mg_sparse::{Coo, LineIndex};
 use rand::Rng;
 
-/// Bipartitions `a` through one of the classical hypergraph models.
+/// Bipartitions `a`, whose index is `index`, through one of the classical
+/// hypergraph models.
 pub fn model_bipartition<R: Rng>(
     a: &Coo,
+    index: &LineIndex,
     kind: ModelKind,
     targets: &BisectionTargets,
     config: &PartitionerConfig,
@@ -20,9 +22,9 @@ pub fn model_bipartition<R: Rng>(
         return BipartitionResult::empty(a);
     }
     let model = match kind {
-        ModelKind::RowNet => row_net_model(a),
-        ModelKind::ColumnNet => column_net_model(a),
-        ModelKind::FineGrain => fine_grain_model(a),
+        ModelKind::RowNet => row_net_model(a, index),
+        ModelKind::ColumnNet => column_net_model(a, index),
+        ModelKind::FineGrain => fine_grain_model(a, index),
     };
     debug_assert_eq!(model.hypergraph.total_vertex_weight(), a.nnz() as u64);
     let outcome = bipartition_hypergraph(&model.hypergraph, targets, config, rng);
@@ -42,12 +44,13 @@ pub fn model_bipartition<R: Rng>(
 /// one from the other direction.
 pub fn localbest_bipartition<R: Rng>(
     a: &Coo,
+    index: &LineIndex,
     targets: &BisectionTargets,
     config: &PartitionerConfig,
     rng: &mut R,
 ) -> BipartitionResult {
-    let by_rows = model_bipartition(a, ModelKind::RowNet, targets, config, rng);
-    let by_cols = model_bipartition(a, ModelKind::ColumnNet, targets, config, rng);
+    let by_rows = model_bipartition(a, index, ModelKind::RowNet, targets, config, rng);
+    let by_cols = model_bipartition(a, index, ModelKind::ColumnNet, targets, config, rng);
     let budgets = targets.budgets();
     let violation = |r: &BipartitionResult| -> u64 {
         r.partition
@@ -75,12 +78,24 @@ mod tests {
         BisectionTargets::even(a.nnz() as u64, 0.03)
     }
 
+    /// `kind`'s even bipartition of `a` on the mondriaan-like engine.
+    fn model(a: &Coo, kind: ModelKind, seed: u64) -> BipartitionResult {
+        let cfg = PartitionerConfig::mondriaan_like();
+        let mut rng = StdRng::seed_from_u64(seed);
+        model_bipartition(a, &LineIndex::new(a), kind, &even(a), &cfg, &mut rng)
+    }
+
+    /// The even localbest bipartition of `a` on the mondriaan-like engine.
+    fn localbest(a: &Coo, seed: u64) -> BipartitionResult {
+        let cfg = PartitionerConfig::mondriaan_like();
+        let mut rng = StdRng::seed_from_u64(seed);
+        localbest_bipartition(a, &LineIndex::new(a), &even(a), &cfg, &mut rng)
+    }
+
     #[test]
     fn row_net_produces_column_partitioning() {
         let a = mg_sparse::gen::laplacian_2d(12, 12);
-        let cfg = PartitionerConfig::mondriaan_like();
-        let mut rng = StdRng::seed_from_u64(1);
-        let r = model_bipartition(&a, ModelKind::RowNet, &even(&a), &cfg, &mut rng);
+        let r = model(&a, ModelKind::RowNet, 1);
         // Column partitioning: every column's nonzeros share one part, so
         // columns contribute no volume.
         let cl = mg_sparse::col_lambdas(&a, &r.partition);
@@ -91,9 +106,7 @@ mod tests {
     #[test]
     fn column_net_produces_row_partitioning() {
         let a = mg_sparse::gen::laplacian_2d(12, 12);
-        let cfg = PartitionerConfig::mondriaan_like();
-        let mut rng = StdRng::seed_from_u64(2);
-        let r = model_bipartition(&a, ModelKind::ColumnNet, &even(&a), &cfg, &mut rng);
+        let r = model(&a, ModelKind::ColumnNet, 2);
         let rl = row_lambdas(&a, &r.partition);
         assert!(rl.iter().all(|&l| l <= 1));
     }
@@ -102,16 +115,9 @@ mod tests {
     fn localbest_is_no_worse_than_either_model() {
         let mut rng = StdRng::seed_from_u64(3);
         let a = mg_sparse::gen::erdos_renyi(80, 40, 700, &mut rng);
-        let cfg = PartitionerConfig::mondriaan_like();
         // Same seeds for comparability.
-        let lb = localbest_bipartition(&a, &even(&a), &cfg, &mut StdRng::seed_from_u64(4));
-        let rn = model_bipartition(
-            &a,
-            ModelKind::RowNet,
-            &even(&a),
-            &cfg,
-            &mut StdRng::seed_from_u64(4),
-        );
+        let lb = localbest(&a, 4);
+        let rn = model(&a, ModelKind::RowNet, 4);
         assert!(lb.volume <= rn.volume);
     }
 
@@ -120,7 +126,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let a = mg_sparse::gen::erdos_renyi(50, 50, 500, &mut rng);
         let cfg = PartitionerConfig::mondriaan_like();
-        let r = model_bipartition(&a, ModelKind::FineGrain, &even(&a), &cfg, &mut rng);
+        let index = LineIndex::new(&a);
+        let r = model_bipartition(&a, &index, ModelKind::FineGrain, &even(&a), &cfg, &mut rng);
         assert!(load_imbalance(&r.partition) <= 0.03 + 1e-9);
     }
 
@@ -129,15 +136,8 @@ mod tests {
         // The arrow matrix: dense border rows/columns make any 1D
         // partitioning expensive, while 2D methods split the border.
         let a = mg_sparse::gen::arrow(60, 3);
-        let cfg = PartitionerConfig::mondriaan_like();
-        let fg = model_bipartition(
-            &a,
-            ModelKind::FineGrain,
-            &even(&a),
-            &cfg,
-            &mut StdRng::seed_from_u64(6),
-        );
-        let lb = localbest_bipartition(&a, &even(&a), &cfg, &mut StdRng::seed_from_u64(6));
+        let fg = model(&a, ModelKind::FineGrain, 6);
+        let lb = localbest(&a, 6);
         assert!(
             fg.volume <= lb.volume + 2,
             "fine-grain {} should not lose badly to 1D {}",

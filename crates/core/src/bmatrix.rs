@@ -21,71 +21,21 @@
 //! often *smaller* than `m + n` vertices — the source of its speed
 //! advantage over 1D localbest in Fig 5.
 //!
-//! B is laid out straight from A: [`ALayout`] holds A's row starts and
-//! column-major order, computed once per matrix, and
-//! [`MediumGrainModel::lay_out`] writes B's pins and vertex→net lists
-//! into the model's own buffers in two walks over A, one per order. The
-//! group sizes give every net's size up front, so nothing is sorted,
-//! deduplicated or transposed afterwards. Algorithm 2 re-lays one model
-//! per KL run; see [`crate::refine`].
+//! B is laid out straight from A: [`MediumGrainModel::lay_out`] reads A's
+//! rows and columns through its [`LineIndex`], built once per bisection,
+//! and writes B's pins and vertex→net lists into the model's own buffers
+//! in two walks over A, one per order. The group sizes give every net's
+//! size up front, so nothing is sorted, deduplicated or transposed
+//! afterwards. Algorithm 2 re-lays one model per KL run; see
+//! [`crate::refine`].
 
 use crate::split::Split;
 use mg_hypergraph::Hypergraph;
-use mg_sparse::{Coo, Idx, NonzeroPartition};
+use mg_sparse::{Coo, Idx, LineIndex, NonzeroPartition};
 
 /// Sentinel for "this row/column has no group vertex" and "this row/column
 /// has no net".
 const NONE: Idx = Idx::MAX;
-
-/// What laying out B needs of `A` besides the split: its row starts and
-/// its column-major order. Computed once per matrix.
-#[derive(Debug, Clone)]
-pub struct ALayout {
-    /// Row `i`'s entries are `row_start[i]..row_start[i + 1]` (the
-    /// canonical order is row-major).
-    row_start: Vec<usize>,
-    /// Column `j`'s entries are `col_entry[col_start[j]..col_start[j + 1]]`.
-    col_start: Vec<usize>,
-    /// Entry ids in column-major order, rows ascending within a column.
-    col_entry: Vec<Idx>,
-    /// `col_row[p]` is the row of entry `col_entry[p]`.
-    col_row: Vec<Idx>,
-}
-
-impl ALayout {
-    /// Computes the layout of `a`: one pass counts the rows and columns,
-    /// one places every entry in column-major order.
-    pub fn new(a: &Coo) -> Self {
-        let entries = a.entries();
-        let mut row_start = vec![0usize; a.rows() as usize + 1];
-        let mut col_start = vec![0usize; a.cols() as usize + 1];
-        for &(i, j) in entries {
-            row_start[i as usize + 1] += 1;
-            col_start[j as usize + 1] += 1;
-        }
-        for i in 1..row_start.len() {
-            row_start[i] += row_start[i - 1];
-        }
-        for j in 1..col_start.len() {
-            col_start[j] += col_start[j - 1];
-        }
-        let mut col_entry = vec![0 as Idx; entries.len()];
-        let mut col_row = vec![0 as Idx; entries.len()];
-        let mut next = col_start.clone();
-        for (k, &(i, j)) in entries.iter().enumerate() {
-            let p = next[j as usize];
-            next[j as usize] += 1;
-            col_entry[p] = k as Idx;
-            col_row[p] = i;
-        }
-        ALayout {
-            row_start,
-            col_start,
-            col_entry,
-            col_row,
-        }
-    }
-}
 
 /// The medium-grain hypergraph of a split matrix, with the bookkeeping to
 /// map vertex bipartitions back to nonzero partitions of `A`.
@@ -106,7 +56,9 @@ pub struct MediumGrainModel {
 }
 
 impl MediumGrainModel {
-    /// Builds the model from a matrix and a split.
+    /// Builds the model from a matrix and a split, indexing the matrix
+    /// first (callers that hold its [`LineIndex`] use
+    /// [`MediumGrainModel::lay_out`]).
     ///
     /// Vertex weights are the group sizes (the paper's `nzc(j) − 1` on `B`,
     /// i.e. dummy excluded), so hypergraph balance is nonzero balance on
@@ -118,12 +70,13 @@ impl MediumGrainModel {
             "split does not match matrix"
         );
         let mut model = MediumGrainModel::default();
-        model.lay_out(a, &ALayout::new(a), |k| split.in_row(k));
+        model.lay_out(a, &LineIndex::new(a), |k| split.in_row(k));
         model
     }
 
     /// Lays out B for the split `in_row` (`true` puts nonzero `k` in
-    /// `Ar`) in this model's buffers, replacing what they held.
+    /// `Ar`) in this model's buffers, replacing what they held. `index` is
+    /// `a`'s [`LineIndex`].
     ///
     /// Vertices: the non-empty column groups in column order, then the
     /// non-empty row groups in row order. Nets: row `i` of A is the net
@@ -132,7 +85,8 @@ impl MediumGrainModel {
     /// column group plus the row groups of its `Ar` nonzeros. Row nets
     /// come first, and a net of under two pins is dropped. Pins are
     /// ascending within a net and nets ascending within a vertex.
-    pub fn lay_out(&mut self, a: &Coo, layout: &ALayout, in_row: impl Fn(usize) -> bool) {
+    pub fn lay_out(&mut self, a: &Coo, index: &LineIndex, in_row: impl Fn(usize) -> bool) {
+        debug_assert_eq!(index.nnz(), a.nnz(), "index does not match matrix");
         let entries = a.entries();
         let mut csr = std::mem::take(&mut self.hypergraph).into_csr();
 
@@ -143,8 +97,8 @@ impl MediumGrainModel {
         self.cols.clear();
         self.cols.resize(a.cols() as usize, [0, NONE]);
         self.rows.clear();
-        for row in layout.row_start.windows(2) {
-            let span = row[0]..row[1];
+        for row in index.row_starts().windows(2) {
+            let span = row[0] as usize..row[1] as usize;
             let mut ar = 0;
             for (&(_, j), &is_row) in entries[span.clone()].iter().zip(&self.in_row[span]) {
                 ar += Idx::from(is_row);
@@ -159,10 +113,10 @@ impl MediumGrainModel {
         csr.vertex_weights.clear();
         let (mut col_pins, mut pins) = (0usize, 0usize);
         let mut col_nets = 0 as Idx;
-        for (col, len) in self.cols.iter_mut().zip(layout.col_start.windows(2)) {
+        for (col, len) in self.cols.iter_mut().zip(index.col_starts().windows(2)) {
             let size = col[0];
             let own = usize::from(size > 0);
-            let net_size = own + (len[1] - len[0]) - size as usize;
+            let net_size = own + (len[1] - len[0] - size) as usize;
             if size > 0 {
                 col[0] = csr.vertex_weights.len() as Idx;
                 csr.vertex_weights.push(u64::from(size));
@@ -178,9 +132,9 @@ impl MediumGrainModel {
         }
         self.col_vertices = csr.vertex_weights.len() as Idx;
         let mut row_nets = 0 as Idx;
-        for (row, len) in self.rows.iter_mut().zip(layout.row_start.windows(2)) {
+        for (row, len) in self.rows.iter_mut().zip(index.row_starts().windows(2)) {
             let size = row[0];
-            let others = (len[1] - len[0]) - size as usize;
+            let others = (len[1] - len[0] - size) as usize;
             let net_size = others + usize::from(size > 0);
             if size > 0 {
                 row[0] = csr.vertex_weights.len() as Idx;
@@ -215,13 +169,13 @@ impl MediumGrainModel {
         // row's Ac nonzeros, then its own group) and the row groups' net
         // lists (its own net, then the nets of its Ar nonzeros' columns).
         let (mut pin, mut listed) = (0, col_pins);
-        for (&[v, net], range) in self.rows.iter().zip(layout.row_start.windows(2)) {
+        for (&[v, net], range) in self.rows.iter().zip(index.row_starts().windows(2)) {
             let kept = net != NONE;
             if v != NONE && kept {
                 csr.vtx_nets[listed] = net;
                 listed += 1;
             }
-            let span = range[0]..range[1];
+            let span = range[0] as usize..range[1] as usize;
             for (&(_, j), &is_row) in entries[span.clone()].iter().zip(&self.in_row[span]) {
                 let [col_v, col_net] = self.cols[j as usize];
                 let is_pin = !is_row && kept;
@@ -249,17 +203,13 @@ impl MediumGrainModel {
         // the row groups of its Ar nonzeros) and the column groups' net
         // lists (the nets of its Ac nonzeros' rows, then its own net).
         listed = 0;
-        for (&[v, net], range) in self.cols.iter().zip(layout.col_start.windows(2)) {
+        for (j, &[v, net]) in (0..).zip(&self.cols) {
             let kept = net != NONE;
             if kept && v != NONE {
                 csr.net_pins[pin] = v;
                 pin += 1;
             }
-            let span = range[0]..range[1];
-            for (&k, &i) in layout.col_entry[span.clone()]
-                .iter()
-                .zip(&layout.col_row[span])
-            {
+            for (&k, &i) in index.col_nonzero_ids(j).iter().zip(index.col(j)) {
                 let [row_v, row_net] = self.rows[i as usize];
                 let is_row = self.in_row[k as usize];
                 let is_pin = is_row && kept;
@@ -364,7 +314,7 @@ mod tests {
     #[test]
     fn weights_sum_to_nnz() {
         let a = sample();
-        let split = split_with_preference(&a, GlobalPreference::Columns);
+        let split = split_with_preference(&a, &LineIndex::new(&a), GlobalPreference::Columns);
         let model = MediumGrainModel::build(&a, &split);
         assert_eq!(model.hypergraph.total_vertex_weight(), a.nnz() as u64);
         model.hypergraph.validate().unwrap();
@@ -374,8 +324,8 @@ mod tests {
     fn vertex_count_at_most_m_plus_n() {
         let a = sample();
         for split in [
-            split_with_preference(&a, GlobalPreference::Columns),
-            split_with_preference(&a, GlobalPreference::Rows),
+            split_with_preference(&a, &LineIndex::new(&a), GlobalPreference::Columns),
+            split_with_preference(&a, &LineIndex::new(&a), GlobalPreference::Rows),
             Split::all_columns(a.nnz()),
             Split::all_rows(a.nnz()),
         ] {
@@ -390,7 +340,7 @@ mod tests {
         // model: n column vertices (weights nzc), row nets.
         let a = sample();
         let model = MediumGrainModel::build(&a, &Split::all_columns(a.nnz()));
-        let rn = mg_hypergraph::row_net_model(&a);
+        let rn = mg_hypergraph::row_net_model(&a, &LineIndex::new(&a));
         // Same vertex count (every column of `sample` is non-empty) and
         // same weights; nets may be ordered differently but here both are
         // rows-in-order.
@@ -541,7 +491,7 @@ mod tests {
             spread.iter().map(|(i, j)| (2 * i, 2 * j + 1)).collect(),
         )
         .unwrap();
-        let layout = ALayout::new(&a);
+        let index = LineIndex::new(&a);
         let mut model = MediumGrainModel::default();
         for round in 0..12 {
             let split = match round {
@@ -549,7 +499,7 @@ mod tests {
                 1 => Split::all_columns(a.nnz()),
                 _ => Split::from_assignment((0..a.nnz()).map(|_| rng.gen::<bool>()).collect()),
             };
-            model.lay_out(&a, &layout, |k| split.in_row(k));
+            model.lay_out(&a, &index, |k| split.in_row(k));
             assert_eq!(model.hypergraph, reference_b(&a, &split), "round {round}");
             assert_eq!(
                 model.hypergraph,

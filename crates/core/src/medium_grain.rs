@@ -5,7 +5,7 @@ use crate::bmatrix::MediumGrainModel;
 use crate::methods::BipartitionResult;
 use crate::split::initial_split;
 use mg_partitioner::{bipartition_hypergraph, BisectionTargets, PartitionerConfig};
-use mg_sparse::Coo;
+use mg_sparse::{Coo, LineIndex};
 use rand::Rng;
 
 /// Medium-grain bipartitioning with an even nonzero split and slack
@@ -17,17 +17,18 @@ pub fn medium_grain_bipartition<R: Rng>(
     rng: &mut R,
 ) -> BipartitionResult {
     let targets = BisectionTargets::even(a.nnz() as u64, epsilon);
-    medium_grain_bipartition_with_targets(a, &targets, config, rng)
+    medium_grain_bipartition_with_targets(a, &LineIndex::new(a), &targets, config, rng)
 }
 
-/// Medium-grain bipartitioning with explicit targets (recursive bisection
-/// uses uneven ones).
+/// Medium-grain bipartitioning of `a`, whose index is `index`, with
+/// explicit targets (recursive bisection uses uneven ones).
 ///
 /// The hypergraph's total vertex weight equals the nonzero count of `A`
 /// (group weights exclude the dummy diagonal of `B`), so hypergraph balance
 /// *is* nonzero balance.
 pub fn medium_grain_bipartition_with_targets<R: Rng>(
     a: &Coo,
+    index: &LineIndex,
     targets: &BisectionTargets,
     config: &PartitionerConfig,
     rng: &mut R,
@@ -35,13 +36,12 @@ pub fn medium_grain_bipartition_with_targets<R: Rng>(
     if a.nnz() == 0 {
         return BipartitionResult::empty(a);
     }
-    // Algorithm 1 and the model build are two `medium_grain_build` scopes,
-    // so the phase's count reads two per bisection.
+    // Algorithm 1 and the layout of B are one `medium_grain_build` scope;
+    // `Method::bipartition_with_targets` times A's index in another.
     let build_timer = mg_obs::phase("medium_grain_build");
-    let split = initial_split(a, rng);
-    drop(build_timer);
-    let build_timer = mg_obs::phase("medium_grain_build");
-    let model = MediumGrainModel::build(a, &split);
+    let split = initial_split(a, index, rng);
+    let mut model = MediumGrainModel::default();
+    model.lay_out(a, index, |k| split.in_row(k));
     drop(build_timer);
     debug_assert_eq!(model.hypergraph.total_vertex_weight(), a.nnz() as u64);
     let outcome = bipartition_hypergraph(&model.hypergraph, targets, config, rng);
@@ -91,7 +91,8 @@ mod tests {
             epsilon: 0.05,
         };
         let mut rng = StdRng::seed_from_u64(3);
-        let r = medium_grain_bipartition_with_targets(&a, &targets, &cfg, &mut rng);
+        let index = LineIndex::new(&a);
+        let r = medium_grain_bipartition_with_targets(&a, &index, &targets, &cfg, &mut rng);
         let sizes = r.partition.part_sizes();
         let budgets = targets.budgets();
         assert!(sizes[0] <= budgets[0]);

@@ -10,7 +10,7 @@ use crate::medium_grain::medium_grain_bipartition_with_targets;
 use crate::refine::iterative_refinement_with_budgets;
 use mg_hypergraph::ModelKind;
 use mg_partitioner::{BisectionTargets, PartitionerConfig};
-use mg_sparse::{communication_volume, Coo, NonzeroPartition};
+use mg_sparse::{communication_volume, Coo, LineIndex, NonzeroPartition};
 use rand::Rng;
 
 /// Outcome of a bipartitioning method on a matrix.
@@ -201,17 +201,20 @@ impl Method {
         // The whole method — model build, multilevel run, IR — counts
         // this thread as busy for the idle-core gate.
         let _busy = mg_partitioner::helper::enter();
+        // A's rows and columns are indexed once: the model build, Algorithm
+        // 1 and every KL run of IR read this one index.
+        let index = {
+            let _build = mg_obs::phase("medium_grain_build");
+            LineIndex::new(a)
+        };
+        let model = |kind, rng: &mut R| model_bipartition(a, &index, kind, targets, config, rng);
         let result = match *self {
-            Method::RowNet { .. } => model_bipartition(a, ModelKind::RowNet, targets, config, rng),
-            Method::ColumnNet { .. } => {
-                model_bipartition(a, ModelKind::ColumnNet, targets, config, rng)
-            }
-            Method::LocalBest { .. } => localbest_bipartition(a, targets, config, rng),
-            Method::FineGrain { .. } => {
-                model_bipartition(a, ModelKind::FineGrain, targets, config, rng)
-            }
+            Method::RowNet { .. } => model(ModelKind::RowNet, rng),
+            Method::ColumnNet { .. } => model(ModelKind::ColumnNet, rng),
+            Method::LocalBest { .. } => localbest_bipartition(a, &index, targets, config, rng),
+            Method::FineGrain { .. } => model(ModelKind::FineGrain, rng),
             Method::MediumGrain { .. } => {
-                medium_grain_bipartition_with_targets(a, targets, config, rng)
+                medium_grain_bipartition_with_targets(a, &index, targets, config, rng)
             }
         };
         if !self.refines() {
@@ -219,7 +222,7 @@ impl Method {
         }
         let budgets = targets.budgets();
         let refined =
-            iterative_refinement_with_budgets(a, &result.partition, result.volume, budgets);
+            iterative_refinement_with_budgets(a, &index, &result.partition, result.volume, budgets);
         // Monotone whenever the input was feasible; from an infeasible
         // start (an atomic row/column group heavier than the budget) the
         // FM inside IR repairs balance first, possibly at a volume cost —

@@ -16,9 +16,9 @@
 //! This is a *cheap* post-processing step — one level, no coarsening — and
 //! is applicable to the output of any bipartitioning method.
 //!
-//! The runs share one structure. A's row starts and column-major order
-//! ([`ALayout`]) are computed once per refinement, and each run lays B out
-//! again in the buffers of one [`MediumGrainModel`]
+//! The runs share one structure. They read A through the caller's
+//! [`LineIndex`], built once per bisection, and each run lays B out again
+//! in the buffers of one [`MediumGrainModel`]
 //! ([`MediumGrainModel::lay_out`]). The FM start is the pure split's
 //! sides, and a run's volume is FM's cut of B (eqn (6)), so the loop
 //! never counts A's volume: the caller passes its input's volume in.
@@ -33,11 +33,11 @@
 //! of runs — and the result — is the one of the plain loop. The helper
 //! lays out its own B: its buffers go with each of its runs.
 
-use crate::bmatrix::{ALayout, MediumGrainModel};
+use crate::bmatrix::MediumGrainModel;
 use mg_hypergraph::VertexBipartition;
 use mg_partitioner::helper::{self, Helper};
 use mg_partitioner::{fm_refine_with_scratch, FmLimits, FmScratch};
-use mg_sparse::{communication_volume, part_budget, Coo, NonzeroPartition};
+use mg_sparse::{communication_volume, part_budget, Coo, LineIndex, NonzeroPartition};
 use std::thread::ScopedJoinHandle;
 
 /// FM passes per KL run. The paper's "single run of Kernighan–Lin" is one
@@ -73,25 +73,27 @@ pub struct RefinedResult {
 pub fn iterative_refinement(a: &Coo, partition: &NonzeroPartition, epsilon: f64) -> RefinedResult {
     let b = part_budget(a.nnz(), 2, epsilon);
     let volume = communication_volume(a, partition);
-    iterative_refinement_with_budgets(a, partition, volume, [b, b])
+    iterative_refinement_with_budgets(a, &LineIndex::new(a), partition, volume, [b, b])
 }
 
 /// Iterative refinement with explicit per-side budgets (recursive bisection
-/// passes uneven ones), from a `partition` whose communication volume the
-/// caller already holds.
+/// passes uneven ones), over `a`'s [`LineIndex`], from a `partition` whose
+/// communication volume the caller already holds.
 pub fn iterative_refinement_with_budgets(
     a: &Coo,
+    index: &LineIndex,
     partition: &NonzeroPartition,
     volume: u64,
     budget: [u64; 2],
 ) -> RefinedResult {
-    refine_with_helper(a, partition, volume, budget, Helper::Gated)
+    refine_with_helper(a, index, partition, volume, budget, Helper::Gated)
 }
 
 /// [`iterative_refinement_with_budgets`] with an explicit helper policy,
 /// so tests can pin the speculative runs to the plain loop.
 fn refine_with_helper(
     a: &Coo,
+    index: &LineIndex,
     partition: &NonzeroPartition,
     volume: u64,
     budget: [u64; 2],
@@ -112,10 +114,6 @@ fn refine_with_helper(
     };
     let large = a.nnz() >= PARALLEL_NNZ;
 
-    let layout = {
-        let _build = mg_obs::phase("medium_grain_build");
-        ALayout::new(a)
-    };
     let mut current = partition.clone();
     let mut volumes = vec![volume];
     let mut direction = 0u8;
@@ -125,7 +123,7 @@ fn refine_with_helper(
     let mut scratch = KlScratch::default();
 
     std::thread::scope(|scope| {
-        let (limits, layout) = (&limits, &layout);
+        let limits = &limits;
         // The helper's scratch goes with each of its runs and comes back
         // with the result.
         let mut spare_scratch = KlScratch::default();
@@ -156,11 +154,11 @@ fn refine_with_helper(
                         let (start, other) = (current.clone(), 1 - direction);
                         let mut s = std::mem::take(&mut spare_scratch);
                         pending = helper::spawn(scope, helper, large, move || {
-                            (kl_run(a, layout, &start, other, limits, &mut s, false), s)
+                            (kl_run(a, index, &start, other, limits, &mut s, false), s)
                         });
                         spawned = pending.is_some();
                     }
-                    let run = kl_run(a, layout, &current, direction, limits, &mut scratch, true);
+                    let run = kl_run(a, index, &current, direction, limits, &mut scratch, true);
                     // Unchanged means no improvement: the direction
                     // switches and the next run starts from this same
                     // partition — exactly the run spawned above (never
@@ -221,7 +219,7 @@ struct KlScratch {
 /// helper's run records nothing.
 fn kl_run(
     a: &Coo,
-    layout: &ALayout,
+    index: &LineIndex,
     start: &NonzeroPartition,
     direction: u8,
     limits: &FmLimits,
@@ -230,7 +228,7 @@ fn kl_run(
 ) -> Run {
     let build_timer = timed.then(|| mg_obs::phase("medium_grain_build"));
     let KlScratch { model, sides, fm } = scratch;
-    model.lay_out(a, layout, |k| (start.part_of(k) == 0) == (direction == 0));
+    model.lay_out(a, index, |k| (start.part_of(k) == 0) == (direction == 0));
     model.pure_sides(1 - direction, sides);
     let mut bp = VertexBipartition::new(&model.hypergraph, std::mem::take(sides));
     drop(build_timer);
@@ -323,6 +321,7 @@ mod tests {
         ];
         for a in &matrices {
             assert!(a.nnz() >= PARALLEL_NNZ);
+            let index = LineIndex::new(a);
             let half = a.rows() / 2;
             let parts: Vec<Idx> = a
                 .iter()
@@ -336,23 +335,14 @@ mod tests {
                 stall_limit: STALL_LIMIT,
                 boundary_only: false,
             };
-            let first = kl_run(
-                a,
-                &ALayout::new(a),
-                &p,
-                0,
-                &limits,
-                &mut KlScratch::default(),
-                false,
-            )
-            .0;
+            let first = kl_run(a, &index, &p, 0, &limits, &mut KlScratch::default(), false).0;
             assert_ne!(
                 first, p,
                 "the first run improves: its helper run is dropped"
             );
             let volume = communication_volume(a, &p);
-            let on = refine_with_helper(a, &p, volume, budget, Helper::Always);
-            let off = refine_with_helper(a, &p, volume, budget, Helper::Never);
+            let on = refine_with_helper(a, &index, &p, volume, budget, Helper::Always);
+            let off = refine_with_helper(a, &index, &p, volume, budget, Helper::Never);
             assert_eq!(on.partition, off.partition);
             assert_eq!(on.volume, off.volume);
             assert_eq!(on.iterations, off.iterations);

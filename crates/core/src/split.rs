@@ -17,21 +17,8 @@
 //! that is otherwise entirely in `Ac`) so the whole line is guaranteed
 //! uncut.
 
-use mg_sparse::{Coo, Idx};
+use mg_sparse::{Coo, LineIndex};
 use rand::Rng;
-
-/// `nzr` and `nzc` in one pass over the entries instead of two — the split
-/// heuristic and its post-pass both consume the pair, so Algorithm 1 end to
-/// end reads the entry list once for counting rather than four times.
-fn row_col_counts(a: &Coo) -> (Vec<Idx>, Vec<Idx>) {
-    let mut nzr = vec![0 as Idx; a.rows() as usize];
-    let mut nzc = vec![0 as Idx; a.cols() as usize];
-    for &(i, j) in a.entries() {
-        nzr[i as usize] += 1;
-        nzc[j as usize] += 1;
-    }
-    (nzr, nzc)
-}
 
 /// Which side wins score ties globally (Algorithm 1, lines 2–7).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,8 +82,9 @@ impl Split {
 
 /// Algorithm 1 with the tie preference chosen from the matrix shape
 /// (random for square matrices, drawn from `rng`), followed by the
-/// post-improvement pass.
-pub fn initial_split<R: Rng>(a: &Coo, rng: &mut R) -> Split {
+/// post-improvement pass. `index` is `a`'s [`LineIndex`]: `nzr` and `nzc`
+/// are its line lengths.
+pub fn initial_split<R: Rng>(a: &Coo, index: &LineIndex, rng: &mut R) -> Split {
     let preference = match a.rows().cmp(&a.cols()) {
         std::cmp::Ordering::Greater => GlobalPreference::Rows,
         std::cmp::Ordering::Less => GlobalPreference::Columns,
@@ -108,28 +96,19 @@ pub fn initial_split<R: Rng>(a: &Coo, rng: &mut R) -> Split {
             }
         }
     };
-    let (nzr, nzc) = row_col_counts(a);
-    let mut split = split_with_counts(a, preference, &nzr, &nzc);
-    improve_split_with_counts(a, &mut split, &nzr, &nzc);
+    let mut split = split_with_preference(a, index, preference);
+    improve_split(a, index, &mut split);
     split
 }
 
 /// Algorithm 1 proper (lines 8–21) with an explicit tie preference and no
 /// post-pass; exposed separately so tests can exercise each piece.
-pub fn split_with_preference(a: &Coo, preference: GlobalPreference) -> Split {
-    let (nzr, nzc) = row_col_counts(a);
-    split_with_counts(a, preference, &nzr, &nzc)
-}
-
-/// Algorithm 1 proper over precomputed `nzr`/`nzc` vectors, so callers that
-/// already hold the counts (the composed [`initial_split`]) avoid
-/// recomputing them.
-fn split_with_counts(a: &Coo, preference: GlobalPreference, nzr: &[Idx], nzc: &[Idx]) -> Split {
+pub fn split_with_preference(a: &Coo, index: &LineIndex, preference: GlobalPreference) -> Split {
     let in_row = a
         .iter()
         .map(|(i, j)| {
-            let r = nzr[i as usize];
-            let c = nzc[j as usize];
+            let r = index.row_len(i);
+            let c = index.col_len(j);
             if c == 1 {
                 true // lone column entry: the column is uncut in Ar
             } else if r == 1 {
@@ -150,45 +129,28 @@ fn split_with_counts(a: &Coo, preference: GlobalPreference, nzr: &[Idx], nzc: &[
 /// except exactly one, pull that one into `Ar` too (the row is then
 /// guaranteed uncut); symmetrically for columns into `Ac`. One pass over
 /// rows, then one over columns.
-pub fn improve_split(a: &Coo, split: &mut Split) {
-    let (nzr, nzc) = row_col_counts(a);
-    improve_split_with_counts(a, split, &nzr, &nzc)
-}
-
-/// The post-improvement over precomputed counts (see [`improve_split`]).
-fn improve_split_with_counts(a: &Coo, split: &mut Split, nzr: &[Idx], nzc: &[Idx]) {
-    let m = a.rows() as usize;
-    let n = a.cols() as usize;
-
-    // Rows: count Ac strays per row; move the stray if it is unique and the
-    // row actually has other (Ar) nonzeros — a length-1 row fully in Ac is
-    // already uncut and was placed there deliberately by Algorithm 1.
-    let mut col_strays = vec![0u32; m];
-    let mut stray_id = vec![usize::MAX; m];
-    for (k, &(i, _)) in a.entries().iter().enumerate() {
-        if !split.in_row[k] {
-            col_strays[i as usize] += 1;
-            stray_id[i as usize] = k;
-        }
-    }
-    for i in 0..m {
-        if col_strays[i] == 1 && nzr[i] >= 2 {
-            split.in_row[stray_id[i]] = true;
+pub fn improve_split(a: &Coo, index: &LineIndex, split: &mut Split) {
+    // Rows: move the Ac stray if it is unique and the row actually has
+    // other (Ar) nonzeros — a length-1 row fully in Ac is already uncut
+    // and was placed there deliberately by Algorithm 1.
+    for i in 0..a.rows() {
+        let span = index.row_nonzero_ids(i);
+        let mut strays = span.clone().filter(|&k| !split.in_row[k]);
+        if let (Some(k), None) = (strays.next(), strays.next()) {
+            if span.len() >= 2 {
+                split.in_row[k] = true;
+            }
         }
     }
 
     // Columns, symmetric: one stray in Ar moves to Ac.
-    let mut row_strays = vec![0u32; n];
-    let mut stray_col_id = vec![usize::MAX; n];
-    for (k, &(_, j)) in a.entries().iter().enumerate() {
-        if split.in_row[k] {
-            row_strays[j as usize] += 1;
-            stray_col_id[j as usize] = k;
-        }
-    }
-    for j in 0..n {
-        if row_strays[j] == 1 && nzc[j] >= 2 {
-            split.in_row[stray_col_id[j]] = false;
+    for j in 0..a.cols() {
+        let ids = index.col_nonzero_ids(j);
+        let mut strays = ids.iter().filter(|&&k| split.in_row[k as usize]);
+        if let (Some(&k), None) = (strays.next(), strays.next()) {
+            if ids.len() >= 2 {
+                split.in_row[k as usize] = false;
+            }
         }
     }
 }
@@ -203,7 +165,7 @@ mod tests {
     fn singleton_column_goes_to_row_group() {
         // Column 1 has a single nonzero at (0,1); row 0 has 3 nonzeros.
         let a = Coo::new(2, 3, vec![(0, 0), (0, 1), (0, 2), (1, 0), (1, 2)]).unwrap();
-        let s = split_with_preference(&a, GlobalPreference::Columns);
+        let s = split_with_preference(&a, &LineIndex::new(&a), GlobalPreference::Columns);
         let k = a.find(0, 1).unwrap();
         assert!(s.in_row(k), "nzc = 1 must force Ar");
     }
@@ -212,7 +174,7 @@ mod tests {
     fn singleton_row_goes_to_column_group() {
         let a = Coo::new(3, 2, vec![(0, 0), (1, 0), (2, 0), (1, 1)]).unwrap();
         // Row 0 and row 2 have one nonzero each, in column 0 (nzc = 3).
-        let s = split_with_preference(&a, GlobalPreference::Rows);
+        let s = split_with_preference(&a, &LineIndex::new(&a), GlobalPreference::Rows);
         let k0 = a.find(0, 0).unwrap();
         let k2 = a.find(2, 0).unwrap();
         assert!(!s.in_row(k0));
@@ -223,7 +185,7 @@ mod tests {
     fn smaller_score_wins() {
         // Row 0: 2 nonzeros; column 0: 3 nonzeros -> (0,0) to Ar.
         let a = Coo::new(3, 3, vec![(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 2)]).unwrap();
-        let s = split_with_preference(&a, GlobalPreference::Columns);
+        let s = split_with_preference(&a, &LineIndex::new(&a), GlobalPreference::Columns);
         let k = a.find(0, 0).unwrap();
         assert!(s.in_row(k), "nzr(0)=2 < nzc(0)=3 must go to Ar");
     }
@@ -232,9 +194,9 @@ mod tests {
     fn ties_follow_global_preference() {
         // 2x2 dense: all scores 2, no singletons.
         let a = Coo::new(2, 2, vec![(0, 0), (0, 1), (1, 0), (1, 1)]).unwrap();
-        let sr = split_with_preference(&a, GlobalPreference::Rows);
+        let sr = split_with_preference(&a, &LineIndex::new(&a), GlobalPreference::Rows);
         assert_eq!(sr.row_count(), 4);
-        let sc = split_with_preference(&a, GlobalPreference::Columns);
+        let sc = split_with_preference(&a, &LineIndex::new(&a), GlobalPreference::Columns);
         assert_eq!(sc.col_count(), 4);
     }
 
@@ -259,7 +221,7 @@ mod tests {
         )
         .unwrap();
         let mut rng = StdRng::seed_from_u64(1);
-        let s = initial_split(&tall, &mut rng);
+        let s = initial_split(&tall, &LineIndex::new(&tall), &mut rng);
         // nzr = 2 < nzc = 4 everywhere: everything in Ar.
         assert_eq!(s.row_count(), 8);
     }
@@ -271,7 +233,7 @@ mod tests {
         let a = Coo::new(2, 4, vec![(0, 0), (0, 1), (0, 2), (0, 3), (1, 0)]).unwrap();
         // Hand-build: row 0 mostly Ar with one stray in Ac.
         let mut split = Split::from_assignment(vec![true, true, true, false, false]);
-        improve_split(&a, &mut split);
+        improve_split(&a, &LineIndex::new(&a), &mut split);
         // (0,3) was the lone Ac entry of row 0: moved to Ar.
         assert!(split.in_row(a.find(0, 3).unwrap()));
         // (1,0): lone Ar... it was Ac already; column 0 now has zero Ar
@@ -285,15 +247,15 @@ mod tests {
         // Canonical order: (0,0), (0,1), (1,0), (2,0), (3,0).
         // Column 0 mostly Ac with one stray in Ar: (3,0).
         let mut split = Split::from_assignment(vec![false, false, false, false, true]);
-        improve_split(&a, &mut split);
+        improve_split(&a, &LineIndex::new(&a), &mut split);
         assert!(!split.in_row(a.find(3, 0).unwrap()));
     }
 
     #[test]
     fn square_matrix_uses_random_preference_deterministically() {
         let a = Coo::new(2, 2, vec![(0, 0), (0, 1), (1, 0), (1, 1)]).unwrap();
-        let s1 = initial_split(&a, &mut StdRng::seed_from_u64(5));
-        let s2 = initial_split(&a, &mut StdRng::seed_from_u64(5));
+        let s1 = initial_split(&a, &LineIndex::new(&a), &mut StdRng::seed_from_u64(5));
+        let s2 = initial_split(&a, &LineIndex::new(&a), &mut StdRng::seed_from_u64(5));
         assert_eq!(s1, s2);
     }
 
@@ -309,7 +271,7 @@ mod tests {
     fn empty_matrix_split() {
         let a = Coo::empty(3, 3);
         let mut rng = StdRng::seed_from_u64(6);
-        let s = initial_split(&a, &mut rng);
+        let s = initial_split(&a, &LineIndex::new(&a), &mut rng);
         assert_eq!(s.assignment().len(), 0);
     }
 }

@@ -9,7 +9,7 @@ use mg_core::{
 };
 use mg_hypergraph::VertexBipartition;
 use mg_partitioner::PartitionerConfig;
-use mg_sparse::{communication_volume, Coo, Idx, NonzeroPartition};
+use mg_sparse::{communication_volume, Coo, Idx, LineIndex, NonzeroPartition};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -25,7 +25,7 @@ proptest! {
     #[test]
     fn algorithm1_branch_rules_hold(a in arb_coo(), pref in any::<bool>()) {
         let pref = if pref { GlobalPreference::Rows } else { GlobalPreference::Columns };
-        let split = split_with_preference(&a, pref);
+        let split = split_with_preference(&a, &LineIndex::new(&a), pref);
         prop_assert_eq!(split.assignment().len(), a.nnz());
         let nzr = a.row_counts();
         let nzc = a.col_counts();
@@ -72,7 +72,7 @@ proptest! {
     #[test]
     fn model_size_bounds(a in arb_coo(), seed in 0u64..100) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let split = initial_split(&a, &mut rng);
+        let split = initial_split(&a, &LineIndex::new(&a), &mut rng);
         let model = MediumGrainModel::build(&a, &split);
         prop_assert!(model.hypergraph.num_vertices() <= a.rows() + a.cols());
         prop_assert!(model.hypergraph.num_nets() <= a.rows() + a.cols());

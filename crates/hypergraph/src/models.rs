@@ -14,7 +14,7 @@
 //! split and the `B` matrix), but it reuses this crate's machinery.
 
 use crate::{Hypergraph, HypergraphBuilder, Idx};
-use mg_sparse::{Coo, Csc, Csr, NonzeroPartition};
+use mg_sparse::{Coo, LineIndex, NonzeroPartition};
 
 /// Which classical model a [`MatrixModel`] was built with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -58,15 +58,19 @@ impl MatrixModel {
     }
 }
 
-/// Builds the row-net model: one vertex per column of `A` (weight = column
-/// nonzero count), one net per row (weight 1). Single-pin nets are dropped —
-/// they can never be cut.
-pub fn row_net_model(a: &Coo) -> MatrixModel {
-    let csr = Csr::from_coo(a);
-    let weights: Vec<u64> = a.col_counts().iter().map(|&c| c as u64).collect();
+/// Builds the row-net model of `a`, whose index is `index`: one vertex per
+/// column of `A` (weight = column nonzero count), one net per row
+/// (weight 1). Single-pin nets are dropped — they can never be cut.
+pub fn row_net_model(a: &Coo, index: &LineIndex) -> MatrixModel {
+    let weights: Vec<u64> = (0..a.cols()).map(|j| u64::from(index.col_len(j))).collect();
     let mut b = HypergraphBuilder::new(weights).drop_singleton_nets();
     for i in 0..a.rows() {
-        b.add_net(1, csr.row(i).iter().copied());
+        b.add_net(
+            1,
+            a.entries()[index.row_nonzero_ids(i)]
+                .iter()
+                .map(|&(_, j)| j),
+        );
     }
     MatrixModel {
         kind: ModelKind::RowNet,
@@ -76,12 +80,11 @@ pub fn row_net_model(a: &Coo) -> MatrixModel {
 
 /// Builds the column-net model: one vertex per row of `A` (weight = row
 /// nonzero count), one net per column (weight 1).
-pub fn column_net_model(a: &Coo) -> MatrixModel {
-    let csc = Csc::from_coo(a);
-    let weights: Vec<u64> = a.row_counts().iter().map(|&c| c as u64).collect();
+pub fn column_net_model(a: &Coo, index: &LineIndex) -> MatrixModel {
+    let weights: Vec<u64> = (0..a.rows()).map(|i| u64::from(index.row_len(i))).collect();
     let mut b = HypergraphBuilder::new(weights).drop_singleton_nets();
     for j in 0..a.cols() {
-        b.add_net(1, csc.col(j).iter().copied());
+        b.add_net(1, index.col(j).iter().copied());
     }
     MatrixModel {
         kind: ModelKind::ColumnNet,
@@ -91,15 +94,13 @@ pub fn column_net_model(a: &Coo) -> MatrixModel {
 
 /// Builds the fine-grain model: one vertex per nonzero (weight 1), one net
 /// per row and one per column (weight 1 each).
-pub fn fine_grain_model(a: &Coo) -> MatrixModel {
-    let csr = Csr::from_coo(a);
-    let csc = Csc::from_coo(a);
+pub fn fine_grain_model(a: &Coo, index: &LineIndex) -> MatrixModel {
     let mut b = HypergraphBuilder::new(vec![1u64; a.nnz()]).drop_singleton_nets();
     for i in 0..a.rows() {
-        b.add_net(1, csr.row_nonzero_ids(i).map(|k| k as Idx));
+        b.add_net(1, index.row_nonzero_ids(i).map(|k| k as Idx));
     }
     for j in 0..a.cols() {
-        b.add_net(1, csc.col_nonzero_ids(j).iter().copied());
+        b.add_net(1, index.col_nonzero_ids(j).iter().copied());
     }
     MatrixModel {
         kind: ModelKind::FineGrain,
@@ -138,7 +139,7 @@ mod tests {
     #[test]
     fn row_net_sizes_and_weights() {
         let a = sample();
-        let m = row_net_model(&a);
+        let m = row_net_model(&a, &LineIndex::new(&a));
         let h = &m.hypergraph;
         assert_eq!(h.num_vertices(), 4);
         // All three rows have ≥ 2 pins, none dropped.
@@ -151,15 +152,16 @@ mod tests {
     #[test]
     fn column_net_is_row_net_of_transpose() {
         let a = sample();
-        let cn = column_net_model(&a);
-        let rn_t = row_net_model(&a.transpose());
+        let cn = column_net_model(&a, &LineIndex::new(&a));
+        let t = a.transpose();
+        let rn_t = row_net_model(&t, &LineIndex::new(&t));
         assert_eq!(cn.hypergraph, rn_t.hypergraph);
     }
 
     #[test]
     fn fine_grain_sizes() {
         let a = sample();
-        let m = fine_grain_model(&a);
+        let m = fine_grain_model(&a, &LineIndex::new(&a));
         let h = &m.hypergraph;
         assert_eq!(h.num_vertices() as usize, a.nnz());
         assert_eq!(h.total_vertex_weight(), a.nnz() as u64);
@@ -173,10 +175,11 @@ mod tests {
     #[test]
     fn cut_equals_volume_for_all_models() {
         let a = sample();
+        let index = LineIndex::new(&a);
         for model in [
-            row_net_model(&a),
-            column_net_model(&a),
-            fine_grain_model(&a),
+            row_net_model(&a, &index),
+            column_net_model(&a, &index),
+            fine_grain_model(&a, &index),
         ] {
             let h = &model.hypergraph;
             let nv = h.num_vertices() as usize;
@@ -200,7 +203,7 @@ mod tests {
     #[test]
     fn singleton_rows_do_not_create_nets() {
         let a = Coo::new(3, 3, vec![(0, 0), (1, 0), (1, 1), (2, 2)]).unwrap();
-        let m = row_net_model(&a);
+        let m = row_net_model(&a, &LineIndex::new(&a));
         // Rows 0 and 2 have one nonzero each: only row 1 remains as a net.
         assert_eq!(m.hypergraph.num_nets(), 1);
     }
@@ -208,8 +211,21 @@ mod tests {
     #[test]
     fn empty_matrix_models() {
         let a = Coo::empty(3, 2);
-        assert_eq!(row_net_model(&a).hypergraph.num_nets(), 0);
-        assert_eq!(column_net_model(&a).hypergraph.num_vertices(), 3);
-        assert_eq!(fine_grain_model(&a).hypergraph.num_vertices(), 0);
+        assert_eq!(
+            row_net_model(&a, &LineIndex::new(&a)).hypergraph.num_nets(),
+            0
+        );
+        assert_eq!(
+            column_net_model(&a, &LineIndex::new(&a))
+                .hypergraph
+                .num_vertices(),
+            3
+        );
+        assert_eq!(
+            fine_grain_model(&a, &LineIndex::new(&a))
+                .hypergraph
+                .num_vertices(),
+            0
+        );
     }
 }

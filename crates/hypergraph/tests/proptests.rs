@@ -6,7 +6,7 @@ use mg_hypergraph::{
     column_net_model, dedup_nets, fine_grain_model, row_net_model, Hypergraph, Idx,
     VertexBipartition,
 };
-use mg_sparse::{communication_volume, Coo};
+use mg_sparse::{communication_volume, Coo, LineIndex};
 use proptest::prelude::*;
 
 fn arb_coo() -> impl Strategy<Value = Coo> {
@@ -38,7 +38,8 @@ proptest! {
     /// induced nonzero partition, for all three classical models.
     #[test]
     fn model_cut_equals_matrix_volume(a in arb_coo(), seed in 0u64..1000) {
-        for model in [row_net_model(&a), column_net_model(&a), fine_grain_model(&a)] {
+        let index = LineIndex::new(&a);
+        for model in [row_net_model(&a, &index), column_net_model(&a, &index), fine_grain_model(&a, &index)] {
             let nv = model.hypergraph.num_vertices() as usize;
             let sides: Vec<u8> = (0..nv)
                 .map(|v| ((v as u64 * 17 + seed) % 2) as u8)
@@ -146,7 +147,8 @@ proptest! {
     /// matrix lands in exactly one of the two parts.
     #[test]
     fn model_partitions_assign_every_nonzero_exactly_once(a in arb_coo(), seed in 0u64..1000) {
-        for model in [row_net_model(&a), column_net_model(&a), fine_grain_model(&a)] {
+        let index = LineIndex::new(&a);
+        for model in [row_net_model(&a, &index), column_net_model(&a, &index), fine_grain_model(&a, &index)] {
             let nv = model.hypergraph.num_vertices() as usize;
             let sides: Vec<u8> = (0..nv)
                 .map(|v| ((v as u64 * 23 + seed) % 2) as u8)

@@ -66,7 +66,7 @@ impl PartitionerConfig {
     /// Preset standing in for PaToH: agglomerative clustering (faster
     /// coarsening), more initial candidates, slightly deeper refinement —
     /// a second engine of genuinely different character, which is all the
-    /// paper's Fig 6/Table II need (see DESIGN.md §5).
+    /// paper's Fig 6/Table II need (see the README's "Backends" section).
     pub fn patoh_like() -> Self {
         PartitionerConfig {
             coarsest_vertices: 120,

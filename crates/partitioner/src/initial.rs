@@ -373,7 +373,8 @@ mod tests {
         let power_law = mg_sparse::gen::chung_lu_symmetric(1_000, 25_000, 0.9, &mut rng);
         for h in [
             b.build(),
-            mg_hypergraph::row_net_model(&power_law).hypergraph,
+            mg_hypergraph::row_net_model(&power_law, &mg_sparse::LineIndex::new(&power_law))
+                .hypergraph,
         ] {
             assert!(h.num_pins() >= PARALLEL_POLISH_PINS);
             let t = targets_even(&h, 0.03);

@@ -17,8 +17,8 @@
 //!   ([`helper`]).
 //!
 //! Two presets mirror the paper's engines: [`PartitionerConfig::mondriaan_like`]
-//! and [`PartitionerConfig::patoh_like`] (see DESIGN.md §5 for the
-//! substitution rationale).
+//! and [`PartitionerConfig::patoh_like`] (see the README's "Backends"
+//! section).
 //!
 //! The balance model is expressed in *target weights* plus an ε slack
 //! ([`BisectionTargets`]), which is exactly what recursive bisection with an

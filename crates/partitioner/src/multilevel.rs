@@ -32,9 +32,13 @@ impl BisectionTargets {
         }
     }
 
-    /// Hard budgets per side: `max(target, ⌊(1+ε)·target⌋)`. The `max`
-    /// guarantees the even split is always feasible, mirroring
-    /// `mg_sparse::partition::part_budget`.
+    /// Hard budgets per side: `max(t, ⌊(1+ε)·t⌋)` for each side's target
+    /// `t`. The `max` keeps the target itself feasible.
+    ///
+    /// This is not eqn (1)'s budget, `mg_sparse::part_budget`, which takes
+    /// `max(⌈N/2⌉, ⌊(1+ε)·N/2⌋)` from the total `N`. Scaling the rounded
+    /// target `t = ⌈N/2⌉` instead of `N/2` allows one nonzero more on some
+    /// odd `N` (`N = 1999`, ε = 0.03: 1030 here, 1029 under eqn (1)).
     pub fn budgets(&self) -> [u64; 2] {
         let b = |t: u64| (((1.0 + self.epsilon) * t as f64).floor() as u64).max(t);
         [b(self.target[0]), b(self.target[1])]

@@ -143,7 +143,7 @@ mod tests {
     }
 
     #[test]
-    fn parses_named_and_weighted_shards() {
+    fn parses_named_shards() {
         let t = Topology::parse("big=10.0.0.1:7077,small=10.0.0.2:7077").unwrap();
         assert_eq!(t.shards()[0].id, "big");
         assert_eq!(t.shards()[0].addr, "10.0.0.1:7077");

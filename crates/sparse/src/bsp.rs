@@ -9,7 +9,7 @@
 //! per-processor send/receive loads.
 
 use crate::partition::NonzeroPartition;
-use crate::{Coo, Csc, Csr, Idx};
+use crate::{Coo, Idx, LineIndex};
 
 /// Owner of each input (`v_j`, per column) and output (`u_i`, per row)
 /// vector entry. Entries of empty columns/rows are owned by part 0 by
@@ -41,24 +41,26 @@ impl BspCost {
 /// Collects, for each line (row or column), the distinct parts owning its
 /// nonzeros. `lines[x]` is sorted by first-seen order; uses a stamp array so
 /// the whole pass is `O(N + lines)`.
-fn owners_per_line<'a>(
-    num_lines: Idx,
+fn owners_per_line<L: IntoIterator<Item = usize>>(
     num_parts: Idx,
-    entries: impl Iterator<Item = (Idx, &'a [Idx])>,
+    lines: impl Iterator<Item = L>,
     partition: &NonzeroPartition,
 ) -> Vec<Vec<Idx>> {
-    let mut owners: Vec<Vec<Idx>> = vec![Vec::new(); num_lines as usize];
     let mut stamp = vec![Idx::MAX; num_parts as usize];
-    for (line, nonzero_ids) in entries {
-        for &k in nonzero_ids {
-            let p = partition.part_of(k as usize);
-            if stamp[p as usize] != line {
-                stamp[p as usize] = line;
-                owners[line as usize].push(p);
+    lines
+        .zip(0..)
+        .map(|(nonzero_ids, line)| {
+            let mut owners = Vec::new();
+            for k in nonzero_ids {
+                let p = partition.part_of(k);
+                if stamp[p as usize] != line {
+                    stamp[p as usize] = line;
+                    owners.push(p);
+                }
             }
-        }
-    }
-    owners
+            owners
+        })
+        .collect()
 }
 
 /// Greedily assigns each vector entry to one of the parts owning nonzeros in
@@ -120,23 +122,20 @@ fn greedy_assign(
 
 /// Builds a greedy vector distribution for a partitioned matrix.
 pub fn distribute_vectors(a: &Coo, partition: &NonzeroPartition) -> VectorDistribution {
-    let p = partition.num_parts();
-    let csr = Csr::from_coo(a);
-    let csc = Csc::from_coo(a);
+    distribute(a, &LineIndex::new(a), partition)
+}
 
-    let row_ids: Vec<Vec<Idx>> = (0..a.rows())
-        .map(|i| csr.row_nonzero_ids(i).map(|k| k as Idx).collect())
-        .collect();
+/// [`distribute_vectors`] over the caller's index of `a`.
+fn distribute(a: &Coo, index: &LineIndex, partition: &NonzeroPartition) -> VectorDistribution {
+    let p = partition.num_parts();
     let row_owners = owners_per_line(
-        a.rows(),
         p,
-        row_ids.iter().enumerate().map(|(i, v)| (i as Idx, &v[..])),
+        (0..a.rows()).map(|i| index.row_nonzero_ids(i)),
         partition,
     );
     let col_owners = owners_per_line(
-        a.cols(),
         p,
-        (0..a.cols()).map(|j| (j, csc.col_nonzero_ids(j))),
+        (0..a.cols()).map(|j| index.col_nonzero_ids(j).iter().map(|&k| k as usize)),
         partition,
     );
 
@@ -162,14 +161,13 @@ pub fn bsp_cost_with(
     distribution: Option<&VectorDistribution>,
 ) -> BspCost {
     let p = partition.num_parts();
-    let csr = Csr::from_coo(a);
-    let csc = Csc::from_coo(a);
+    let index = LineIndex::new(a);
 
     let owned;
     let dist = match distribution {
         Some(d) => d,
         None => {
-            owned = distribute_vectors(a, partition);
+            owned = distribute(a, &index, partition);
             &owned
         }
     };
@@ -184,7 +182,7 @@ pub fn bsp_cost_with(
     // nonzeros in column j.
     for j in 0..a.cols() {
         let owner = dist.input_owner[j as usize];
-        for &k in csc.col_nonzero_ids(j) {
+        for &k in index.col_nonzero_ids(j) {
             let q = partition.part_of(k as usize);
             if stamp[q as usize] != j {
                 stamp[q as usize] = j;
@@ -209,7 +207,7 @@ pub fn bsp_cost_with(
     stamp.iter_mut().for_each(|s| *s = Idx::MAX);
     for i in 0..a.rows() {
         let owner = dist.output_owner[i as usize];
-        for k in csr.row_nonzero_ids(i) {
+        for k in index.row_nonzero_ids(i) {
             let q = partition.part_of(k);
             if stamp[q as usize] != i {
                 stamp[q as usize] = i;

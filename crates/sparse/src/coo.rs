@@ -159,30 +159,6 @@ impl Coo {
         }
     }
 
-    /// A permutation of nonzero ids that orders entries column-major,
-    /// computed by a counting sort — `O(N + n)`.
-    ///
-    /// `perm[r]` is the nonzero id of the r-th entry in column-major order.
-    /// Used by metrics that scan columns without materialising a transpose.
-    pub fn column_major_order(&self) -> Vec<Idx> {
-        let n = self.cols as usize;
-        let mut start = vec![0 as Idx; n + 1];
-        for &(_, j) in &self.entries {
-            start[j as usize + 1] += 1;
-        }
-        for j in 0..n {
-            start[j + 1] += start[j];
-        }
-        let mut perm = vec![0 as Idx; self.entries.len()];
-        let mut next = start;
-        for (k, &(_, j)) in self.entries.iter().enumerate() {
-            let slot = next[j as usize];
-            perm[slot as usize] = k as Idx;
-            next[j as usize] += 1;
-        }
-        perm
-    }
-
     /// Extracts the submatrix formed by the given nonzero ids, keeping the
     /// original dimensions and global coordinates.
     ///
@@ -276,20 +252,6 @@ mod tests {
         assert_eq!(t.cols(), 3);
         assert!(t.contains(3, 2));
         assert_eq!(t.transpose(), a);
-    }
-
-    #[test]
-    fn column_major_order_visits_columns_in_order() {
-        let a = small();
-        let perm = a.column_major_order();
-        let cols: Vec<Idx> = perm.iter().map(|&k| a.entry(k as usize).1).collect();
-        let mut sorted = cols.clone();
-        sorted.sort_unstable();
-        assert_eq!(cols, sorted);
-        // All ids present exactly once.
-        let mut ids: Vec<Idx> = perm.clone();
-        ids.sort_unstable();
-        assert_eq!(ids, (0..a.nnz() as Idx).collect::<Vec<_>>());
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //!
 //! * [`Coo`] — the canonical pattern-only triplet representation every other
 //!   crate builds on (row-major sorted, deduplicated),
-//! * [`Csr`] / [`Csc`] — compressed views used by model builders and metrics,
+//! * [`LineIndex`] — the matrix indexed by rows and by columns, built once
+//!   per bisection and read by model builders, Algorithm 1 and metrics,
 //! * [`io`] — Matrix Market reading and writing,
 //! * [`stats`] — pattern statistics and the paper's three-way matrix
 //!   classification (rectangular / structurally symmetric / square
@@ -37,7 +38,7 @@ pub mod stats;
 
 pub use bsp::{bsp_cost, BspCost, VectorDistribution};
 pub use coo::Coo;
-pub use csr::{Csc, Csr};
+pub use csr::LineIndex;
 pub use partition::{
     col_lambdas, communication_volume, load_imbalance, max_part_size, part_budget, row_lambdas,
     NonzeroPartition, PartitionError,

@@ -13,7 +13,7 @@
 //! simulator in [`crate::spmv`] validates the volume formula by actually
 //! counting communicated words.
 
-use crate::{Coo, Idx};
+use crate::{Coo, Idx, LineIndex};
 
 /// Errors from validating a partition against a matrix.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -191,22 +191,20 @@ pub fn row_lambdas(a: &Coo, partition: &NonzeroPartition) -> Vec<Idx> {
     lambdas
 }
 
-/// `λ` per column; see [`row_lambdas`].
-///
-/// Walks the entries through [`Coo::column_major_order`] instead of
-/// materialising a [`Csc`](crate::Csc) — the permutation is the only part of the CSC
-/// build the stamp scan actually needs.
+/// `λ` per column; see [`row_lambdas`]. Walks the columns of a
+/// [`LineIndex`].
 pub fn col_lambdas(a: &Coo, partition: &NonzeroPartition) -> Vec<Idx> {
     debug_assert_eq!(a.nnz(), partition.parts().len());
-    let perm = a.column_major_order();
+    let index = LineIndex::new(a);
     let mut lambdas = vec![0 as Idx; a.cols() as usize];
     let mut stamp = vec![Idx::MAX; partition.num_parts() as usize];
-    for &k in &perm {
-        let j = a.entry(k as usize).1;
-        let p = partition.part_of(k as usize) as usize;
-        if stamp[p] != j {
-            stamp[p] = j;
-            lambdas[j as usize] += 1;
+    for j in 0..a.cols() {
+        for &k in index.col_nonzero_ids(j) {
+            let p = partition.part_of(k as usize) as usize;
+            if stamp[p] != j {
+                stamp[p] = j;
+                lambdas[j as usize] += 1;
+            }
         }
     }
     lambdas
@@ -218,7 +216,7 @@ pub fn col_lambdas(a: &Coo, partition: &NonzeroPartition) -> Vec<Idx> {
 /// For `p ≤ 64` (every bipartitioning call and all the experiment part
 /// counts) this takes a bitmask fast path: one unordered pass over the
 /// entries fills a `u64` part-set per row and per column, and `λ` is a
-/// popcount — no column permutation, no stamp arrays.
+/// popcount — no column index, no stamp arrays.
 pub fn communication_volume(a: &Coo, partition: &NonzeroPartition) -> u64 {
     debug_assert_eq!(a.nnz(), partition.parts().len());
     if partition.num_parts() <= 64 {

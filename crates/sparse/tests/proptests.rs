@@ -6,7 +6,7 @@ use mg_sparse::io::{read_matrix_market, write_matrix_market};
 use mg_sparse::partition::communication_volume_reference;
 use mg_sparse::spmv::{serial_spmv, simulate_spmv};
 use mg_sparse::{
-    bsp_cost, communication_volume, load_imbalance, max_part_size, Coo, Csc, Csr, Idx,
+    bsp_cost, communication_volume, load_imbalance, max_part_size, Coo, Idx, LineIndex,
     NonzeroPartition,
 };
 use proptest::prelude::*;
@@ -28,21 +28,31 @@ proptest! {
         prop_assert_eq!(a.transpose().transpose(), a);
     }
 
+    /// Row `i`'s span of the index holds exactly row `i`'s entries.
     #[test]
     fn csr_roundtrips_entries(a in arb_coo()) {
-        let csr = Csr::from_coo(&a);
-        let back: Vec<(Idx, Idx)> = csr.iter().map(|(i, j, _)| (i, j)).collect();
+        let index = LineIndex::new(&a);
+        let back: Vec<(Idx, Idx)> = (0..a.rows())
+            .flat_map(|i| a.entries()[index.row_nonzero_ids(i)].iter().map(move |&(_, j)| (i, j)))
+            .collect();
         prop_assert_eq!(back.as_slice(), a.entries());
     }
 
+    /// The index's columns are the rows of the transpose, and its line
+    /// lengths are the nonzero counts.
     #[test]
     fn csc_agrees_with_transpose_csr(a in arb_coo()) {
-        let csc = Csc::from_coo(&a);
+        let index = LineIndex::new(&a);
         let t = a.transpose();
-        let tcsr = Csr::from_coo(&t);
+        let tindex = LineIndex::new(&t);
         for j in 0..a.cols() {
-            prop_assert_eq!(csc.col(j), tcsr.row(j));
+            let trow: Vec<Idx> = t.entries()[tindex.row_nonzero_ids(j)].iter().map(|&(_, i)| i).collect();
+            prop_assert_eq!(index.col(j), trow.as_slice());
         }
+        let row_len: Vec<Idx> = (0..a.rows()).map(|i| index.row_len(i)).collect();
+        let col_len: Vec<Idx> = (0..a.cols()).map(|j| index.col_len(j)).collect();
+        prop_assert_eq!(row_len, a.row_counts());
+        prop_assert_eq!(col_len, a.col_counts());
     }
 
     #[test]
@@ -112,56 +122,49 @@ proptest! {
         }
     }
 
-    /// Full representation round-trip: a COO rebuilt from its CSR view is
-    /// the identical canonical matrix, and the CSR structure is internally
-    /// consistent (monotone row spans covering exactly the nonzeros, in the
-    /// canonical row-major order).
+    /// The index's row spans are contiguous and cover `0..nnz` in the
+    /// canonical row-major order, and the starts slices agree with them.
     #[test]
     fn coo_csr_coo_roundtrip(a in arb_coo()) {
-        let csr = Csr::from_coo(&a);
-        prop_assert_eq!(csr.rows(), a.rows());
-        prop_assert_eq!(csr.cols(), a.cols());
-        prop_assert_eq!(csr.nnz(), a.nnz());
+        let index = LineIndex::new(&a);
+        prop_assert_eq!(index.nnz(), a.nnz());
+        prop_assert_eq!(index.row_starts().len(), a.rows() as usize + 1);
         let mut covered = 0usize;
         for i in 0..a.rows() {
-            let span = csr.row_nonzero_ids(i);
+            let span = index.row_nonzero_ids(i);
             prop_assert_eq!(span.start, covered, "row {} span must be contiguous", i);
-            prop_assert_eq!(span.len(), csr.row(i).len());
+            prop_assert_eq!(span.len(), index.row_len(i) as usize);
+            prop_assert_eq!(index.row_starts()[i as usize + 1] as usize, span.end);
             covered = span.end;
         }
         prop_assert_eq!(covered, a.nnz());
-        let back = Coo::new(
-            csr.rows(),
-            csr.cols(),
-            csr.iter().map(|(i, j, _)| (i, j)).collect(),
-        )
-        .expect("CSR indices are in bounds");
-        prop_assert_eq!(back, a);
     }
 
-    /// The CSC view round-trips through the same canonical COO.
+    /// The index's columns round-trip through the same canonical COO.
     #[test]
     fn coo_csc_coo_roundtrip(a in arb_coo()) {
-        let csc = Csc::from_coo(&a);
-        prop_assert_eq!(csc.nnz(), a.nnz());
+        let index = LineIndex::new(&a);
+        prop_assert_eq!(index.col_starts().len(), a.cols() as usize + 1);
         let mut entries = Vec::with_capacity(a.nnz());
         for j in 0..a.cols() {
-            for &i in csc.col(j) {
+            let span = index.col_starts()[j as usize] as usize..index.col_starts()[j as usize + 1] as usize;
+            prop_assert_eq!(span.len(), index.col(j).len());
+            for &i in index.col(j) {
                 entries.push((i, j));
             }
         }
-        let back = Coo::new(csc.rows(), csc.cols(), entries).expect("CSC indices are in bounds");
+        let back = Coo::new(a.rows(), a.cols(), entries).expect("column indices are in bounds");
         prop_assert_eq!(back, a);
     }
 
-    /// CSC nonzero ids are a permutation of 0..nnz that agrees with the
+    /// Column nonzero ids are a permutation of 0..nnz that agrees with the
     /// coordinates stored in the COO (the id is the row-major position).
     #[test]
     fn csc_nonzero_ids_are_consistent(a in arb_coo()) {
-        let csc = Csc::from_coo(&a);
+        let index = LineIndex::new(&a);
         let mut seen = vec![false; a.nnz()];
         for j in 0..a.cols() {
-            for (&i, &k) in csc.col(j).iter().zip(csc.col_nonzero_ids(j)) {
+            for (&i, &k) in index.col(j).iter().zip(index.col_nonzero_ids(j)) {
                 prop_assert_eq!(a.entry(k as usize), (i, j));
                 prop_assert!(!seen[k as usize], "nonzero id {} appears twice", k);
                 seen[k as usize] = true;

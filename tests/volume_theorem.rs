@@ -6,7 +6,7 @@
 use mediumgrain::core::{MediumGrainModel, Split};
 use mediumgrain::hypergraph::{column_net_model, row_net_model, VertexBipartition};
 use mediumgrain::prelude::*;
-use mediumgrain::sparse::Coo;
+use mediumgrain::sparse::{Coo, LineIndex};
 use proptest::prelude::*;
 
 fn arb_coo() -> impl Strategy<Value = Coo> {
@@ -39,7 +39,7 @@ proptest! {
         side_bits in proptest::collection::vec(any::<bool>(), 16),
     ) {
         let model = MediumGrainModel::build(&a, &Split::all_columns(a.nnz()));
-        let rn = row_net_model(&a);
+        let rn = row_net_model(&a, &LineIndex::new(&a));
         // Column j of A ↔ medium-grain col vertex (when non-empty) and
         // row-net vertex j. Assign both from the same bit stream.
         let rn_sides: Vec<u8> = (0..a.cols() as usize)
@@ -63,7 +63,7 @@ proptest! {
         side_bits in proptest::collection::vec(any::<bool>(), 16),
     ) {
         let model = MediumGrainModel::build(&a, &Split::all_rows(a.nnz()));
-        let cn = column_net_model(&a);
+        let cn = column_net_model(&a, &LineIndex::new(&a));
         let cn_sides: Vec<u8> = (0..a.rows() as usize)
             .map(|i| side_bits[i % side_bits.len()] as u8)
             .collect();
