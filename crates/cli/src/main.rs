@@ -117,7 +117,6 @@ ROUTE OPTIONS (semantics: crates/server/PROTOCOL.md, \"Routing\"):
                 shards, duplicate ids or addresses, and a missing host or
                 non-numeric port are typed config errors.
   --listen ADDR TCP listen address; omit for stdio pipe mode
-  --cache N     router-level LRU response cache entries, 0 = off  (default 128)
   --window N    max in-flight requests per shard connection  (default 64)
   --replicas R  replication factor: each key's top-R rendezvous ranks form
                 its replica set; requests go to the best-ranked live
@@ -873,7 +872,6 @@ fn route(parsed: &Parsed) -> Result<(), String> {
         seconds_flag(parsed, "--probe-interval")?.unwrap_or(RouterConfig::default().probe_interval);
     let config = RouterConfig {
         window: parsed.flag_parse("--window", 64usize)?,
-        cache_capacity: parsed.flag_parse("--cache", 128usize)?,
         replicas: parsed.flag_parse("--replicas", 1usize)?,
         probe_interval,
         read_deadline: seconds_flag(parsed, "--read-deadline")?,
@@ -909,7 +907,6 @@ fn route(parsed: &Parsed) -> Result<(), String> {
                     ("requests", summary.received.into()),
                     ("responses", summary.responses.into()),
                     ("forwarded", summary.forwarded.into()),
-                    ("cache_hits", summary.cache_hits.into()),
                     ("errors", summary.errors.into()),
                 ],
             );

@@ -273,6 +273,7 @@ fn serve_and_route_reject_options_they_do_not_take() {
     // run fails later, on a value or on the empty topology.
     for (line, named) in [
         ("route --shards 127.0.0.1:1 --replica 2", "--replica"),
+        ("route --shards 127.0.0.1:1 --cache 1", "--cache"),
         ("serve --thread 2 stray", "--thread"),
         ("serve stray", "stray"),
         ("serve --timing", "--timing"),
@@ -283,7 +284,7 @@ fn serve_and_route_reject_options_they_do_not_take() {
             "bad value for --threads",
         ),
         (
-            "route --listen h:1 --cache 1 --window 1 --replicas 2 --probe-interval 1 \
+            "route --listen h:1 --window 1 --replicas 2 --probe-interval 1 \
              --read-deadline 1 --metrics-addr h:2 --trace-slow-ms 1",
             "zero shards",
         ),

@@ -14,10 +14,11 @@
 //! Placement is a **rendezvous hash** over the request's placement key —
 //! the matrix content fingerprint, or the collection-name fingerprint for
 //! named matrices ([`mg_core::service::placement_key`], shared with the
-//! shard cache) — and the shard ids. Repeats short-circuit at a
-//! router-level LRU before they cross the wire; per-shard connections
-//! replay their unanswered requests after a reconnect; a bounded
-//! in-flight window per shard provides backpressure.
+//! shard cache) — and the shard ids. Every partition request is
+//! forwarded, so a repeat reaches the shard that computed it and that
+//! shard's cache answers it; per-shard connections replay their
+//! unanswered requests after a reconnect; a bounded in-flight window per
+//! shard provides backpressure.
 //!
 //! With `--replicas R` the top-R rendezvous ranks of each key form its
 //! **replica set**: requests go to the best-ranked replica currently
@@ -47,7 +48,6 @@
 //! cluster.shutdown();
 //! ```
 
-pub mod cache;
 pub mod config;
 pub mod harness;
 mod metrics;
@@ -55,7 +55,6 @@ pub mod placement;
 pub mod router;
 mod shard;
 
-pub use cache::RouterKey;
 pub use config::{ShardSpec, Topology, TopologyError};
 pub use harness::{LocalCluster, LocalShard, ShardProxy};
 pub use placement::rank;

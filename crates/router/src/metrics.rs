@@ -13,8 +13,6 @@ use std::sync::OnceLock;
 pub(crate) struct RouterMetrics {
     /// Every decoded request unit, including ones that fail to parse.
     pub requests: Counter,
-    /// Requests short-circuited by the router-level LRU.
-    pub cache_hits: Counter,
     /// Requests replayed or dispatched away from their primary replica.
     pub failovers: Counter,
     /// Forward attempts that blocked on a full per-shard window.
@@ -33,7 +31,6 @@ pub(crate) fn router_metrics() -> &'static RouterMetrics {
         let r = registry();
         RouterMetrics {
             requests: r.counter("mgpart_router_requests_total", &[]),
-            cache_hits: r.counter("mgpart_router_cache_hits_total", &[]),
             failovers: r.counter("mgpart_router_failovers_total", &[]),
             window_stalls: r.counter("mgpart_router_window_stalls_total", &[]),
             pending: r.gauge("mgpart_router_pending_requests", &[]),
@@ -48,9 +45,8 @@ pub(crate) fn dispatch_counter(shard_id: &str) -> Counter {
 }
 
 /// End-to-end routed-request latency by resolving shard, decode through
-/// delivery (`shard="router"` for requests answered from the router's
-/// own cache). Shares the phase bucket ladder so router, shard, and
-/// phase latencies read on one scale.
+/// delivery. Shares the phase bucket ladder so router, shard, and phase
+/// latencies read on one scale.
 pub(crate) fn router_request_seconds(shard_id: &str) -> Histogram {
     registry().histogram(
         "mgpart_router_request_seconds",

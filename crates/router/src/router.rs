@@ -1,17 +1,18 @@
-//! The routing engine: placement, the router-level response cache, the
-//! health prober, and the router's session handler.
+//! The routing engine: placement, the health prober, and the router's
+//! session handler.
 //!
 //! ## Execution model
 //!
 //! A router session is an `mg_server::session` handler: the shared
 //! session runtime pumps request units into it and writes its responses
 //! in submission order, exactly as for a shard. The handler answers what
-//! it can locally (parse errors, `ping`, `stats`, router-cache hits) and
-//! forwards the rest — the *original raw line*, so shards decode exactly
-//! what the client sent — to the shard that [`crate::placement`] picks
-//! for the request's placement key. Each session holds at most one
-//! connection per shard (`shard.rs`); responses come back in FIFO
-//! order per connection and resolve the session's response slots.
+//! it can locally (parse errors, `ping`, `stats`) and forwards the rest —
+//! the *original raw line*, so shards decode exactly what the client
+//! sent — to the shard that [`crate::placement`] picks for the request's
+//! placement key. A repeat reaches the shard that computed it, whose
+//! cache answers it; the router keeps no cache. Each session holds at
+//! most one connection per shard (`shard.rs`); responses come back in
+//! FIFO order per connection and resolve the session's response slots.
 //!
 //! ## Replication and failure handling
 //!
@@ -36,19 +37,18 @@
 //! ## Determinism
 //!
 //! Placement is a pure function of the request, shards are configured
-//! identically, and the router cache only ever serves a byte-rewrite
-//! (fresh id, `cached: true`) of a line some shard produced — so a
-//! session's response stream is the same for 1 shard and K shards at any
-//! thread count, **and failover is invisible**: any replica computes
-//! byte-identical response bytes for a request, so a replayed request
-//! returns exactly the line the dead replica would have produced (see
-//! `PROTOCOL.md` § Routing for the exact contract).
+//! identically, and every response line is one some shard produced — so
+//! a session's response stream is the same for 1 shard and K shards at
+//! any thread count, **and failover is invisible** up to the `cached`
+//! flag: any replica computes byte-identical payload bytes for a
+//! request, so a replayed request returns the line the dead replica
+//! would have produced, except that a repeat the dead replica had cached
+//! may be computed afresh (`cached: false`; see `PROTOCOL.md` § Routing
+//! for the exact contract).
 
-use crate::cache::{with_id, RouterKey};
 use crate::config::Topology;
 use crate::metrics::{
-    dispatch_counter, health_transition, router_metrics, router_request_seconds, set_replicas,
-    set_shard_alive,
+    dispatch_counter, health_transition, router_metrics, set_replicas, set_shard_alive,
 };
 use crate::placement::rank;
 use crate::shard::{EntryTrace, PendingEntry, SessionState, ShardConn};
@@ -59,7 +59,7 @@ use mg_server::json::obj;
 use mg_server::session::{
     self, lock_ok, wait_ok, Handler, Render, RequestTrace, Responses, Runtime, Stamp,
 };
-use mg_server::{protocol, Json, LruCache};
+use mg_server::{protocol, Json};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -72,8 +72,6 @@ pub struct RouterConfig {
     /// Largest number of forwarded-but-unanswered requests per shard
     /// connection; full ⇒ the session's reader blocks (backpressure).
     pub window: usize,
-    /// Router-level LRU response cache capacity in entries; 0 disables.
-    pub cache_capacity: usize,
     /// Dial attempts per connect/reconnect before a shard counts as down.
     pub connect_attempts: u32,
     /// Delay between dial attempts.
@@ -103,7 +101,6 @@ impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
             window: 64,
-            cache_capacity: 128,
             connect_attempts: 5,
             retry_delay: Duration::from_millis(200),
             replicas: 1,
@@ -131,8 +128,6 @@ pub struct RouterSummary {
     pub responses: u64,
     /// Requests forwarded to a shard.
     pub forwarded: u64,
-    /// Requests short-circuited by the router cache.
-    pub cache_hits: u64,
     /// Locally answered error responses.
     pub errors: u64,
 }
@@ -140,7 +135,6 @@ pub struct RouterSummary {
 pub(crate) struct RouterCore {
     pub(crate) topology: Topology,
     pub(crate) config: RouterConfig,
-    cache: Mutex<LruCache<RouterKey, String>>,
     /// Idle, reader-less connections per shard, reusable across sessions.
     pools: Vec<Mutex<Vec<TcpStream>>>,
     /// Believed liveness per shard: written by the prober and by
@@ -176,8 +170,7 @@ impl Prober {
     }
 }
 
-/// A running router: validated topology + shared cache + connection
-/// pools + (with `replicas > 1`) a background health prober. Sessions
+/// A running router: validated topology + connection pools + (with `replicas > 1`) a background health prober. Sessions
 /// attach via [`Router::run_session`] (pipe transports) or the TCP front
 /// end ([`crate::RouterTcpServer`]).
 pub struct Router {
@@ -198,7 +191,6 @@ impl Router {
         let health = (0..topology.len()).map(|_| AtomicBool::new(true)).collect();
         let spawn_prober = config.replicas > 1 && !config.probe_interval.is_zero();
         let core = Arc::new(RouterCore {
-            cache: Mutex::new(LruCache::new(config.cache_capacity)),
             pools,
             health,
             failovers: AtomicU64::new(0),
@@ -390,10 +382,6 @@ impl RouterCore {
             .collect()
     }
 
-    pub(crate) fn cache_put(&self, key: RouterKey, line: String) {
-        lock_ok(&self.cache).insert(key, line);
-    }
-
     /// Forwards `shutdown` to every shard exactly once (whichever session
     /// gets there first wins), draining each: the shard answers all
     /// earlier requests on the connection, acks the shutdown, and exits.
@@ -538,7 +526,7 @@ pub(crate) fn next_candidate(core: &RouterCore, fallbacks: &mut Vec<usize>) -> O
 pub(crate) enum RSlot {
     Ready {
         line: String,
-        /// The response says `cached: true` (shard- or router-served).
+        /// The response says `cached: true` (a shard cache served it).
         cached: bool,
         /// The response is an error line.
         error: bool,
@@ -760,7 +748,7 @@ impl RouterSessionDriver {
             }
             RequestOp::Partition => {
                 let spec = request.spec.expect("partition requests carry a spec");
-                self.route_partition(index, line, request.id, spec, request.trace, t0);
+                self.route_partition(index, line, request.id, spec.matrix, request.trace, t0);
             }
         }
         true
@@ -805,7 +793,6 @@ impl RouterSessionDriver {
                     &ForwardReq {
                         index,
                         raw,
-                        key: None,
                         id: &id,
                         rt: None,
                     },
@@ -829,7 +816,7 @@ impl RouterSessionDriver {
     }
 
     /// Records the `route` span of a traced request: the synchronous
-    /// routing decision (placement, cache lookup, replica ranking).
+    /// routing decision (placement and replica ranking).
     fn close_route_span(route_span: Option<(trace::TraceContext, Stamp)>) {
         if let Some((rs, start)) = route_span {
             trace::record_span(
@@ -848,7 +835,7 @@ impl RouterSessionDriver {
         index: u64,
         raw: &str,
         id: Json,
-        spec: mg_core::service::PartitionSpec,
+        matrix: mg_core::service::MatrixPayload,
         wire: Option<mg_obs::WireTrace>,
         t0: Stamp,
     ) {
@@ -866,7 +853,7 @@ impl RouterSessionDriver {
                 "router is draining; request rejected".to_string(),
             ))
         } else {
-            placement_key(spec.matrix)
+            placement_key(matrix)
         };
         let placement = match placed {
             Ok(placement) => placement,
@@ -878,32 +865,6 @@ impl RouterSessionDriver {
                 return;
             }
         };
-        let key: RouterKey = (
-            placement,
-            spec.method,
-            spec.backend,
-            spec.epsilon.to_bits(),
-            spec.seed,
-            spec.include_partition,
-        );
-        let lookup = Stamp::now();
-        let stored = lock_ok(&self.core().cache).get(&key).cloned();
-        if let Some((rs, _)) = &route_span {
-            lookup.record_child(rs, "cache_lookup");
-        }
-        if let Some(line) = stored.and_then(|stored| with_id(&stored, &id)) {
-            self.summary.cache_hits += 1;
-            router_metrics().cache_hits.inc();
-            self.session
-                .slots
-                .resolve(index, RSlot::line(line, true, false));
-            Self::close_route_span(route_span);
-            if let Some(rt) = &rt {
-                rt.close(trace_slow);
-            }
-            router_request_seconds("router").observe(t0.at.elapsed().as_secs_f64());
-            return;
-        }
         let ranked = rank(
             placement,
             self.core().topology.shards(),
@@ -917,7 +878,6 @@ impl RouterSessionDriver {
             &ForwardReq {
                 index,
                 raw,
-                key: Some(key),
                 id: &id,
                 rt,
             },
@@ -1007,7 +967,6 @@ impl RouterSessionDriver {
         let entry = PendingEntry {
             index: req.index,
             raw: send,
-            key: req.key,
             id: req.id.clone(),
             fallbacks: fallbacks.to_vec(),
             enqueued: Instant::now(),
@@ -1058,12 +1017,10 @@ impl Drop for RouterSessionDriver {
 }
 
 /// One client request on its way to a shard: the session index, the
-/// line to forward, the router-cache key, the echoed id, and the
-/// optional trace handle.
+/// line to forward, the echoed id, and the optional trace handle.
 struct ForwardReq<'a> {
     index: u64,
     raw: &'a str,
-    key: Option<RouterKey>,
     id: &'a Json,
     rt: Option<RequestTrace>,
 }

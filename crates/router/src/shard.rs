@@ -4,7 +4,6 @@
 //! replays the queue when the connection drops, and fails the queue over
 //! to the next-ranked replicas when the shard stays down.
 
-use crate::cache::{cached_true_of, RouterKey};
 use crate::metrics::{router_metrics, router_request_seconds};
 use crate::router::{next_candidate, stamp_trace, RSlot, RouterCore};
 use mg_core::service::ErrorCode;
@@ -50,8 +49,6 @@ pub(crate) struct PendingEntry {
     /// The request line a replay resends: the original bytes, except
     /// that traced entries carry the router's propagated `trace` field.
     pub(crate) raw: String,
-    /// Router-cache key for cacheable (partition) requests.
-    pub(crate) key: Option<RouterKey>,
     /// The request id, kept so a failure response can echo it without
     /// re-parsing the raw line.
     pub(crate) id: Json,
@@ -396,8 +393,8 @@ fn reader_thread(session: &Arc<SessionState>, shard: usize, conn: &Arc<ConnShare
 }
 
 /// Reader loop body: pairs response lines with the FIFO pending queue,
-/// fills session slots, feeds the router cache, and owns
-/// reconnect-and-replay plus the failover hand-off.
+/// fills session slots, and owns reconnect-and-replay plus the failover
+/// hand-off.
 fn reader_loop(session: &Arc<SessionState>, shard: usize, conn: &Arc<ConnShared>) {
     let core = &session.core;
     'connection: loop {
@@ -475,9 +472,10 @@ fn reader_loop(session: &Arc<SessionState>, shard: usize, conn: &Arc<ConnShared>
 }
 
 /// Matches one shard response line with the oldest pending request:
-/// stores cacheable successes in the router cache (as their
-/// `cached: true` variant), closes the entry's trace spans, observes
-/// the per-shard latency histogram, and resolves the session slot.
+/// reads its `status` and `cached` fields for the session's `stats`
+/// tallies, closes the entry's trace spans, observes the per-shard
+/// latency histogram, and resolves the session slot with the line as
+/// the shard wrote it.
 fn deliver_response(
     core: &RouterCore,
     shard: usize,
@@ -496,20 +494,10 @@ fn deliver_response(
         // the line rather than corrupting slot order.
         return;
     };
-    // One parse per response line: metadata and the cache-stored rewrite
-    // both come from this document.
     let doc = Json::parse(line).ok();
     let field = |name: &str| doc.as_ref().and_then(|d| d.get(name));
-    let status = field("status").and_then(Json::as_str).unwrap_or("");
+    let error = field("status").and_then(Json::as_str) == Some("error");
     let cached = field("cached").and_then(Json::as_bool).unwrap_or(false);
-    let error = status == "error";
-    if status == "ok" {
-        if let (Some(key), Some(doc)) = (entry.key, &doc) {
-            if let Some(stored) = cached_true_of(doc) {
-                core.cache_put(key, stored);
-            }
-        }
-    }
     entry.end_leg();
     if let Some(t) = &entry.trace {
         t.req.close(core.config.trace_slow);

@@ -407,30 +407,40 @@ fn shard_tagged_errors_name_the_rejecting_shard() {
 }
 
 #[test]
-fn router_cache_short_circuits_repeats_without_recrossing_the_wire() {
+fn the_owning_shard_answers_a_repeat_from_its_cache() {
     let cluster = LocalCluster::spawn(2, |_| ServiceConfig::default());
+    let topology = cluster.topology();
+    let owner = &topology.shards()[replica_set(PARTITION.trim_end(), &topology, 1)[0]].id;
     let router = cluster.router(RouterConfig::default());
-    // Session 1 computes; session 2 repeats the same request and must be
-    // served from the router cache (the summary counts it), with the
-    // response marked cached and re-issued under the new id.
+    // Session 1 computes; session 2 repeats the request under a new id.
+    // The router forwards both, and placement sends the repeat to the
+    // shard that computed it, whose cache answers.
     let mut first = Vec::new();
     let s1 = router.run_session(PARTITION.as_bytes(), &mut first);
-    assert_eq!(s1.cache_hits, 0);
     assert_eq!(s1.forwarded, 1);
     let repeat = PARTITION.replace("\"id\":7", "\"id\":\"again\"");
     let mut second = Vec::new();
     let s2 = router.run_session(repeat.as_bytes(), &mut second);
-    cluster.shutdown();
-    assert_eq!(s2.cache_hits, 1, "router LRU must answer the repeat");
-    assert_eq!(s2.forwarded, 0);
+    assert_eq!(s2.forwarded, 1, "the repeat crosses the wire");
     let first = String::from_utf8(first).unwrap();
     let second = String::from_utf8(second).unwrap();
-    assert!(second.contains("\"id\":\"again\""), "{second}");
-    assert!(second.contains("\"cached\":true"), "{second}");
+    assert!(first.contains("\"cached\":false"), "{first}");
     assert_eq!(
         second.replace("\"id\":\"again\"", "\"id\":7"),
         first.replace("\"cached\":false", "\"cached\":true"),
-        "a cache hit is the original line modulo id and cached flag"
+        "the repeat is the original line modulo id and cached flag"
+    );
+    // The sessions share one pooled connection to the owner, so its
+    // session counters cover both requests: one computed job, one hit.
+    let stats = format!("{{\"id\":\"s\",\"op\":\"stats\",\"shard\":\"{owner}\"}}\n");
+    let mut third = Vec::new();
+    router.run_session(stats.as_bytes(), &mut third);
+    cluster.shutdown();
+    assert_eq!(
+        String::from_utf8(third).unwrap(),
+        "{\"id\":\"s\",\"status\":\"ok\",\"op\":\"stats\",\"received\":3,\"cache_hits\":1,\
+         \"cache_misses\":1,\"errors\":0,\"sessions\":1,\"queue_depth\":0,\
+         \"backends\":{\"mondriaan\":1}}\n"
     );
 }
 

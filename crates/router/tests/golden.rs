@@ -100,7 +100,7 @@ fn route_script_extends_the_server_smoke_script() {
 fn golden_stream_has_the_router_features_visible() {
     let lines: Vec<&str> = GOLDEN.lines().collect();
     assert_eq!(lines.len(), 10);
-    // Repeat answered as cached, whichever cache layer served it.
+    // Repeat answered as cached by the owning shard.
     assert!(lines[2].contains("\"cached\":true"));
     // Local decode errors short-circuit at the router: the retired
     // `geometric` backend and a made-up one.

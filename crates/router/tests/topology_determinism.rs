@@ -3,7 +3,8 @@
 //! any worker-thread count** — 1, 2 and 4 identically-configured shards, each
 //! at 1, 2 and 4 threads, must produce the same bytes, because placement
 //! is a pure function of the request, every job is seeded from its key,
-//! and the router cache only re-issues shard-produced lines.
+//! and a repeat always reaches the shard cache that holds its first
+//! answer.
 
 use mg_collection::{CollectionScale, CollectionSpec};
 use mg_router::{LocalCluster, RouterConfig};
@@ -69,8 +70,7 @@ fn script() -> String {
         ));
         id += 1;
     }
-    // Straight repeats → cached: true (router LRU or shard cache; the
-    // bytes agree either way).
+    // Straight repeats → cached: true from the owning shard's cache.
     lines.push(format!(
         "{{\"id\":{id},\"matrix\":{},\"method\":\"mg-ir\"}}",
         inline_payload(&matrices[1])
@@ -86,7 +86,7 @@ fn script() -> String {
         inline_payload(&matrices[2])
     ));
     id += 1;
-    // Full assignment requested (its own key at both cache levels).
+    // Full assignment requested (its own cache key).
     lines.push(format!(
         "{{\"id\":{id},\"matrix\":{},\"include_partition\":true}}",
         inline_payload(&matrices[3])

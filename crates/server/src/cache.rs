@@ -11,7 +11,7 @@ use std::hash::Hash;
 
 /// A least-recently-used map with a fixed capacity.
 #[derive(Debug)]
-pub struct LruCache<K, V> {
+pub(crate) struct LruCache<K, V> {
     capacity: usize,
     map: HashMap<K, (V, u64)>,
     recency: BTreeMap<u64, K>,
@@ -30,18 +30,15 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     }
 
     /// Number of live entries.
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.map.len()
     }
 
     /// `true` when no entries are cached.
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Looks up `key`, marking it most recently used on a hit.

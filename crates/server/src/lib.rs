@@ -43,7 +43,7 @@
 //! assert!(text.lines().next().unwrap().contains("\"status\":\"ok\""));
 //! ```
 
-pub mod cache;
+mod cache;
 pub mod codec;
 pub mod json;
 mod metrics;
@@ -51,7 +51,6 @@ pub mod protocol;
 pub mod service;
 pub mod session;
 
-pub use cache::LruCache;
 pub use codec::{UnitKind, UnitScanner, WireCodec};
 pub use json::{Json, JsonError};
 pub use protocol::{
