@@ -37,14 +37,14 @@
 //! ## Determinism
 //!
 //! Placement is a pure function of the request, shards are configured
-//! identically, and every response line is one some shard produced — so
-//! a session's response stream is the same for 1 shard and K shards at
-//! any thread count, **and failover is invisible** up to the `cached`
-//! flag: any replica computes byte-identical payload bytes for a
-//! request, so a replayed request returns the line the dead replica
-//! would have produced, except that a repeat the dead replica had cached
-//! may be computed afresh (`cached: false`; see `PROTOCOL.md` § Routing
-//! for the exact contract).
+//! identically, and every partition response is a line some shard
+//! produced — so a session's response stream is the same for 1 shard
+//! and K shards at any thread count, **and failover is invisible** up to
+//! the `cached` flag: any replica computes byte-identical payload bytes
+//! for a request, so a replayed request returns the line the dead
+//! replica would have produced, except that a repeat the dead replica
+//! had cached may be computed afresh (`cached: false`; see `PROTOCOL.md`
+//! § Routing for the exact contract).
 
 use crate::config::Topology;
 use crate::metrics::{
@@ -170,9 +170,10 @@ impl Prober {
     }
 }
 
-/// A running router: validated topology + connection pools + (with `replicas > 1`) a background health prober. Sessions
-/// attach via [`Router::run_session`] (pipe transports) or the TCP front
-/// end ([`crate::RouterTcpServer`]).
+/// A running router: validated topology + connection pools + (with
+/// `replicas > 1`) a background health prober. Sessions attach via
+/// [`Router::run_session`] (pipe transports) or the TCP front end
+/// ([`crate::RouterTcpServer`]).
 pub struct Router {
     pub(crate) core: Arc<RouterCore>,
     prober: Option<Prober>,
